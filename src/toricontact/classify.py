@@ -7,9 +7,11 @@ facet normals through the face) and the leaf holonomy of the Reeb
 foliation, a finite abelian group.
 
 Holonomy is an invariant of the quotient by the Reeb circle, so it is
-computed in the quotient lattice Z^{n+1} / Z*primitive(reeb): each facet
-contributes label * primitive(image of its normal), and the group is the
-saturated span of the images divided by the span of those generators.
+computed in the quotient lattice Z^n = Z^{n+1} / Z*primitive(reeb): each
+facet through the face contributes label * primitive(image of its normal),
+and with L the span of those generators the group is the torsion of Z^n/L,
+read off one Smith normal form.  It equals the saturated span sat(L)
+divided by L, since Z^n/L splits as sat(L)/L plus the free Z^n/sat(L).
 Computing the same quotient upstairs in Z^{n+1} would miss contributions
 at faces whose normal span is entangled with the Reeb direction (already
 visible for weighted spheres), and would contradict the Reeb orbit-period
@@ -24,10 +26,10 @@ from fractions import Fraction
 from . import geometry
 from .lattice import (
     FiniteAbelianGroup,
+    identity,
     matvec,
     primitive,
     quotient_group,
-    saturate,
     snf,
 )
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_over, slice_cone
@@ -112,13 +114,16 @@ def validate_datum(
     actual_mode = "rational" if integral else "irrational"
 
     verts = _poly_vertices(poly, stored)
-    for v in verts:
-        if geometry.dot(v.coords, r) != 1:
-            raise ValueError("vertex off characteristic hyperplane")
     n = poly.dim
     for v in verts:
         if len(v.active) != n:
             raise ValueError("polytope not simple")
+    # at a simple vertex every active inequality is a facet, so an
+    # inequality is redundant exactly when no vertex makes it tight
+    tight = frozenset().union(*(v.active for v in verts))
+    redundant = [i for i in range(len(poly.facets)) if i not in tight]
+    if redundant:
+        raise ValueError(f"redundant facets (tight at no vertex): indices {redundant}")
     if n > 0:
         diffs = [
             [b - a for a, b in zip(verts[0].coords, v.coords)] for v in verts[1:]
@@ -158,10 +163,6 @@ def _reeb_projection(datum: ToricContactDatum):
     return [list(row) for row in u[1:]]
 
 
-def _face_vertices(datum: ToricContactDatum, face: frozenset) -> list[Vertex]:
-    return [v for v in datum.vertices if face <= v.active]
-
-
 def _barycenter(verts) -> tuple[Fraction, ...]:
     k = len(verts)
     dim = len(verts[0].coords)
@@ -172,7 +173,7 @@ def _barycenter(verts) -> tuple[Fraction, ...]:
 
 def _check_face(datum: ToricContactDatum, face: frozenset) -> tuple[Fraction, ...]:
     """Sample point in the relative interior of the face; error if not a face."""
-    verts = _face_vertices(datum, face)
+    verts = [v for v in datum.vertices if face <= v.active]
     if not verts:
         raise ValueError("not a face")
     bary = _barycenter(verts)
@@ -181,24 +182,27 @@ def _check_face(datum: ToricContactDatum, face: frozenset) -> tuple[Fraction, ..
     return bary
 
 
-def _holonomy_from_projection(datum, proj, face) -> FiniteAbelianGroup:
-    images = [matvec(proj, datum.facets[i].normal) for i in sorted(face)]
-    ambient = saturate(images)
-    generators = [
-        [datum.facets[i].label * x for x in primitive(img)]
-        for i, img in zip(sorted(face), images)
+def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
+    """Per facet, label * primitive(image of its normal) in Z^{n+1}/Z*reeb."""
+    proj = _reeb_projection(datum)
+    return [
+        [f.label * x for x in primitive(matvec(proj, f.normal))]
+        for f in datum.facets
     ]
-    return quotient_group(ambient, generators)
+
+
+def _face_holonomy(ambient, generators, face) -> FiniteAbelianGroup:
+    """Torsion of Z^n modulo the span of the face's facet generators."""
+    group = quotient_group(ambient, [generators[i] for i in sorted(face)])
+    return FiniteAbelianGroup(group.invariant_factors)
 
 
 def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     """Leaf holonomy group of the face with the given active facet set."""
     _require_rational(datum)
     face = frozenset(face)
-    if not face:
-        return FiniteAbelianGroup()
     _check_face(datum, face)
-    return _holonomy_from_projection(datum, _reeb_projection(datum), face)
+    return _face_holonomy(identity(datum.n), _facet_generators(datum), face)
 
 
 def classify(datum: ToricContactDatum) -> ClassificationReport:
@@ -209,26 +213,22 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     Regular means every leaf holonomy group is trivial and every label is 1.
     """
     _require_rational(datum)
-    faces = {frozenset()}
+    face_vertices = {}
     for v in datum.vertices:
         active = sorted(v.active)
-        for mask in range(1, 1 << len(active)):
-            faces.add(frozenset(active[i] for i in range(len(active)) if mask >> i & 1))
-    proj = _reeb_projection(datum)
+        for mask in range(1 << len(active)):
+            face = frozenset(active[i] for i in range(len(active)) if mask >> i & 1)
+            face_vertices.setdefault(face, []).append(v)
+    ambient = identity(datum.n)
+    generators = _facet_generators(datum)
     per_face = []
-    for face in sorted(faces, key=lambda f: (len(f), sorted(f))):
-        sample = _barycenter(_face_vertices(datum, face))
-        group = (
-            FiniteAbelianGroup()
-            if not face
-            else _holonomy_from_projection(datum, proj, face)
-        )
+    for face in sorted(face_vertices, key=lambda f: (len(f), sorted(f))):
         per_face.append(
             FaceInvariants(
                 face=face,
                 isotropy_basis=tuple(datum.facets[i].normal for i in sorted(face)),
-                holonomy=group,
-                sample_point=sample,
+                holonomy=_face_holonomy(ambient, generators, face),
+                sample_point=_barycenter(face_vertices[face]),
             )
         )
     regular = all(f.holonomy.is_trivial for f in per_face) and all(

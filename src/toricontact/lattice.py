@@ -270,29 +270,6 @@ def saturate(generators: IntMat) -> IntMat:
     return result if result else []
 
 
-def _coordinates_in_basis(basis: IntMat, vec) -> list[int] | None:
-    """Integer coordinates of vec in the Z-span of the basis rows, or None."""
-    bt = transpose(basis)
-    h, u = hnf(bt)
-    n_rows, n_cols = len(bt), len(bt[0])
-    y = [0] * n_cols
-    residual = list(vec)
-    for j in range(n_cols):
-        pivot_row = next((i for i in range(n_rows) if h[i][j]), None)
-        if pivot_row is None:
-            break
-        if residual[pivot_row] % h[pivot_row][j]:
-            return None
-        q = residual[pivot_row] // h[pivot_row][j]
-        y[j] = q
-        if q:
-            for i in range(n_rows):
-                residual[i] -= q * h[i][j]
-    if any(residual):
-        return None
-    return [sum(u[i][j] * y[j] for j in range(n_cols)) for i in range(n_cols)]
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Z_{d_1} x ... x Z_{d_k} x Z^r with 2 <= d_1 | d_2 | ... | d_k.
@@ -337,19 +314,24 @@ def quotient_group(ambient_basis: IntMat, sub_generators: IntMat) -> FiniteAbeli
     lower rational rank of the sub lattice shows up as free rank.
     """
     a_rows, cols = _shape(ambient_basis)
-    if rank(ambient_basis) != a_rows:
+    # S = U @ B @ V; the rows of U @ B = S @ V^-1 span the same lattice, so
+    # g = z @ (U @ B) exactly when (g @ V)_k = z_k * d_k for every k
+    s, _, v = snf(ambient_basis)
+    pivots = [s[k][k] for k in range(min(a_rows, cols))]
+    if len(pivots) < a_rows or not all(pivots):
         raise ValueError("ambient basis rows must be linearly independent")
     if not sub_generators:
         return FiniteAbelianGroup((), a_rows)
     s_rows, s_cols = _shape(sub_generators)
     if s_cols != cols:
         raise ValueError("ambient and sub lattices live in different spaces")
+    vt = transpose(v)
     coords = []
     for gen in sub_generators:
-        x = _coordinates_in_basis(ambient_basis, gen)
-        if x is None:
+        gv = matvec(vt, gen)
+        if any(x % d for x, d in zip(gv, pivots)) or any(gv[a_rows:]):
             raise ValueError("subgroup not contained in ambient lattice")
-        coords.append(x)
+        coords.append([x // d for x, d in zip(gv, pivots)])
     s, _, _ = snf(coords)
     diag = [s[i][i] for i in range(min(len(coords), a_rows))]
     nonzero = [d for d in diag if d]

@@ -217,18 +217,17 @@ def _stabilizer_order(weights, support) -> int | None:
     """Order of the reduction-torus stabilizer on the given support, or None.
 
     The stabilizer of a point with coordinate support S is the kernel of
-    T^k -> T^S induced by the support columns of W; it is finite exactly
-    when those columns have full row rank and its order is the product of
-    their invariant factors.
+    T^k -> T^S induced by the support columns of W; its order is the
+    product of the k invariant factors of those columns, and it is
+    infinite exactly when that product is 0 (rank below k).
     """
     k = len(weights)
     if k == 0:
         return 1
-    sub = [[row[i] for i in support] for row in weights]
-    if rank(sub) < k:
+    if len(support) < k:
         return None
-    s, _, _ = snf(sub)
-    return prod(s[i][i] for i in range(k))
+    s, _, _ = snf([[row[i] for i in support] for row in weights])
+    return prod(s[i][i] for i in range(k)) or None
 
 
 def verify_presentation(

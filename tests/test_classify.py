@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricontact.classify import (
+    _reeb_projection,
     classify,
     holonomy,
     isotropy_algebra,
@@ -11,9 +12,19 @@ from toricontact.classify import (
     rescale,
     validate_datum,
 )
-from toricontact.lattice import FiniteAbelianGroup, det, matmul
+from toricontact.lattice import (
+    FiniteAbelianGroup,
+    det,
+    matmul,
+    matvec,
+    primitive,
+    quotient_group,
+    saturate,
+)
 from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
+
+from test_reduction import hexagon_datum
 
 F = Fraction
 
@@ -70,6 +81,13 @@ class TestValidateDatum:
         )
         with pytest.raises(ValueError, match="unbounded"):
             validate_datum(poly, (0, 0, 1))
+
+    def test_redundant_facet_rejected(self):
+        # x0 <= 5 never binds on the simplex <alpha, (1, 1, 1)> = 1
+        poly = orthant_polytope(3)
+        poly = LabeledPolytope(3, poly.facets + (LabeledFacet((1, 0, 0), 1, F(5)),))
+        with pytest.raises(ValueError, match=r"redundant.*\[3\]"):
+            validate_datum(poly, (1, 1, 1))
 
 
 class TestIsotropy:
@@ -295,3 +313,46 @@ class TestUnimodularInvariance:
                 assert {
                     tuple(sorted(f.face)): f.holonomy for f in got.per_face
                 } == {tuple(sorted(f.face)): f.holonomy for f in base.per_face}
+
+
+def labeled_cube(n, labels, u):
+    """[0,1]^n at height 1, facet labels as given, normals and reeb mapped by u."""
+    dim = n + 1
+    normals = [tuple(-int(i == j) for j in range(dim)) for i in range(n)]
+    normals += [tuple(int(j == i) - int(j == n) for j in range(dim)) for i in range(n)]
+    facets = tuple(
+        LabeledFacet(tuple(matvec(u, p)), m) for p, m in zip(normals, labels)
+    )
+    reeb = tuple(matvec(u, [int(j == n) for j in range(dim)]))
+    return validate_datum(LabeledPolytope(dim, facets), reeb)
+
+
+def saturated_chain_holonomy(datum, face):
+    """sat(L)/L from the saturated span of the projected normals."""
+    proj = _reeb_projection(datum)
+    images = [matvec(proj, datum.facets[i].normal) for i in sorted(face)]
+    generators = [
+        [datum.facets[i].label * x for x in primitive(img)]
+        for i, img in zip(sorted(face), images)
+    ]
+    return quotient_group(saturate(images), generators)
+
+
+class TestHolonomyMatchesSaturatedChain:
+    def test_labeled_cubes(self):
+        rng = random.Random(2718)
+        nontrivial = 0
+        for n in range(1, 5):
+            for _ in range(4):
+                labels = [rng.randint(1, 3) for _ in range(2 * n)]
+                d = labeled_cube(n, labels, random_unimodular(rng, n + 1))
+                for fi in classify(d).per_face[1:]:  # the empty face comes first
+                    assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
+                    assert holonomy(d, fi.face) == fi.holonomy
+                    nontrivial += not fi.holonomy.is_trivial
+        assert nontrivial > 100
+
+    def test_hexagon(self):
+        d = hexagon_datum()
+        for fi in classify(d).per_face[1:]:
+            assert fi.holonomy == saturated_chain_holonomy(d, fi.face)

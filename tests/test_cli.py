@@ -250,6 +250,25 @@ class TestErrors:
         assert code == 2
         assert "not integral" in err
 
+    def test_redundant_facet_exit_two(self, capsys, monkeypatch):
+        doc = {
+            "ambient_dim": 3,
+            "facets": [
+                {"normal": [-1, 0, 0], "label": 1, "offset": "0"},
+                {"normal": [0, -1, 0], "label": 1, "offset": "0"},
+                {"normal": [0, 0, -1], "label": 1, "offset": "0"},
+                {"normal": [1, 0, 0], "label": 1, "offset": "5"},
+            ],
+            "reeb": [1, 1, 1],
+        }
+        for command in ("validate", "classify", "reduce"):
+            code, out, err = run_cli(
+                capsys, [command], stdin=json.dumps(doc), monkeypatch=monkeypatch
+            )
+            assert code == 2
+            assert not out
+            assert "redundant" in err
+
     def test_bad_slice_reeb_exit_two(self, capsys, monkeypatch):
         _, datum_doc, _ = run_cli(capsys, ["sphere", "--weights", "1,1", "--output", "json"])
         code, _, err = run_cli(

@@ -245,6 +245,42 @@ class TestQuotientGroup:
             g = quotient_group(identity(n), sub)
             assert g.order() == abs(d)
 
+    def test_nondiagonal_ambient_matches_minor_gcd_oracle(self):
+        # quotient_group(B, X @ B) is Z^k / X Z^k for any basis B
+        rng = random.Random(20261017)
+        for _ in range(40):
+            k = rng.randrange(1, 4)
+            cols = rng.randrange(k, 5)
+            while True:
+                b = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(k)]
+                if rank(b) == k:
+                    break
+            while True:
+                x = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(k)]
+                if det(x):
+                    break
+            g = quotient_group(b, matmul(x, b))
+            assert g.free_rank == 0
+            assert list(g.invariant_factors) == [
+                d for d in minor_gcd_invariant_factors(x) if d > 1
+            ]
+
+    def test_dependent_ambient_rejected(self):
+        with pytest.raises(ValueError, match="linearly independent"):
+            quotient_group([[1, 2, 3], [2, 4, 6]], [[1, 2, 3]])
+        with pytest.raises(ValueError, match="linearly independent"):
+            quotient_group([[1], [2]], [[1]])
+
+    def test_membership_enforced_nondiagonal(self):
+        b = [[1, 2, 3], [0, 3, 6]]
+        assert quotient_group(b, [[0, 3, 6], [1, 5, 9]]).is_trivial
+        # in the rational span (a third of a basis row), not the integer span
+        with pytest.raises(ValueError, match="not contained"):
+            quotient_group(b, [[0, 1, 2]])
+        # outside the rational span
+        with pytest.raises(ValueError, match="not contained"):
+            quotient_group(b, [[0, 0, 1]])
+
 
 class TestFiniteAbelianGroup:
     def test_chain_enforced(self):

@@ -260,6 +260,19 @@ class TestVerifyPresentation:
         assert not report.ok
         assert any("weights" in p or "zero" in p for p in report.problems)
 
+    def test_weight_row_vanishing_on_support_has_infinite_stabilizer(self):
+        d = cube_datum()
+        pres = synthesize(d)
+        vertex = d.vertices[0]
+        rows = [list(r) for r in pres.weights]
+        for j in range(pres.N):
+            if j not in vertex.active:
+                rows[0][j] = 0
+        bad = SpherePresentation(pres.N, pres.beta, tuple(map(tuple, rows)), pres.deformation)
+        report = verify_presentation(bad, d)
+        assert dict(report.local_freeness)[vertex.coords] is None
+        assert not report.ok
+
     def test_tampered_deformation_detected(self):
         d = weighted_simplex((1, 2))
         pres = synthesize(d)
