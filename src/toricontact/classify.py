@@ -84,7 +84,6 @@ class FaceInvariants:
 class ClassificationReport:
     regularity: str  # "regular" or "quasi-regular"
     per_face: tuple[FaceInvariants, ...]
-    sasakian_compatible: bool = True
 
     @property
     def nontrivial_faces(self) -> tuple[FaceInvariants, ...]:
@@ -96,9 +95,10 @@ def validate_datum(
 ) -> ToricContactDatum:
     """Check all datum invariants and return the validated datum.
 
-    In rational mode the characteristic vector must be integral; the
-    explicit irrational mode admits rational vectors but restricts the
-    datum to vertex geometry (no holonomy or classification).
+    In rational mode the characteristic vector must be integral, and so
+    must every cone normal offset * reeb - label * normal; the explicit
+    irrational mode admits rational vectors but restricts the datum to
+    vertex geometry (no holonomy or classification).
     """
     if mode not in ("rational", "irrational"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -136,6 +136,8 @@ def validate_datum(
     span_rows.append([int(x) if actual_mode == "rational" else x for x in stored])
     if geometry.rank_q(span_rows) != poly.ambient_dim:
         raise ValueError("facet normals and characteristic vector do not span")
+    if actual_mode == "rational":
+        cone_over(poly, stored)  # reduction needs integral cone normals
     return ToricContactDatum(poly, stored, actual_mode, tuple(verts))
 
 

@@ -76,10 +76,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     report = classify(_read_datum(args))
     doc = documents.classification_to_document(report)
-    lines = [
-        f"regularity: {report.regularity}",
-        f"sasakian compatible: {str(report.sasakian_compatible).lower()}",
-    ]
+    lines = [f"regularity: {report.regularity}"]
     for f in report.per_face:
         face = "interior" if not f.face else f"facets {sorted(f.face)}"
         lines.append(

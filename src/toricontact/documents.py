@@ -192,7 +192,6 @@ def _group_to_document(group) -> dict:
 def classification_to_document(report: ClassificationReport) -> dict:
     return {
         "regularity": report.regularity,
-        "sasakian_compatible": report.sasakian_compatible,
         "per_face": [
             {
                 "face": sorted(f.face),

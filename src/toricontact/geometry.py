@@ -1,6 +1,9 @@
 """Exact rational linear algebra and brute-force H-polyhedron enumeration.
 
-Everything runs over ``fractions.Fraction`` (ints mix in transparently).
+Inputs may mix ints and ``fractions.Fraction``.  Every row reduction,
+rank, null space and solve scales each rational row to an integer one and
+runs the fraction-free elimination :func:`toricontact.lattice.echelon`;
+Fractions appear only in the answers, as entries over the final pivot.
 Vertex and ray enumeration work by exhaustive constraint-subset
 intersection, which is exact and entirely adequate at the scale this
 package targets (a few dozen constraints, dimension at most a handful).
@@ -10,16 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
+
+from .lattice import echelon, primitive
 
 __all__ = [
+    "basic_feasible_points",
     "cone_rays",
     "dot",
     "enumerate_hpoly",
     "null_space",
     "rank_q",
     "rational_to_primitive_int",
-    "row_space_basis",
     "solve_general",
     "solve_square",
 ]
@@ -29,38 +34,21 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _integral(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators (same ray)."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
 def _rref(rows):
     """Reduced row echelon form; returns (reduced_nonzero_rows, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    cols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    e, pivots, d, _ = echelon([_integral(row) for row in rows])
+    return [[Fraction(x, d) for x in row] for row in e], pivots
 
 
 def rank_q(rows) -> int:
-    return len(_rref(rows)[0])
-
-
-def row_space_basis(rows):
-    return _rref(rows)[0]
+    return len(echelon([_integral(row) for row in rows])[1])
 
 
 def null_space(rows, dim: int):
@@ -80,62 +68,43 @@ def null_space(rows, dim: int):
 def solve_square(rows, rhs):
     """Unique solution of a square rational system, or None if singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    e, pivots, d, _ = echelon([_integral([*r, b]) for r, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return [Fraction(row[n], d) for row in e]
 
 
 def solve_general(rows, rhs):
     """One solution of rows @ x = rhs with free variables set to 0, or None."""
     cols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    reduced, pivots = _rref(aug)
-    for row in reduced:
-        if not any(row[:cols]) and row[cols]:
-            return None
+    e, pivots, d, _ = echelon([_integral([*r, b]) for r, b in zip(rows, rhs)])
+    if cols in pivots:  # a row reads 0 = nonzero
+        return None
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        if c == cols:
-            return None
-        x[c] = reduced[r][cols]
+    for row, c in zip(e, pivots):
+        x[c] = Fraction(row[cols], d)
     return x
 
 
 def rational_to_primitive_int(vec) -> list[int]:
     """Scale a nonzero rational vector to a primitive integer one (same ray)."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return [x // g for x in ints]
+    return primitive(_integral(vec))
 
 
-def _vertex_candidates(a_rows, b, dim):
-    n = len(a_rows)
-    seen = set()
-    verts = []
-    for subset in combinations(range(n), dim):
+def basic_feasible_points(a_rows, b):
+    """Basic feasible points of {x : A x <= b}, in lexicographic order.
+
+    Each choice of as many rows as there are columns whose system has a
+    unique solution gives a candidate; the feasible candidates are the
+    vertices of the polyhedron (none when A has lower rank).
+    """
+    dim = len(a_rows[0])
+    found = set()
+    for subset in combinations(range(len(a_rows)), dim):
         x = solve_square([a_rows[i] for i in subset], [b[i] for i in subset])
-        if x is None:
-            continue
-        if all(dot(a_rows[i], x) <= b[i] for i in range(n)):
-            key = tuple(x)
-            if key not in seen:
-                seen.add(key)
-                verts.append(key)
-    return sorted(verts)
+        if x is not None and all(dot(row, x) <= bi for row, bi in zip(a_rows, b)):
+            found.add(tuple(x))
+    return sorted(found)
 
 
 def _pointed_cone_rays(a_rows, dim):
@@ -171,18 +140,17 @@ def enumerate_hpoly(a_rows, b):
     if dim == 0:
         feasible = all(Fraction(x) >= 0 for x in b)
         return ("bounded", [()]) if feasible else ("empty", [])
-    r = rank_q(a_rows)
-    if r < dim:
+    basis, _ = _rref(a_rows)
+    if len(basis) < dim:
         # Constraints only act on the span of their normals; feasibility is
         # decided there, and the orthogonal directions are free lines.
-        basis = row_space_basis(a_rows)
         if not basis:
             feasible = all(Fraction(x) >= 0 for x in b)
             return ("unbounded", []) if feasible else ("empty", [])
         projected = [[dot(row, bas) for bas in basis] for row in a_rows]
         status, _ = enumerate_hpoly(projected, b)
         return ("empty", []) if status == "empty" else ("unbounded", [])
-    verts = _vertex_candidates(a_rows, [Fraction(x) for x in b], dim)
+    verts = basic_feasible_points(a_rows, b)
     if not verts:
         return "empty", []
     if _pointed_cone_rays(a_rows, dim):

@@ -1,9 +1,12 @@
-"""Exact integer linear algebra: normal forms, saturated lattices, quotients.
+"""Exact integer linear algebra: elimination, normal forms, lattices, quotients.
 
 Everything here works on nested lists of plain Python ints, so coefficient
 growth is absorbed by arbitrary precision and every identity (``H = M @ U``,
 ``S = U @ M @ V``, divisibility chains) holds exactly.  Matrices are
 row-major: ``mat[i][j]`` is the entry in row ``i``, column ``j``.
+
+``echelon`` is the one elimination over Q: rank, determinant and every
+rational solve in :mod:`toricontact.geometry` read their answer off it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 __all__ = [
     "FiniteAbelianGroup",
     "det",
+    "echelon",
     "hnf",
     "identity",
     "kernel_lattice_basis",
@@ -85,28 +89,46 @@ def primitive(vec) -> list[int]:
     return [x // g for x in vec]
 
 
+def echelon(mat: IntMat) -> tuple[IntMat, list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns (E, pivots, d, sign): the rows of E are d times the nonzero rows
+    of the reduced row echelon form, so E[r][pivots[r]] == d, and sign is
+    -1 to the number of row swaps.  Every intermediate entry is a minor of
+    ``mat``, which makes each division by the previous pivot exact.
+    """
+    e = [list(row) for row in mat]
+    pivots = []
+    d, sign = 1, 1
+    for c in range(len(e[0]) if e else 0):
+        r = len(pivots)
+        if r == len(e):
+            break
+        piv = next((i for i in range(r, len(e)) if e[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            e[r], e[piv] = e[piv], e[r]
+            sign = -sign
+        prow = e[r]
+        p = prow[c]
+        for i, row in enumerate(e):
+            f = row[c]
+            # with f == 0 the update only rescales the row by p / d
+            if i != r and (f or p != d):
+                e[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(c)
+    return e[: len(pivots)], pivots, d, sign
+
+
 def det(mat: IntMat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, read off the fraction-free elimination."""
     rows, cols = _shape(mat)
     if rows != cols:
         raise ValueError("determinant requires a square matrix")
-    a = [list(row) for row in mat]
-    sign, prev = 1, 1
-    for k in range(rows - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, rows):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, rows):
-            for j in range(k + 1, rows):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    _, pivots, d, sign = echelon(mat)
+    return sign * d if len(pivots) == rows else 0
 
 
 def hnf(mat: IntMat) -> tuple[IntMat, IntMat]:
@@ -157,9 +179,9 @@ def hnf(mat: IntMat) -> tuple[IntMat, IntMat]:
 
 
 def rank(mat: IntMat) -> int:
-    """Rank over the rationals (= number of pivot columns of the HNF)."""
-    h, _ = hnf(mat)
-    return sum(1 for j in range(len(h[0])) if any(row[j] for row in h))
+    """Rank over the rationals (number of pivots of the elimination)."""
+    _shape(mat)
+    return len(echelon(mat)[1])
 
 
 def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:

@@ -199,12 +199,16 @@ def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
     """
     r = _reeb_fractions(reeb)
     normals = []
-    for f in poly.facets:
+    for i, f in enumerate(poly.facets):
         w = [f.offset * ri - yi for ri, yi in zip(r, f.functional)]
         if not any(w):
             raise ValueError("degenerate facet under coning")
         if any(x.denominator != 1 for x in w):
-            raise ValueError("cone normal decomposition not integral")
+            raise ValueError(
+                f"cone normal decomposition not integral: facet {i} cones to "
+                f"({', '.join(map(str, w))}); scale the characteristic vector "
+                "or the offsets so that offset * reeb is integral"
+            )
         w_int = [int(x) for x in w]
         label = gcd(*w_int)
         normals.append((tuple(x // label for x in w_int), label))

@@ -98,9 +98,11 @@ def build_beta(datum: ToricContactDatum) -> list[list[int]]:
 
 def kernel_torus_weights(beta) -> list[list[int]]:
     """Saturated basis of the integer kernel of beta (the reduction torus)."""
-    if rank(beta) != len(beta):
+    weights = kernel_lattice_basis(beta)
+    # beta is onto Q^rows exactly when its kernel has dimension N - rows
+    if len(weights) != len(beta[0]) - len(beta):
         raise ValueError("beta not surjective")
-    return kernel_lattice_basis(beta)
+    return weights
 
 
 def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
@@ -123,8 +125,9 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     k = len(weights)
     # maximize z subject to base + W^T t >= z * ones, variables (t, z)
     a_rows = [[-weights[j][i] for j in range(k)] + [1] for i in range(n_cols)]
-    rhs = [base[i] for i in range(n_cols)]
-    status, verts = geometry.enumerate_hpoly(a_rows, rhs)
+    # the region always recedes along z -> -infinity, so only its vertices
+    # (the basic feasible points) matter, not whether it is bounded
+    verts = geometry.basic_feasible_points(a_rows, base)
     if not verts:
         raise ValueError("no positive solution")
     best_z = max(v[-1] for v in verts)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .classify import ToricContactDatum, validate_datum
 from .polytope import LabeledFacet, LabeledPolytope
 
@@ -109,6 +107,8 @@ def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> Sampl
     every moment value satisfies each facet inequality up to ``tol`` and
     the hyperplane equation within ``tol``.
     """
+    import numpy as np  # only sampling needs it; keeps CLI start-up light
+
     w = _as_weights(a)
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -54,27 +54,37 @@ def small_kernel_vectors(mat, bound: int) -> list[tuple[int, ...]]:
     return found
 
 
-def in_span_over_q(vectors, target) -> bool:
-    """Rational membership test by brute Gaussian elimination."""
+def fraction_rref(rows):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan elimination.
+
+    Returns (nonzero_reduced_rows, pivot_cols).
+    """
     from fractions import Fraction
 
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    t = [Fraction(x) for x in target]
-    cols = len(t)
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    cols = len(m[0])
+    pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        if t[c]:
-            f = t[c]
-            t = [x - f * y for x, y in zip(t, rows[r])]
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-    return not any(t)
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def in_span_over_q(vectors, target) -> bool:
+    """Rational membership test by brute Gaussian elimination."""
+    return len(fraction_rref([*vectors, target])[0]) == len(fraction_rref(vectors)[0])

@@ -22,6 +22,7 @@ from toricontact.lattice import (
     saturate,
 )
 from toricontact.polytope import LabeledFacet, LabeledPolytope
+from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
 
 from test_reduction import hexagon_datum
@@ -88,6 +89,21 @@ class TestValidateDatum:
         poly = LabeledPolytope(3, poly.facets + (LabeledFacet((1, 0, 0), 1, F(5)),))
         with pytest.raises(ValueError, match=r"redundant.*\[3\]"):
             validate_datum(poly, (1, 1, 1))
+
+    def test_non_integral_cone_normal_rejected(self):
+        # x <= 1/2 cones to (1/2)(0, 1) - (1, 0) = (-1, 1/2); reduce would fail
+        poly = LabeledPolytope(
+            2, (LabeledFacet((1, 0), 1, F(1, 2)), LabeledFacet((-1, 0)))
+        )
+        with pytest.raises(ValueError, match=r"not integral: facet 0 .*\(-1, 1/2\)"):
+            validate_datum(poly, (0, 1))
+        with pytest.raises(ValueError, match="not integral"):
+            validate_datum(poly, (0, 1), mode="irrational")
+        # doubling the characteristic vector makes offset*reeb integral
+        d = validate_datum(poly, (0, 2))
+        assert verify_presentation(synthesize(d), d).ok
+        # a rational characteristic vector keeps the irrational mode open
+        assert validate_datum(poly, (0, F(3, 2)), mode="irrational").mode == "irrational"
 
 
 class TestIsotropy:
@@ -156,7 +172,6 @@ class TestClassify:
     def test_standard_simplex_regular(self):
         report = classify(validate_datum(orthant_polytope(3), (1, 1, 1)))
         assert report.regularity == "regular"
-        assert report.sasakian_compatible
         assert report.nontrivial_faces == ()
         # full face lattice of the triangle: 1 + 3 + 3 vertices
         assert len(report.per_face) == 7

@@ -81,7 +81,7 @@ class TestDocuments:
                 {"normal": [-1, 0], "label": 1, "offset": "2/4"},
                 {"normal": [1, 0], "label": 1, "offset": "1"},
             ],
-            "reeb": [1, 1],
+            "reeb": [2, 2],
         }
         d = parse_datum(json.dumps(doc))
         assert d.polytope.facets[0].offset == F(1, 2)
@@ -269,6 +269,25 @@ class TestErrors:
             assert not out
             assert "redundant" in err
 
+    def test_non_integral_cone_normal_exit_two(self, capsys, monkeypatch):
+        # the segment x <= 1/2 at reeb (0, 1): its cone normal (-1, 1/2)
+        # would make reduce fail, so validation refuses it up front
+        doc = {
+            "ambient_dim": 2,
+            "facets": [
+                {"normal": [1, 0], "label": 1, "offset": "1/2"},
+                {"normal": [-1, 0], "label": 1, "offset": "0"},
+            ],
+            "reeb": [0, 1],
+        }
+        for command in ("validate", "classify", "reduce"):
+            code, out, err = run_cli(
+                capsys, [command], stdin=json.dumps(doc), monkeypatch=monkeypatch
+            )
+            assert code == 2
+            assert not out
+            assert "not integral: facet 0" in err
+
     def test_bad_slice_reeb_exit_two(self, capsys, monkeypatch):
         _, datum_doc, _ = run_cli(capsys, ["sphere", "--weights", "1,1", "--output", "json"])
         code, _, err = run_cli(
@@ -291,3 +310,20 @@ class TestErrors:
         code, out, _ = run_cli(capsys, ["sphere", "--weights", "1,2"])
         assert code == 0
         assert json.loads(out)["reeb"] == ["1", "2"]
+
+
+def test_cli_import_leaves_numpy_out():
+    # only ``sample`` needs numpy, so no other command should pay its import
+    import os
+    import subprocess
+    import sys
+
+    import toricontact
+
+    src = os.path.dirname(os.path.dirname(toricontact.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, toricontact.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,156 @@
+"""The fraction-free elimination core against plain Fraction Gauss-Jordan."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricontact import lattice
+from toricontact.geometry import (
+    basic_feasible_points,
+    enumerate_hpoly,
+    null_space,
+    rank_q,
+    solve_general,
+    solve_square,
+)
+
+from oracles import cofactor_det, fraction_rref
+
+F = Fraction
+
+
+def _product(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@st.composite
+def integer_matrices(draw, max_rows=5, max_cols=5, min_rows=1, min_cols=1):
+    """Wide, tall and square matrices; about half are products through a
+    narrower inner dimension, so rank deficiency (rank 0 included) is common."""
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    entry = st.integers(-6, 6)
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    inner = draw(st.integers(0, min(rows, cols)))
+    small = st.integers(-3, 3)
+    left = [draw(st.lists(small, min_size=inner, max_size=inner)) for _ in range(rows)]
+    right = [draw(st.lists(small, min_size=cols, max_size=cols)) for _ in range(inner)]
+    return _product(left, right) if inner else [[0] * cols for _ in range(rows)]
+
+
+@st.composite
+def rational_matrices(draw, **kwargs):
+    """Integer matrices with every entry divided by a small denominator."""
+    mat = draw(integer_matrices(**kwargs))
+    den = st.integers(1, 4)
+    return [[F(x, draw(den)) for x in row] for row in mat]
+
+
+def _reference_null_space(rows, dim):
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        vec = [F(0)] * dim
+        vec[f] = F(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _reference_solve(rows, rhs, square):
+    cols = len(rows[0])
+    reduced, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if cols in pivots or (square and pivots != list(range(cols))):
+        return None
+    x = [F(0)] * cols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[cols]
+    return x
+
+
+class TestEchelon:
+    @settings(deadline=None, max_examples=150)
+    @given(integer_matrices(min_rows=0))
+    def test_rows_are_scaled_rref(self, mat):
+        e, pivots, d, _ = lattice.echelon(mat)
+        reduced, ref_pivots = fraction_rref(mat)
+        assert pivots == ref_pivots
+        assert [[F(x, d) for x in row] for row in e] == reduced
+        assert all(row[c] == d for row, c in zip(e, pivots))
+
+    @settings(deadline=None, max_examples=150)
+    @given(integer_matrices())
+    def test_rank(self, mat):
+        assert lattice.rank(mat) == len(fraction_rref(mat)[0])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 5).flatmap(lambda n: integer_matrices(n, n, n, n)))
+    def test_det(self, mat):
+        assert lattice.det(mat) == cofactor_det(mat)
+
+    def test_det_needs_row_swaps(self):
+        assert lattice.det([[0, 1], [1, 0]]) == -1
+        assert lattice.det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert lattice.det([[1, 2], [2, 4]]) == 0
+
+
+class TestRationalSolvers:
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(integer_matrices(min_rows=0), rational_matrices(min_rows=0)))
+    def test_rank_and_null_space(self, mat):
+        dim = len(mat[0]) if mat else 3
+        assert rank_q(mat) == len(fraction_rref(mat)[0])
+        assert null_space(mat, dim) == _reference_null_space(mat, dim)
+
+    def test_no_rows(self):
+        assert rank_q([]) == 0
+        assert null_space([], 2) == [[1, 0], [0, 1]]
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(integer_matrices(), rational_matrices()).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(
+                    st.fractions(-5, 5, max_denominator=4), min_size=len(m), max_size=len(m)
+                ),
+            )
+        )
+    )
+    def test_solvers(self, system):
+        mat, rhs = system
+        assert solve_general(mat, rhs) == _reference_solve(mat, rhs, square=False)
+        if len(mat) == len(mat[0]):
+            assert solve_square(mat, rhs) == _reference_solve(mat, rhs, square=True)
+
+
+class TestBasicFeasiblePoints:
+    SYSTEMS = {
+        "bounded square": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0]),
+        "bounded rational simplex": ([[-1, 0], [0, -1], [2, 3]], [0, 0, F(1, 2)]),
+        "unbounded quadrant": ([[-1, 0], [0, -1]], [0, 0]),
+        "unbounded slab": ([[1, 0], [-1, 0]], [1, 1]),
+        "empty": ([[1], [-1]], [-1, 0]),
+        "empty slab": ([[1, 0], [-1, 0]], [-2, 1]),
+        "maximin region": ([[-1, 1], [1, 1], [0, 1]], [F(1, 2), F(1, 2), 1]),
+    }
+
+    def test_named_systems(self):
+        for name, (a_rows, b) in self.SYSTEMS.items():
+            assert basic_feasible_points(a_rows, b) == enumerate_hpoly(a_rows, b)[1], name
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        integer_matrices(max_rows=6, max_cols=3).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)),
+            )
+        )
+    )
+    def test_random_systems(self, system):
+        a_rows, b = system
+        assert basic_feasible_points(a_rows, b) == enumerate_hpoly(a_rows, b)[1]
