@@ -57,6 +57,12 @@ def _int_from(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _int_list(value, what: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{what} must be a nonempty list of integers")
@@ -91,10 +97,8 @@ def datum_from_document(doc, mode: str | None = None) -> ToricContactDatum:
         if key not in doc:
             raise ValueError(f"datum document is missing {key!r}")
     ambient = _int_from(doc["ambient_dim"], "ambient_dim")
-    if not isinstance(doc["facets"], list):
-        raise ValueError("facets must be a list")
     facets = []
-    for k, fdoc in enumerate(doc["facets"]):
+    for k, fdoc in enumerate(_list(doc["facets"], "facets")):
         if not isinstance(fdoc, dict) or "normal" not in fdoc:
             raise ValueError(f"facet {k} must be an object with a normal")
         normal = _int_list(fdoc["normal"], f"facet {k} normal")
@@ -111,7 +115,8 @@ def datum_from_document(doc, mode: str | None = None) -> ToricContactDatum:
             )
         facets.append(LabeledFacet(tuple(normal), label, offset))
     reeb = [
-        _fraction_from(x, f"reeb component {i}") for i, x in enumerate(doc["reeb"])
+        _fraction_from(x, f"reeb component {i}")
+        for i, x in enumerate(_list(doc["reeb"], "reeb"))
     ]
     requested = mode if mode is not None else doc.get("mode", "rational")
     return validate_datum(LabeledPolytope(ambient, tuple(facets)), reeb, requested)
@@ -141,17 +146,17 @@ def presentation_from_document(doc) -> SpherePresentation:
         if key not in doc:
             raise ValueError(f"presentation document is missing {key!r}")
     n_cols = _int_from(doc["N"], "N")
-    beta = [_int_list(row, "beta row") for row in doc["beta"]]
+    beta = [_int_list(row, "beta row") for row in _list(doc["beta"], "beta")]
     if not beta or any(len(row) != n_cols for row in beta):
         raise ValueError("beta rows must all have length N")
-    weights = [_int_list(row, "weights row") for row in doc["weights"]]
+    weights = [_int_list(row, "weights row") for row in _list(doc["weights"], "weights")]
     if any(len(row) != n_cols for row in weights):
         raise ValueError("weight rows must all have length N")
     if len(weights) != n_cols - len(beta):
         raise ValueError("weight row count must be N minus the ambient dimension")
     deformation = [
         _fraction_from(x, f"deformation component {i}")
-        for i, x in enumerate(doc["deformation"])
+        for i, x in enumerate(_list(doc["deformation"], "deformation"))
     ]
     if len(deformation) != n_cols:
         raise ValueError("deformation must have length N")

@@ -1,12 +1,13 @@
-"""Exact rational linear algebra and brute-force H-polyhedron enumeration.
+"""Exact rational linear algebra and vertex enumeration by cone rays.
 
 Inputs may mix ints and ``fractions.Fraction``.  Every row reduction,
 rank, null space and solve scales each rational row to an integer one and
 runs the fraction-free elimination :func:`toricontact.lattice.echelon`;
 Fractions appear only in the answers, as entries over the final pivot.
-Vertex and ray enumeration work by exhaustive constraint-subset
-intersection, which is exact and entirely adequate at the scale this
-package targets (a few dozen constraints, dimension at most a handful).
+The vertices of a slice of a cone are its extreme rays at positive height,
+rescaled; rays come from exhaustive constraint-subset intersection, which
+is exact and entirely adequate at the scale this package targets (a few
+dozen constraints, dimension at most a handful).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "enumerate_hpoly",
     "null_space",
     "rank_q",
-    "rational_to_primitive_int",
+    "sliced_cone_points",
     "solve_general",
     "solve_square",
 ]
@@ -41,28 +42,26 @@ def _integral(row) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (reduced_nonzero_rows, pivot_cols)."""
-    e, pivots, d, _ = echelon([_integral(row) for row in rows])
-    return [[Fraction(x, d) for x in row] for row in e], pivots
-
-
 def rank_q(rows) -> int:
     return len(echelon([_integral(row) for row in rows])[1])
 
 
+def _kernel(e, pivots, d, dim):
+    """Integer kernel basis read off ``echelon``: y_f = d, y_pivot = -E[r][f]."""
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        y = [0] * dim
+        y[f] = d
+        for row, c in zip(e, pivots):
+            y[c] = -row[f]
+        basis.append(y)
+    return basis
+
+
 def null_space(rows, dim: int):
     """Basis of {x in Q^dim : rows @ x = 0}."""
-    reduced, pivots = _rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * dim
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(vec)
-    return basis
+    e, pivots, d, _ = echelon([_integral(row) for row in rows])
+    return [[Fraction(x, d) for x in y] for y in _kernel(e, pivots, d, dim)]
 
 
 def solve_square(rows, rhs):
@@ -86,11 +85,6 @@ def solve_general(rows, rhs):
     return x
 
 
-def rational_to_primitive_int(vec) -> list[int]:
-    """Scale a nonzero rational vector to a primitive integer one (same ray)."""
-    return primitive(_integral(vec))
-
-
 def basic_feasible_points(a_rows, b):
     """Basic feasible points of {x : A x <= b}, in lexicographic order.
 
@@ -109,53 +103,60 @@ def basic_feasible_points(a_rows, b):
 
 def _pointed_cone_rays(a_rows, dim):
     """Extreme rays of {y : A y <= 0}, assuming rank(A) = dim (pointed)."""
-    n = len(a_rows)
-    rays = []
-    seen = set()
-    for subset in combinations(range(n), dim - 1):
-        sub = [a_rows[i] for i in subset]
-        kernel = null_space(sub, dim)
-        if len(kernel) != 1:
+    rows = [_integral(row) for row in a_rows]
+    rays = {}
+    for subset in combinations(rows, dim - 1):
+        e, pivots, d, _ = echelon(subset)
+        if len(pivots) != dim - 1:
             continue
-        y = kernel[0]
+        y = primitive(_kernel(e, pivots, d, dim)[0])
         for cand in (y, [-v for v in y]):
-            if all(dot(row, cand) <= 0 for row in a_rows):
-                key = tuple(rational_to_primitive_int(cand))
-                if key not in seen:
-                    seen.add(key)
-                    rays.append(list(key))
+            if all(dot(row, cand) <= 0 for row in rows):
+                rays[tuple(cand)] = None
                 break
-    return rays
+    return [list(ray) for ray in rays]
+
+
+def sliced_cone_points(a_rows, height):
+    """(status, points) of the slice <y, height> = 1 of K = {y : A y <= 0,
+    <y, height> >= 0}; status is "empty", "bounded" or "unbounded".
+
+    The points are the rays of K at positive height, rescaled to height 1,
+    in lexicographic order: the vertices of the slice.  K is first cut down
+    to the orthogonal complement of its lineality space.  Lineality or a
+    ray at height 0 makes the slice unbounded; with lineality there is no
+    vertex to report.
+    """
+    dim = len(height)
+    rows = [*a_rows, [-x for x in height]]
+    lineality = null_space(rows, dim)
+    rows += lineality + [[-x for x in y] for y in lineality]
+    rays = _pointed_cone_rays(rows, dim)
+    heights = [dot(ray, height) for ray in rays]
+    points = sorted(
+        tuple(Fraction(x, h) for x in ray) for ray, h in zip(rays, heights) if h > 0
+    )
+    if not points:
+        return "empty", []
+    if lineality:
+        return "unbounded", []
+    return ("unbounded" if 0 in heights else "bounded"), points
 
 
 def enumerate_hpoly(a_rows, b):
-    """Vertices of the polyhedron {x : A x <= b}.
+    """Vertices of the polyhedron {x : A x <= b}, the slice at height 1 of
+    the cone {(x, t) : A x <= t b, t >= 0}.
 
     Returns (status, vertices) where status is one of "empty", "bounded"
     or "unbounded".  Vertices (basic feasible points) are reported in
     lexicographic order even when the polyhedron is unbounded; a
     polyhedron that is nonempty but has no vertex reports none.
     """
-    dim = len(a_rows[0]) if a_rows else 0
-    if dim == 0:
-        feasible = all(Fraction(x) >= 0 for x in b)
-        return ("bounded", [()]) if feasible else ("empty", [])
-    basis, _ = _rref(a_rows)
-    if len(basis) < dim:
-        # Constraints only act on the span of their normals; feasibility is
-        # decided there, and the orthogonal directions are free lines.
-        if not basis:
-            feasible = all(Fraction(x) >= 0 for x in b)
-            return ("unbounded", []) if feasible else ("empty", [])
-        projected = [[dot(row, bas) for bas in basis] for row in a_rows]
-        status, _ = enumerate_hpoly(projected, b)
-        return ("empty", []) if status == "empty" else ("unbounded", [])
-    verts = basic_feasible_points(a_rows, b)
-    if not verts:
-        return "empty", []
-    if _pointed_cone_rays(a_rows, dim):
-        return "unbounded", verts
-    return "bounded", verts
+    dim = len(a_rows[0])
+    status, points = sliced_cone_points(
+        [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
+    )
+    return status, [p[:-1] for p in points]
 
 
 def cone_rays(a_rows, dim: int):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import geometry
-from .lattice import kernel_lattice_basis
 
 __all__ = [
     "LabeledFacet",
@@ -110,29 +109,6 @@ def _reeb_fractions(reeb) -> list[Fraction]:
     return [Fraction(x) for x in reeb]
 
 
-def _hyperplane_frame(poly: LabeledPolytope, reeb):
-    """Base point and integer direction basis of {<alpha, reeb> = 1}."""
-    r = _reeb_fractions(reeb)
-    if len(r) != poly.ambient_dim:
-        raise ValueError("characteristic vector has wrong dimension")
-    if not any(r):
-        raise ValueError("characteristic vector must be nonzero")
-    scale = geometry.rational_to_primitive_int(r)
-    base = [x / geometry.dot(r, r) for x in r]
-    directions = kernel_lattice_basis([scale])
-    return base, directions
-
-
-def _in_plane_system(poly: LabeledPolytope, reeb):
-    base, directions = _hyperplane_frame(poly, reeb)
-    a_rows, b = [], []
-    for f in poly.facets:
-        y = f.functional
-        a_rows.append([geometry.dot(d, y) for d in directions])
-        b.append(f.offset - geometry.dot(base, y))
-    return base, directions, a_rows, b
-
-
 def _active_set(poly: LabeledPolytope, point) -> frozenset[int]:
     return frozenset(
         i
@@ -145,24 +121,25 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     """All vertices of the polytope sliced by the characteristic hyperplane.
 
     Coordinates are exact rationals; each vertex carries the set of facets
-    active at it.  Raises if the slice is empty or unbounded.
+    active at it.  The vertices are the rays of the cone
+    {y : <y, m_i p_i - lambda_i reeb> <= 0, <y, reeb> >= 0} at positive
+    height <y, reeb>, rescaled to height 1.  Raises if the slice is empty
+    or unbounded.
     """
-    base, directions, a_rows, b = _in_plane_system(poly, reeb)
-    status, uverts = geometry.enumerate_hpoly(a_rows, b)
+    r = _reeb_fractions(reeb)
+    if len(r) != poly.ambient_dim:
+        raise ValueError("characteristic vector has wrong dimension")
+    if not any(r):
+        raise ValueError("characteristic vector must be nonzero")
+    a_rows = [
+        [yi - f.offset * ri for yi, ri in zip(f.functional, r)] for f in poly.facets
+    ]
+    status, points = geometry.sliced_cone_points(a_rows, r)
     if status == "empty":
         raise ValueError("empty polytope")
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
-    result = []
-    for u in uverts:
-        alpha = list(base)
-        for coeff, d in zip(u, directions):
-            for k in range(poly.ambient_dim):
-                alpha[k] += coeff * d[k]
-        coords = tuple(Fraction(x) for x in alpha)
-        result.append(Vertex(coords, _active_set(poly, coords)))
-    result.sort(key=lambda v: v.coords)
-    return result
+    return [Vertex(p, _active_set(poly, p)) for p in points]
 
 
 def is_simple(poly: LabeledPolytope, reeb) -> bool:

@@ -7,6 +7,7 @@ between these and the fast paths is a real cross-check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -59,8 +60,6 @@ def fraction_rref(rows):
 
     Returns (nonzero_reduced_rows, pivot_cols).
     """
-    from fractions import Fraction
-
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
@@ -88,3 +87,120 @@ def fraction_rref(rows):
 def in_span_over_q(vectors, target) -> bool:
     """Rational membership test by brute Gaussian elimination."""
     return len(fraction_rref([*vectors, target])[0]) == len(fraction_rref(vectors)[0])
+
+
+def _fraction_null_space(rows, dim):
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        vec = [Fraction(0)] * dim
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive_ray(vec) -> tuple[int, ...]:
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def basic_feasible_points(a_rows, b):
+    """Vertices of {x : A x <= b} by a Fraction solve of every square subsystem."""
+    dim = len(a_rows[0])
+    found = set()
+    for subset in combinations(range(len(a_rows)), dim):
+        reduced, pivots = fraction_rref([[*a_rows[i], b[i]] for i in subset])
+        if pivots != list(range(dim)):
+            continue
+        x = tuple(row[dim] for row in reduced)
+        if all(_dot(row, x) <= bi for row, bi in zip(a_rows, b)):
+            found.add(x)
+    return sorted(found)
+
+
+def pointed_cone_rays(a_rows, dim):
+    """Extreme rays of {y : A y <= 0} for rank(A) = dim, by Fraction null spaces
+    of every dim-1 rows."""
+    rays = []
+    for subset in combinations(range(len(a_rows)), dim - 1):
+        kernel = _fraction_null_space([a_rows[i] for i in subset], dim)
+        if len(kernel) != 1:
+            continue
+        y = kernel[0]
+        for cand in (y, [-v for v in y]):
+            if all(_dot(row, cand) <= 0 for row in a_rows):
+                ray = _primitive_ray(cand)
+                if ray not in rays:
+                    rays.append(ray)
+                break
+    return rays
+
+
+def enumerate_hpoly(a_rows, b):
+    """(status, vertices) of {x : A x <= b} in the coordinates of the rows.
+
+    A dimension-0 system is feasible when every b_i >= 0; a rank-deficient
+    one is decided on the span of its rows (the orthogonal directions are
+    lines, so it has no vertex); a full-rank one is bounded when its
+    recession cone has no ray.
+    """
+    dim = len(a_rows[0]) if a_rows else 0
+    if dim == 0:
+        feasible = all(Fraction(x) >= 0 for x in b)
+        return ("bounded", [()]) if feasible else ("empty", [])
+    basis, _ = fraction_rref(a_rows)
+    if len(basis) < dim:
+        if not basis:
+            feasible = all(Fraction(x) >= 0 for x in b)
+            return ("unbounded", []) if feasible else ("empty", [])
+        projected = [[_dot(row, bas) for bas in basis] for row in a_rows]
+        status, _ = enumerate_hpoly(projected, b)
+        return ("empty", []) if status == "empty" else ("unbounded", [])
+    verts = basic_feasible_points(a_rows, b)
+    if not verts:
+        return "empty", []
+    if pointed_cone_rays(a_rows, dim):
+        return "unbounded", verts
+    return "bounded", verts
+
+
+def in_plane_vertices(functionals, offsets, reeb):
+    """Vertices of {alpha : <alpha, y_i> <= offset_i, <alpha, reeb> = 1}.
+
+    Enumerates in a frame of the hyperplane (base point reeb / |reeb|^2 and
+    a basis of its directions) and lifts back.  Returns sorted
+    (coords, active facet set) pairs; raises ValueError with the package's
+    messages when the reeb vector is unusable or the slice is empty or
+    unbounded.
+    """
+    r = [Fraction(x) for x in reeb]
+    if len(r) != len(functionals[0]):
+        raise ValueError("characteristic vector has wrong dimension")
+    if not any(r):
+        raise ValueError("characteristic vector must be nonzero")
+    base = [x / _dot(r, r) for x in r]
+    directions = _fraction_null_space([r], len(r))
+    a_rows = [[_dot(d, y) for d in directions] for y in functionals]
+    b = [lam - _dot(base, y) for y, lam in zip(functionals, offsets)]
+    status, points = enumerate_hpoly(a_rows, b)
+    if status == "empty":
+        raise ValueError("empty polytope")
+    if status == "unbounded":
+        raise ValueError("polytope unbounded in characteristic hyperplane")
+    result = []
+    for u in points:
+        alpha = tuple(
+            base[k] + sum(c * d[k] for c, d in zip(u, directions)) for k in range(len(r))
+        )
+        tight = (_dot(alpha, y) == lam for y, lam in zip(functionals, offsets))
+        active = frozenset(i for i, hit in enumerate(tight) if hit)
+        result.append((alpha, active))
+    return sorted(result, key=lambda pair: pair[0])

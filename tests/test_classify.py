@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricontact.classify import (
     _reeb_projection,
@@ -15,11 +18,13 @@ from toricontact.classify import (
 from toricontact.lattice import (
     FiniteAbelianGroup,
     det,
+    identity,
     matmul,
     matvec,
     primitive,
     quotient_group,
     saturate,
+    transpose,
 )
 from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.reduction import synthesize, verify_presentation
@@ -328,6 +333,33 @@ class TestUnimodularInvariance:
                 assert {
                     tuple(sorted(f.face)): f.holonomy for f in got.per_face
                 } == {tuple(sorted(f.face)): f.holonomy for f in base.per_face}
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_vertices_and_holonomy_under_change_of_basis(self, rng, cube):
+        # p -> u p and reeb -> u reeb move alpha by u^{-T}: u^T maps the new
+        # vertices back onto the old ones, facet by facet
+        if cube:
+            n = rng.randint(1, 4)
+            d = labeled_cube(n, [rng.randint(1, 3) for _ in range(2 * n)], identity(n + 1))
+        else:
+            n = rng.randint(1, 3)
+            weights = [rng.randint(1, 6) for _ in range(n + 1)]
+            d = weighted_simplex([w // gcd(*weights) for w in weights])
+        u = random_unimodular(rng, n + 1)
+        facets = tuple(
+            LabeledFacet(tuple(matvec(u, f.normal)), f.label, f.offset) for f in d.facets
+        )
+        moved = validate_datum(LabeledPolytope(n + 1, facets), tuple(matvec(u, d.reeb)))
+        ut = transpose(u)
+        assert {tuple(matvec(ut, v.coords)): v.active for v in moved.vertices} == {
+            v.coords: v.active for v in d.vertices
+        }
+        base, got = classify(d), classify(moved)
+        assert got.regularity == base.regularity
+        assert {f.face: f.holonomy for f in got.per_face} == {
+            f.face: f.holonomy for f in base.per_face
+        }
 
 
 def labeled_cube(n, labels, u):

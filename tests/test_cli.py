@@ -288,6 +288,39 @@ class TestErrors:
             assert not out
             assert "not integral: facet 0" in err
 
+    @pytest.mark.parametrize("value", ["12", 5])
+    def test_reeb_not_a_list_exit_two(self, capsys, monkeypatch, value):
+        # the string "12" used to read as reeb (1, 2); 5 raised TypeError
+        doc = json.loads(serialize_datum(weighted_simplex((1, 2))))
+        doc["reeb"] = value
+        code, out, err = run_cli(
+            capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert not out
+        assert "reeb must be a list" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("deformation", "12"), ("beta", 5), ("weights", 5)]
+    )
+    def test_presentation_field_not_a_list_exit_two(
+        self, capsys, monkeypatch, tmp_path, field, value
+    ):
+        d = weighted_simplex((1, 2))
+        doc = json.loads(serialize_presentation(synthesize(d)))
+        doc[field] = value
+        pres_file = tmp_path / "malformed.json"
+        pres_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--presentation", str(pres_file)],
+            stdin=serialize_datum(d),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert not out
+        assert f"{field} must be a list" in err
+
     def test_bad_slice_reeb_exit_two(self, capsys, monkeypatch):
         _, datum_doc, _ = run_cli(capsys, ["sphere", "--weights", "1,1", "--output", "json"])
         code, _, err = run_cli(

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricontact import lattice
@@ -16,6 +16,7 @@ from toricontact.geometry import (
 )
 
 from oracles import cofactor_det, fraction_rref
+from oracles import enumerate_hpoly as in_plane_enumerate_hpoly
 
 F = Fraction
 
@@ -154,3 +155,31 @@ class TestBasicFeasiblePoints:
     def test_random_systems(self, system):
         a_rows, b = system
         assert basic_feasible_points(a_rows, b) == enumerate_hpoly(a_rows, b)[1]
+
+
+class TestEnumerateHpolyAgainstOracle:
+    """The cone-ray enumeration against the dimension-0 branch, the
+    rank-deficient recursion and the separate boundedness pass it replaced."""
+
+    @settings(deadline=None, max_examples=250)
+    @given(
+        st.one_of(
+            integer_matrices(max_rows=6, min_cols=0, max_cols=3),
+            rational_matrices(max_rows=6, min_cols=0, max_cols=3),
+        ).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(
+                    st.fractions(-3, 3, max_denominator=2), min_size=len(m), max_size=len(m)
+                ),
+            )
+        )
+    )
+    @example(([[], []], [1, 0]))
+    @example(([[], []], [1, -1]))
+    @example(([[1, 0], [-1, 0]], [1, 1]))
+    @example(([[1, 0], [-1, 0]], [-2, 1]))
+    @example(([[F(1, 2), 1], [-1, -2], [0, 1]], [1, F(1, 2), 3]))
+    def test_random_systems(self, system):
+        a_rows, b = system
+        assert enumerate_hpoly(a_rows, b) == in_plane_enumerate_hpoly(a_rows, b)

@@ -1,17 +1,11 @@
-from fractions import Fraction
-
 from toricontact.geometry import (
     cone_rays,
     enumerate_hpoly,
     null_space,
     rank_q,
-    rational_to_primitive_int,
     solve_general,
     solve_square,
 )
-
-
-F = Fraction
 
 
 class TestSolvers:
@@ -37,14 +31,6 @@ class TestSolvers:
 
     def test_rank(self):
         assert rank_q([[1, 2], [2, 4], [0, 1]]) == 2
-
-
-class TestPrimitiveScaling:
-    def test_rational_vector(self):
-        assert rational_to_primitive_int([F(1, 2), F(3, 2)]) == [1, 3]
-
-    def test_sign_kept(self):
-        assert rational_to_primitive_int([F(-2), F(4)]) == [-1, 2]
 
 
 class TestEnumerateHpoly:

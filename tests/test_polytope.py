@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricontact.polytope import (
     LabeledFacet,
@@ -14,6 +17,8 @@ from toricontact.polytope import (
     slice_cone,
     vertices,
 )
+
+from oracles import in_plane_vertices
 
 F = Fraction
 
@@ -87,6 +92,49 @@ class TestVertices:
         poly = standard_simplex(4)
         for v in vertices(poly, (1, 2, 3, 4)):
             assert contains(poly, (1, 2, 3, 4), v.coords)
+
+
+@st.composite
+def labeled_polytopes(draw):
+    """Small labeled polytopes, most of them empty, unbounded, lower
+    dimensional or not simple, with an integral or half-integral reeb vector."""
+    ambient = draw(st.integers(1, 4))
+    normal = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient).filter(
+        lambda v: gcd(*v) == 1
+    )
+    facets = {}
+    for _ in range(draw(st.integers(ambient, ambient + 3))):
+        offset = F(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        f = LabeledFacet(tuple(draw(normal)), draw(st.integers(1, 2)), offset)
+        facets.setdefault((f.normal, f.offset / f.label), f)
+    assume(len(facets) >= ambient)
+    den = draw(st.integers(1, 2))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=ambient, max_size=ambient))
+    return LabeledPolytope(ambient, tuple(facets.values())), [F(x, den) for x in entries]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestVerticesAgainstInPlaneOracle:
+    """Rays of the cone over the slice against enumeration in a frame of
+    the characteristic hyperplane."""
+
+    @settings(deadline=None, max_examples=250)
+    @given(labeled_polytopes())
+    def test_same_vertices_and_active_sets_or_error(self, case):
+        poly, reeb = case
+        got = _outcome(lambda: [(v.coords, v.active) for v in vertices(poly, reeb)])
+        want = _outcome(
+            lambda: in_plane_vertices(
+                [f.functional for f in poly.facets], [f.offset for f in poly.facets], reeb
+            )
+        )
+        assert got == want
 
 
 class TestIsSimple:
