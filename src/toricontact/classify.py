@@ -22,16 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import geometry
-from .lattice import (
-    FiniteAbelianGroup,
-    identity,
-    matvec,
-    primitive,
-    quotient_group,
-    snf,
-)
+from .lattice import FiniteAbelianGroup, matvec, primitive, snf
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_over, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
 from .polytope import vertices as _poly_vertices
@@ -166,11 +160,14 @@ def _reeb_projection(datum: ToricContactDatum):
 
 
 def _barycenter(verts) -> tuple[Fraction, ...]:
+    """Mean of the vertex coordinates, as integers over a common denominator."""
     k = len(verts)
-    dim = len(verts[0].coords)
-    return tuple(
-        sum((v.coords[i] for v in verts), Fraction(0)) / k for i in range(dim)
-    )
+    bary = []
+    for column in zip(*(v.coords for v in verts)):
+        den = lcm(*(x.denominator for x in column))
+        total = sum(x.numerator * (den // x.denominator) for x in column)
+        bary.append(Fraction(total, den * k))
+    return tuple(bary)
 
 
 def _check_face(datum: ToricContactDatum, face: frozenset) -> tuple[Fraction, ...]:
@@ -193,10 +190,16 @@ def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
     ]
 
 
-def _face_holonomy(ambient, generators, face) -> FiniteAbelianGroup:
-    """Torsion of Z^n modulo the span of the face's facet generators."""
-    group = quotient_group(ambient, [generators[i] for i in sorted(face)])
-    return FiniteAbelianGroup(group.invariant_factors)
+def _face_holonomy(generators, face) -> FiniteAbelianGroup:
+    """Torsion of Z^n modulo the span L of the face's facet generators: the
+    diagonal entries above 1 of the Smith normal form of the generator rows
+    (Z^n/L is the sum of the Z/d_k and a free part).  The empty face has L = 0.
+    """
+    if not face:
+        return FiniteAbelianGroup()
+    s, _, _ = snf([generators[i] for i in sorted(face)])
+    diag = (s[k][k] for k in range(min(len(s), len(s[0]))))
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
 def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
@@ -204,7 +207,7 @@ def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     _require_rational(datum)
     face = frozenset(face)
     _check_face(datum, face)
-    return _face_holonomy(identity(datum.n), _facet_generators(datum), face)
+    return _face_holonomy(_facet_generators(datum), face)
 
 
 def classify(datum: ToricContactDatum) -> ClassificationReport:
@@ -212,7 +215,11 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
 
     The face lattice of a simple polytope is exactly the family of subsets
     of vertex active sets; the whole polytope appears as the empty face.
-    Regular means every leaf holonomy group is trivial and every label is 1.
+    The facet normals are projected once per datum; each nonempty face then
+    costs one Smith normal form of its generator rows, whose diagonal
+    entries above 1 are its holonomy, and its sample point is the
+    barycentre of its vertices.  Regular means every leaf holonomy group is
+    trivial and every label is 1.
     """
     _require_rational(datum)
     face_vertices = {}
@@ -221,7 +228,6 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
         for mask in range(1 << len(active)):
             face = frozenset(active[i] for i in range(len(active)) if mask >> i & 1)
             face_vertices.setdefault(face, []).append(v)
-    ambient = identity(datum.n)
     generators = _facet_generators(datum)
     per_face = []
     for face in sorted(face_vertices, key=lambda f: (len(f), sorted(f))):
@@ -229,7 +235,7 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
             FaceInvariants(
                 face=face,
                 isotropy_basis=tuple(datum.facets[i].normal for i in sorted(face)),
-                holonomy=_face_holonomy(ambient, generators, face),
+                holonomy=_face_holonomy(generators, face),
                 sample_point=_barycenter(face_vertices[face]),
             )
         )

@@ -102,7 +102,11 @@ def basic_feasible_points(a_rows, b):
 
 
 def _pointed_cone_rays(a_rows, dim):
-    """Extreme rays of {y : A y <= 0}, assuming rank(A) = dim (pointed)."""
+    """Extreme rays of {y : A y <= 0}, assuming rank(A) = dim (pointed).
+
+    Returns (ray, tight) pairs: ``tight`` is the set of row indices that
+    vanish on the primitive integer ray.
+    """
     rows = [_integral(row) for row in a_rows]
     rays = {}
     for subset in combinations(rows, dim - 1):
@@ -110,11 +114,13 @@ def _pointed_cone_rays(a_rows, dim):
         if len(pivots) != dim - 1:
             continue
         y = primitive(_kernel(e, pivots, d, dim)[0])
-        for cand in (y, [-v for v in y]):
-            if all(dot(row, cand) <= 0 for row in rows):
-                rays[tuple(cand)] = None
-                break
-    return [list(ray) for ray in rays]
+        vals = [dot(row, y) for row in rows]
+        if any(v > 0 for v in vals):
+            if any(v < 0 for v in vals):
+                continue  # the kernel line leaves the cone both ways
+            y = [-v for v in y]
+        rays[tuple(y)] = frozenset(i for i, v in enumerate(vals) if v == 0)
+    return [(list(ray), tight) for ray, tight in rays.items()]
 
 
 def sliced_cone_points(a_rows, height):
@@ -122,19 +128,24 @@ def sliced_cone_points(a_rows, height):
     <y, height> >= 0}; status is "empty", "bounded" or "unbounded".
 
     The points are the rays of K at positive height, rescaled to height 1,
-    in lexicographic order: the vertices of the slice.  K is first cut down
+    in lexicographic order: the vertices of the slice.  Each comes as a
+    pair (point, tight) with ``tight`` the indices of the rows of A that
+    vanish on it, read off the same integer ray test.  K is first cut down
     to the orthogonal complement of its lineality space.  Lineality or a
     ray at height 0 makes the slice unbounded; with lineality there is no
     vertex to report.
     """
     dim = len(height)
+    m = len(a_rows)
     rows = [*a_rows, [-x for x in height]]
     lineality = null_space(rows, dim)
     rows += lineality + [[-x for x in y] for y in lineality]
     rays = _pointed_cone_rays(rows, dim)
-    heights = [dot(ray, height) for ray in rays]
-    points = sorted(
-        tuple(Fraction(x, h) for x in ray) for ray, h in zip(rays, heights) if h > 0
+    heights = [dot(ray, height) for ray, _ in rays]
+    points = sorted(  # distinct rays give distinct points
+        (tuple(Fraction(x, h) for x in ray), frozenset(i for i in tight if i < m))
+        for (ray, tight), h in zip(rays, heights)
+        if h > 0
     )
     if not points:
         return "empty", []
@@ -156,7 +167,7 @@ def enumerate_hpoly(a_rows, b):
     status, points = sliced_cone_points(
         [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
     )
-    return status, [p[:-1] for p in points]
+    return status, [p[:-1] for p, _ in points]
 
 
 def cone_rays(a_rows, dim: int):
@@ -168,4 +179,4 @@ def cone_rays(a_rows, dim: int):
     lineality = null_space(a_rows, dim)
     if lineality:
         return lineality, []
-    return [], _pointed_cone_rays(a_rows, dim)
+    return [], [ray for ray, _ in _pointed_cone_rays(a_rows, dim)]

@@ -28,6 +28,7 @@ __all__ = [
     "is_rational",
     "is_simple",
     "slice_cone",
+    "slice_rows",
     "vertices",
 ]
 
@@ -109,37 +110,37 @@ def _reeb_fractions(reeb) -> list[Fraction]:
     return [Fraction(x) for x in reeb]
 
 
-def _active_set(poly: LabeledPolytope, point) -> frozenset[int]:
-    return frozenset(
-        i
-        for i, f in enumerate(poly.facets)
-        if geometry.dot(point, f.functional) == f.offset
-    )
+def slice_rows(poly: LabeledPolytope, reeb) -> list[list[Fraction]]:
+    """Rows m_i p_i - lambda_i reeb in facet order: the cone over the slice is
+    {y : <y, row_i> <= 0, <y, reeb> >= 0}, so equal rows and characteristic
+    vectors give equal vertices and active sets.
+    """
+    r = _reeb_fractions(reeb)
+    return [
+        [yi - f.offset * ri for yi, ri in zip(f.functional, r)] for f in poly.facets
+    ]
 
 
 def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     """All vertices of the polytope sliced by the characteristic hyperplane.
 
     Coordinates are exact rationals; each vertex carries the set of facets
-    active at it.  The vertices are the rays of the cone
-    {y : <y, m_i p_i - lambda_i reeb> <= 0, <y, reeb> >= 0} at positive
-    height <y, reeb>, rescaled to height 1.  Raises if the slice is empty
-    or unbounded.
+    active at it.  The vertices are the rays of the cone over the slice
+    (see :func:`slice_rows`) at positive height <y, reeb>, rescaled to
+    height 1; a facet is active exactly when its row vanishes on the
+    integer ray.  Raises if the slice is empty or unbounded.
     """
     r = _reeb_fractions(reeb)
     if len(r) != poly.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
     if not any(r):
         raise ValueError("characteristic vector must be nonzero")
-    a_rows = [
-        [yi - f.offset * ri for yi, ri in zip(f.functional, r)] for f in poly.facets
-    ]
-    status, points = geometry.sliced_cone_points(a_rows, r)
+    status, points = geometry.sliced_cone_points(slice_rows(poly, r), r)
     if status == "empty":
         raise ValueError("empty polytope")
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
-    return [Vertex(p, _active_set(poly, p)) for p in points]
+    return [Vertex(p, active) for p, active in points]
 
 
 def is_simple(poly: LabeledPolytope, reeb) -> bool:
@@ -165,7 +166,12 @@ def faces_containing(poly: LabeledPolytope, reeb, point) -> frozenset[int]:
     """Indices of the facets through a point of the polytope."""
     if not contains(poly, reeb, point):
         raise ValueError("point not in polytope")
-    return _active_set(poly, [Fraction(x) for x in point])
+    p = [Fraction(x) for x in point]
+    return frozenset(
+        i
+        for i, f in enumerate(poly.facets)
+        if geometry.dot(p, f.functional) == f.offset
+    )
 
 
 def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:

@@ -17,7 +17,7 @@ from math import gcd, prod
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
-from .polytope import LabeledFacet, LabeledPolytope, cone_over
+from .polytope import LabeledFacet, LabeledPolytope, cone_over, slice_rows
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -242,6 +242,14 @@ def verify_presentation(
     latter is the facet data with offsets absorbed, so data that differ
     only by the hyperplane normalization still match).  Local freeness is
     checked at every vertex through the reduction-torus stabilizer.
+
+    When the reduced polytope has the datum's characteristic vector and
+    its rows (``slice_rows``, in facet order), it is the datum's labeled
+    polytope and the datum's vertices are reused.  For a correct
+    presentation that always holds: by Lerman's classification of contact
+    toric manifolds of Reeb type (J. Symplectic Geom. 2003), the reduction
+    of the sphere by the kernel torus of beta has the moment cone whose
+    inward normals are beta's columns.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
@@ -257,7 +265,12 @@ def verify_presentation(
     reduced_verts = None
     try:
         poly, reeb = reduced_polytope(pres)
-        reduced_verts = _poly_vertices(poly, reeb)
+        if reeb == datum.reeb and slice_rows(poly, reeb) == slice_rows(
+            datum.polytope, datum.reeb
+        ):
+            reduced_verts = datum.vertices
+        else:
+            reduced_verts = _poly_vertices(poly, reeb)
         reduced_coords = [v.coords for v in reduced_verts]
         missing = [c for c in datum_vertices if c not in reduced_coords]
         extra = [c for c in reduced_coords if c not in datum_vertices]

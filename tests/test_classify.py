@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -18,8 +19,6 @@ from toricontact.classify import (
 from toricontact.lattice import (
     FiniteAbelianGroup,
     det,
-    identity,
-    matmul,
     matvec,
     primitive,
     quotient_group,
@@ -30,6 +29,7 @@ from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
 
+from generators import change_basis, cube_or_simplex, labeled_cube, random_unimodular
 from test_reduction import hexagon_datum
 
 F = Fraction
@@ -291,18 +291,6 @@ class TestFaceLatticeProperties:
             )
 
 
-def random_unimodular(rng, n):
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(8):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randrange(-2, 3)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return m
-
-
 class TestUnimodularInvariance:
     def test_classification_invariant(self):
         rng = random.Random(1234)
@@ -339,18 +327,9 @@ class TestUnimodularInvariance:
     def test_vertices_and_holonomy_under_change_of_basis(self, rng, cube):
         # p -> u p and reeb -> u reeb move alpha by u^{-T}: u^T maps the new
         # vertices back onto the old ones, facet by facet
-        if cube:
-            n = rng.randint(1, 4)
-            d = labeled_cube(n, [rng.randint(1, 3) for _ in range(2 * n)], identity(n + 1))
-        else:
-            n = rng.randint(1, 3)
-            weights = [rng.randint(1, 6) for _ in range(n + 1)]
-            d = weighted_simplex([w // gcd(*weights) for w in weights])
-        u = random_unimodular(rng, n + 1)
-        facets = tuple(
-            LabeledFacet(tuple(matvec(u, f.normal)), f.label, f.offset) for f in d.facets
-        )
-        moved = validate_datum(LabeledPolytope(n + 1, facets), tuple(matvec(u, d.reeb)))
+        d = cube_or_simplex(rng, cube)
+        u = random_unimodular(rng, d.n + 1)
+        moved = change_basis(d, u)
         ut = transpose(u)
         assert {tuple(matvec(ut, v.coords)): v.active for v in moved.vertices} == {
             v.coords: v.active for v in d.vertices
@@ -360,18 +339,6 @@ class TestUnimodularInvariance:
         assert {f.face: f.holonomy for f in got.per_face} == {
             f.face: f.holonomy for f in base.per_face
         }
-
-
-def labeled_cube(n, labels, u):
-    """[0,1]^n at height 1, facet labels as given, normals and reeb mapped by u."""
-    dim = n + 1
-    normals = [tuple(-int(i == j) for j in range(dim)) for i in range(n)]
-    normals += [tuple(int(j == i) - int(j == n) for j in range(dim)) for i in range(n)]
-    facets = tuple(
-        LabeledFacet(tuple(matvec(u, p)), m) for p, m in zip(normals, labels)
-    )
-    reeb = tuple(matvec(u, [int(j == n) for j in range(dim)]))
-    return validate_datum(LabeledPolytope(dim, facets), reeb)
 
 
 def saturated_chain_holonomy(datum, face):
@@ -394,6 +361,20 @@ class TestHolonomyMatchesSaturatedChain:
                 labels = [rng.randint(1, 3) for _ in range(2 * n)]
                 d = labeled_cube(n, labels, random_unimodular(rng, n + 1))
                 for fi in classify(d).per_face[1:]:  # the empty face comes first
+                    assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
+                    assert holonomy(d, fi.face) == fi.holonomy
+                    nontrivial += not fi.holonomy.is_trivial
+        assert nontrivial > 100
+
+    def test_weighted_simplices(self):
+        rng = random.Random(1803)
+        nontrivial = 0
+        for n in range(1, 4):
+            for w in product(range(1, 4), repeat=n + 1):
+                if gcd(*w) != 1:
+                    continue
+                d = change_basis(weighted_simplex(w), random_unimodular(rng, n + 1))
+                for fi in classify(d).per_face[1:]:
                     assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
                     assert holonomy(d, fi.face) == fi.holonomy
                     nontrivial += not fi.holonomy.is_trivial

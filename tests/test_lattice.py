@@ -294,6 +294,21 @@ class TestFiniteAbelianGroup:
         assert str(FiniteAbelianGroup((2, 4), 1)) == "C2 x C4 x Z"
 
 
+def test_snf_matches_sympy_on_random_matrices():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(1979)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randrange(-12, 13) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.3:  # rank deficient
+            m[-1] = [2 * a - 3 * b for a, b in zip(m[0], m[1])]
+        s, _, _ = snf(m)
+        ref = normalforms.smith_normal_form(Matrix(m), domain=ZZ)
+        assert diag_of(s) == [abs(ref[i, i]) for i in range(min(rows, cols))], m
+
+
 def test_random_cross_check_five_by_five():
     rng = random.Random(5_5_5)
     for _ in range(50):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricontact.classify import validate_datum
 from toricontact.lattice import identity, matmul, transpose
-from toricontact.polytope import LabeledFacet, LabeledPolytope
+from toricontact.polytope import LabeledFacet, LabeledPolytope, slice_rows, vertices
 from toricontact.reduction import (
     SpherePresentation,
     build_beta,
@@ -16,6 +18,7 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import weighted_simplex
 
+from generators import change_basis, cube_or_simplex, random_unimodular
 from oracles import small_kernel_vectors
 
 F = Fraction
@@ -147,6 +150,45 @@ class TestReducedPolytope:
         assert [v.coords for v in got.vertices] == [v.coords for v in d.vertices]
 
 
+class TestReducedSliceIsTheDatumSlice:
+    """verify_presentation reuses the datum's vertices when the reduced
+    polytope has the datum's rows and characteristic vector; for a
+    synthesized presentation that always holds, in facet order."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_same_rows_vertices_and_active_sets(self, rng, cube):
+        d = cube_or_simplex(rng, cube)
+        d = change_basis(d, random_unimodular(rng, d.n + 1))
+        poly, reeb = reduced_polytope(synthesize(d))
+        assert reeb == d.reeb
+        assert slice_rows(poly, reeb) == slice_rows(d.polytope, d.reeb)
+        assert [(v.coords, v.active) for v in vertices(poly, reeb)] == [
+            (v.coords, v.active) for v in d.vertices
+        ]
+
+    def test_irrational_square_keeps_its_vertex_diff(self):
+        # the square's presentation at reeb e_2, checked against the square
+        # at reeb e_2 / 2: no reuse, and cone_over failing afterwards must
+        # not empty the diff
+        pres = synthesize(square((0, 0, 1)))
+        report = verify_presentation(pres, square((0, 0, F(1, 2))))
+        corners = [(F(x), F(y)) for x in (-1, 1) for y in (-1, 1)]
+        extra = [("extra", (*c, F(1))) for c in corners]
+        missing = [("missing", (*c, F(2))) for c in corners]
+        assert sorted(report.vertex_diff) == extra + missing
+        assert not report.ok and not report.polytope_match
+        assert any("not integral" in p for p in report.problems)
+
+
+def square(reeb):
+    """|x| <= 1, |y| <= 1 in the plane <alpha, reeb> = 1."""
+    facets = tuple(
+        LabeledFacet(p, 1, F(1)) for p in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    )
+    return validate_datum(LabeledPolytope(3, facets), reeb, mode="irrational")
+
+
 def hexagon_datum():
     """Hexagon with 6 facets in ambient dimension 3 (reeb = e_2)."""
     plane_normals = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
@@ -249,6 +291,22 @@ class TestVerifyPresentation:
         permuted = SpherePresentation(pres.N, tuple(map(tuple, beta)), weights, a)
         report = verify_presentation(permuted, d)
         assert report.ok and report.polytope_match
+
+    def test_column_permutation_keeps_stabilizers(self):
+        # stabilizer supports index the presentation's columns, so a
+        # permuted presentation must not borrow the datum's active sets
+        d = cube_datum()
+        pres = synthesize(d)
+        perm = [3, 0, 1, 2, 5, 4]
+        cols = transpose([list(r) for r in pres.beta])
+        permuted = SpherePresentation(
+            pres.N,
+            tuple(map(tuple, transpose([cols[j] for j in perm]))),
+            tuple(tuple(row[j] for j in perm) for row in pres.weights),
+            tuple(pres.deformation[j] for j in perm),
+        )
+        expected = verify_presentation(pres, d).local_freeness
+        assert verify_presentation(permuted, d).local_freeness == expected
 
     def test_tampered_weight_detected(self):
         d = cube_datum()
