@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import geometry
 from .lattice import FiniteAbelianGroup, matvec, primitive, snf
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_over, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
@@ -118,18 +117,13 @@ def validate_datum(
     redundant = [i for i in range(len(poly.facets)) if i not in tight]
     if redundant:
         raise ValueError(f"redundant facets (tight at no vertex): indices {redundant}")
-    if n > 0:
-        diffs = [
-            [b - a for a, b in zip(verts[0].coords, v.coords)] for v in verts[1:]
-        ]
-        if not diffs or geometry.rank_q(diffs) != n:
-            raise ValueError(
-                "polytope not full-dimensional in the characteristic hyperplane"
-            )
-    span_rows = [list(f.functional) for f in poly.facets]
-    span_rows.append([int(x) if actual_mode == "rational" else x for x in stored])
-    if geometry.rank_q(span_rows) != poly.ambient_dim:
-        raise ValueError("facet normals and characteristic vector do not span")
+    # No span or full-dimension check is needed:
+    # - a y orthogonal to every functional and to reeb is a line in the
+    #   cone over the slice, so vertices() raised "empty" or "unbounded";
+    # - the implicit equalities of a k-dimensional slice (k < n) have rank
+    #   n - k and are positively dependent, so there are at least n - k + 1
+    #   of them; a vertex is tight on those and on k more, so on more than
+    #   n facets, and the simplicity check raised.
     if actual_mode == "rational":
         cone_over(poly, stored)  # reduction needs integral cone normals
     return ToricContactDatum(poly, stored, actual_mode, tuple(verts))

@@ -19,7 +19,6 @@ from math import lcm
 from .lattice import echelon, primitive
 
 __all__ = [
-    "basic_feasible_points",
     "cone_rays",
     "dot",
     "enumerate_hpoly",
@@ -83,22 +82,6 @@ def solve_general(rows, rhs):
     for row, c in zip(e, pivots):
         x[c] = Fraction(row[cols], d)
     return x
-
-
-def basic_feasible_points(a_rows, b):
-    """Basic feasible points of {x : A x <= b}, in lexicographic order.
-
-    Each choice of as many rows as there are columns whose system has a
-    unique solution gives a candidate; the feasible candidates are the
-    vertices of the polyhedron (none when A has lower rank).
-    """
-    dim = len(a_rows[0])
-    found = set()
-    for subset in combinations(range(len(a_rows)), dim):
-        x = solve_square([a_rows[i] for i in subset], [b[i] for i in subset])
-        if x is not None and all(dot(row, x) <= bi for row, bi in zip(a_rows, b)):
-            found.add(tuple(x))
-    return sorted(found)
 
 
 def _pointed_cone_rays(a_rows, dim):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from . import geometry
 from .classify import ToricContactDatum
@@ -59,7 +60,7 @@ class SpherePresentation:
     def ambient_dim(self) -> int:
         return len(self.beta)
 
-    @property
+    @cached_property
     def reeb_image(self) -> tuple[Fraction, ...]:
         return tuple(
             sum(row[j] * self.deformation[j] for j in range(self.N))
@@ -106,44 +107,42 @@ def kernel_torus_weights(beta) -> list[list[int]]:
 
 
 def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
-    """Deterministic positive rational solution of beta @ a = reeb.
+    """The solution of beta @ a = reeb that maximizes min_i a_i.
 
-    Among all solutions (an affine space parallel to the kernel) the one
-    maximizing the minimum coordinate is chosen, with exact ties broken by
-    lexicographic order.  A positive solution exists for every valid datum.
+    The columns u_i of beta are the cone normals, so at a vertex v of the
+    polytope <u_i, v> is the slack s_i(v) of facet i, and v^T beta a =
+    <v, reeb> = 1 bounds min_i a_i by 1 / sum_i s_i(v).  By LP duality
+    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7) the
+    optimum is z* = 1 / max_v sum_i s_i(v), and a - z* * 1 is supported
+    on T, the facets tight at every maximizing vertex.  T lies inside the
+    active set of each maximizing vertex, whose n columns of beta are
+    independent because the vertex is simple, so the optimum is unique and
+    one solve on that active set gives it.  A positive solution exists for
+    every valid datum.
     """
-    reeb = list(datum.reeb)
-    n_cols = len(beta[0])
-    weights = kernel_torus_weights(beta)
-    base = geometry.solve_general(beta, reeb)
-    if base is None:
-        raise ValueError("beta not surjective")
-    if not weights:
-        if any(x <= 0 for x in base):
-            raise ValueError("no positive solution")
-        return tuple(base)
-    k = len(weights)
-    # maximize z subject to base + W^T t >= z * ones, variables (t, z)
-    a_rows = [[-weights[j][i] for j in range(k)] + [1] for i in range(n_cols)]
-    # the region always recedes along z -> -infinity, so only its vertices
-    # (the basic feasible points) matter, not whether it is bounded
-    verts = geometry.basic_feasible_points(a_rows, base)
-    if not verts:
+    total = [sum(row) for row in beta]
+    # the best vertex so far as num / h = <total, v>, h the lcm of its denominators
+    num, h, best = 0, 1, None
+    for v in datum.vertices:
+        hv = lcm(*[x.denominator for x in v.coords])
+        nv = sum([t * x.numerator * (hv // x.denominator) for t, x in zip(total, v.coords)])
+        if nv * h > num * hv:
+            num, h, best = nv, hv, v
+    if num <= 0:
         raise ValueError("no positive solution")
-    best_z = max(v[-1] for v in verts)
-    if best_z <= 0:
+    # y = num * (a - z* * 1) is zero off T, so off A = A(best) as well, and
+    # beta_A y = num * reeb - h * total
+    active = sorted(best.active)
+    y = geometry.solve_general(
+        [[row[i] for i in active] for row in beta],
+        [num * r - h * t for r, t in zip(datum.reeb, total)],
+    )
+    if y is None or any(x < 0 for x in y):
         raise ValueError("no positive solution")
-    candidates = []
-    for v in verts:
-        if v[-1] != best_z:
-            continue
-        t = v[:-1]
-        a = [
-            base[i] + sum(weights[j][i] * t[j] for j in range(k))
-            for i in range(n_cols)
-        ]
-        candidates.append(tuple(a))
-    return min(candidates)
+    a = [Fraction(h, num)] * len(beta[0])
+    for i, x in zip(active, y):
+        a[i] = Fraction(h * x.denominator + x.numerator, num * x.denominator)
+    return tuple(a)
 
 
 def _presentation_problems(pres: SpherePresentation) -> list[str]:

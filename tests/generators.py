@@ -22,16 +22,38 @@ def random_unimodular(rng, n):
     return m
 
 
+def _height_one(normals, labels, u):
+    """The facets <alpha, m p> <= 0 at reeb e_n (n + 1 = len(u)), normals and
+    reeb mapped by u, as a validated datum."""
+    dim = len(u)
+    facets = tuple(
+        LabeledFacet(tuple(matvec(u, p)), m) for p, m in zip(normals, labels)
+    )
+    reeb = tuple(matvec(u, [int(j == dim - 1) for j in range(dim)]))
+    return validate_datum(LabeledPolytope(dim, facets), reeb)
+
+
 def labeled_cube(n, labels, u):
     """[0,1]^n at height 1, facet labels as given, normals and reeb mapped by u."""
     dim = n + 1
     normals = [tuple(-int(i == j) for j in range(dim)) for i in range(n)]
     normals += [tuple(int(j == i) - int(j == n) for j in range(dim)) for i in range(n)]
-    facets = tuple(
-        LabeledFacet(tuple(matvec(u, p)), m) for p, m in zip(normals, labels)
-    )
-    reeb = tuple(matvec(u, [int(j == n) for j in range(dim)]))
-    return validate_datum(LabeledPolytope(dim, facets), reeb)
+    return _height_one(normals, labels, u)
+
+
+def simplex_product(rng):
+    """Delta^p x Delta^q (p, q >= 1, p + q <= 4) at height 1 with labels 1..3,
+    in a random lattice basis: N = n + 2 facets, so the kernel of beta is a
+    line."""
+    p = rng.randint(1, 3)
+    q = rng.randint(1, 4 - p)
+    n = p + q
+    normals = []
+    for block in (range(p), range(p, n)):
+        normals += [tuple(-int(i == j) for j in range(n + 1)) for i in block]
+        normals.append(tuple(int(j in block) - int(j == n) for j in range(n + 1)))
+    labels = [rng.randint(1, 3) for _ in normals]
+    return _height_one(normals, labels, random_unimodular(rng, n + 1))
 
 
 def cube_or_simplex(rng, cube):
@@ -45,6 +67,14 @@ def cube_or_simplex(rng, cube):
     return weighted_simplex([w // gcd(*weights) for w in weights])
 
 
+def random_datum(rng, kind):
+    """A "cube", "simplex" or "product" datum in a random lattice basis."""
+    if kind == "product":
+        return simplex_product(rng)
+    d = cube_or_simplex(rng, kind == "cube")
+    return change_basis(d, random_unimodular(rng, d.n + 1))
+
+
 def change_basis(d, u):
     """The datum with every facet normal p mapped to u p and reeb to u reeb."""
     facets = tuple(
@@ -53,3 +83,42 @@ def change_basis(d, u):
     return validate_datum(
         LabeledPolytope(d.polytope.ambient_dim, facets), tuple(matvec(u, d.reeb))
     )
+
+
+def degenerate(rng, d, how):
+    """(polytope, reeb) built from a valid datum that validate_datum must refuse.
+
+    "free" appends a coordinate that no facet and not reeb sees, so the
+    normals and reeb do not span; "pinned" also adds the facets -e and e
+    of that coordinate, which pin it to 0; "cut" adds <alpha, p> = c as two
+    facets through the barycentre.  "pinned" and "cut" give a slice of
+    lower dimension than the hyperplane.  Normals and reeb are then mapped
+    by a random unimodular matrix.
+    """
+    facets = [(f.normal, f.label, f.offset) for f in d.facets]
+    reeb = list(d.reeb)
+    if how == "cut":
+        dim = len(reeb)
+        p = [0] * dim
+        # p off the line of reeb, or the cut is the whole hyperplane
+        while all(p[i] * reeb[j] == p[j] * reeb[i] for i in range(dim) for j in range(i)):
+            p = [rng.randint(-2, 2) for _ in range(dim)]
+        g = gcd(*p)
+        p = [x // g for x in p]
+        bary = [sum(col) / len(d.vertices) for col in zip(*(v.coords for v in d.vertices))]
+        c = sum(x * y for x, y in zip(p, bary))
+        facets += [(tuple(p), 1, c), (tuple(-x for x in p), 1, -c)]
+    else:
+        facets = [(normal + (0,), m, o) for normal, m, o in facets]
+        reeb.append(0)
+        if how == "pinned":
+            zeros = (0,) * (len(reeb) - 1)
+            facets += [(zeros + (e,), rng.randint(1, 3), 0) for e in (-1, 1)]
+        # a polytope needs ambient_dim facets: pad with shifted (redundant) copies
+        facets += [(n, m, o + 1) for n, m, o in facets[: len(reeb) - len(facets)]]
+    u = random_unimodular(rng, len(reeb))
+    poly = LabeledPolytope(
+        len(reeb),
+        tuple(LabeledFacet(tuple(matvec(u, n)), m, o) for n, m, o in facets),
+    )
+    return poly, tuple(matvec(u, reeb))

@@ -126,6 +126,33 @@ def basic_feasible_points(a_rows, b):
     return sorted(found)
 
 
+def maximin_deformation(datum, beta):
+    """The solution of beta @ a = reeb maximizing min_i a_i, by the LP.
+
+    Maximizes z subject to base + K^T t >= z * 1 over (t, z), with base a
+    Fraction solution and K a Fraction kernel basis of beta: every basic
+    feasible point is enumerated and exact ties at the best z are broken
+    by lexicographic order of a.
+    """
+    cols = len(beta[0])
+    reduced, pivots = fraction_rref([[*row, r] for row, r in zip(beta, datum.reeb)])
+    base = [Fraction(0)] * cols
+    for row, c in zip(reduced, pivots):
+        base[c] = row[cols]
+    kernel = _fraction_null_space(beta, cols)
+    k = len(kernel)
+    a_rows = [[-kernel[j][i] for j in range(k)] + [1] for i in range(cols)]
+    verts = basic_feasible_points(a_rows, base)
+    best_z = max(v[-1] for v in verts)
+    if best_z <= 0:
+        raise ValueError("no positive solution")
+    return min(
+        tuple(base[i] + sum(kernel[j][i] * v[j] for j in range(k)) for i in range(cols))
+        for v in verts
+        if v[-1] == best_z
+    )
+
+
 def pointed_cone_rays(a_rows, dim):
     """Extreme rays of {y : A y <= 0} for rank(A) = dim, by Fraction null spaces
     of every dim-1 rows."""

@@ -25,11 +25,19 @@ from toricontact.lattice import (
     saturate,
     transpose,
 )
-from toricontact.polytope import LabeledFacet, LabeledPolytope
+from toricontact.polytope import LabeledFacet, LabeledPolytope, vertices
 from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
 
-from generators import change_basis, cube_or_simplex, labeled_cube, random_unimodular
+from generators import (
+    change_basis,
+    cube_or_simplex,
+    degenerate,
+    labeled_cube,
+    random_datum,
+    random_unimodular,
+)
+from oracles import fraction_rref
 from test_reduction import hexagon_datum
 
 F = Fraction
@@ -109,6 +117,29 @@ class TestValidateDatum:
         assert verify_presentation(synthesize(d), d).ok
         # a rational characteristic vector keeps the irrational mode open
         assert validate_datum(poly, (0, F(3, 2)), mode="irrational").mode == "irrational"
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product"]),
+        st.sampled_from(["free", "pinned", "cut"]),
+    )
+    def test_non_spanning_and_lower_dimensional_fail_earlier_checks(self, rng, kind, how):
+        # validate_datum has no span or full-dimension check: such data fail
+        # at vertex enumeration (lineality) or at simplicity
+        poly, reeb = degenerate(rng, random_datum(rng, kind), how)
+        if how == "free":
+            functionals = [f.functional for f in poly.facets]
+            assert len(fraction_rref([*functionals, reeb])[0]) < poly.ambient_dim
+            message = "polytope unbounded in characteristic hyperplane"
+        else:
+            coords = [v.coords for v in vertices(poly, reeb)]
+            diffs = [[b - a for a, b in zip(coords[0], c)] for c in coords[1:]]
+            assert len(fraction_rref(diffs)[0]) < poly.dim
+            message = "polytope not simple"
+        with pytest.raises(ValueError) as exc:
+            validate_datum(poly, reeb)
+        assert str(exc.value) == message
 
 
 class TestIsotropy:

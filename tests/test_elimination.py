@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from toricontact import lattice
 from toricontact.geometry import (
-    basic_feasible_points,
     enumerate_hpoly,
     null_space,
     rank_q,
@@ -15,7 +14,7 @@ from toricontact.geometry import (
     solve_square,
 )
 
-from oracles import cofactor_det, fraction_rref
+from oracles import basic_feasible_points, cofactor_det, fraction_rref
 from oracles import enumerate_hpoly as in_plane_enumerate_hpoly
 
 F = Fraction
@@ -129,6 +128,9 @@ class TestRationalSolvers:
 
 
 class TestBasicFeasiblePoints:
+    """The Fraction solve of every square subsystem (the oracle behind the
+    maximin deformation LP) against the cone-ray enumeration."""
+
     SYSTEMS = {
         "bounded square": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0]),
         "bounded rational simplex": ([[-1, 0], [0, -1], [2, 3]], [0, 0, F(1, 2)]),

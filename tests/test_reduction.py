@@ -18,8 +18,8 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import weighted_simplex
 
-from generators import change_basis, cube_or_simplex, random_unimodular
-from oracles import small_kernel_vectors
+from generators import labeled_cube, random_datum
+from oracles import maximin_deformation, small_kernel_vectors
 
 F = Fraction
 
@@ -104,6 +104,21 @@ class TestDeformationVector:
         beta = build_beta(d)
         assert deformation_vector(d, beta) == deformation_vector(d, beta)
 
+    def test_every_vertex_maximizes_on_the_unit_cube(self):
+        # beta @ 1 = 3 e_3 is 3 at every vertex, so all 8 tie, no facet is
+        # tight at all of them, and a is z* * 1 with z* = 1/3
+        d = labeled_cube(3, [1] * 6, identity(4))
+        beta = build_beta(d)
+        assert deformation_vector(d, beta) == (F(1, 3),) * 6
+        assert maximin_deformation(d, beta) == (F(1, 3),) * 6
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_closed_form_is_the_maximin_lp(self, rng, kind):
+        d = random_datum(rng, kind)
+        beta = build_beta(d)
+        assert deformation_vector(d, beta) == maximin_deformation(d, beta)
+
 
 class TestSynthesize:
     def test_standard_simplex_is_the_sphere(self):
@@ -156,10 +171,9 @@ class TestReducedSliceIsTheDatumSlice:
     synthesized presentation that always holds, in facet order."""
 
     @settings(deadline=None, max_examples=40)
-    @given(st.randoms(use_true_random=False), st.booleans())
-    def test_same_rows_vertices_and_active_sets(self, rng, cube):
-        d = cube_or_simplex(rng, cube)
-        d = change_basis(d, random_unimodular(rng, d.n + 1))
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_same_rows_vertices_and_active_sets(self, rng, kind):
+        d = random_datum(rng, kind)
         poly, reeb = reduced_polytope(synthesize(d))
         assert reeb == d.reeb
         assert slice_rows(poly, reeb) == slice_rows(d.polytope, d.reeb)
