@@ -164,17 +164,6 @@ def _barycenter(verts) -> tuple[Fraction, ...]:
     return tuple(bary)
 
 
-def _check_face(datum: ToricContactDatum, face: frozenset) -> tuple[Fraction, ...]:
-    """Sample point in the relative interior of the face; error if not a face."""
-    verts = [v for v in datum.vertices if face <= v.active]
-    if not verts:
-        raise ValueError("not a face")
-    bary = _barycenter(verts)
-    if _poly_faces_containing(datum.polytope, datum.reeb, bary) != face:
-        raise ValueError("not a face")
-    return bary
-
-
 def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
     """Per facet, label * primitive(image of its normal) in Z^{n+1}/Z*reeb."""
     proj = _reeb_projection(datum)
@@ -200,7 +189,9 @@ def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     """Leaf holonomy group of the face with the given active facet set."""
     _require_rational(datum)
     face = frozenset(face)
-    _check_face(datum, face)
+    # the faces of a simple polytope are the subsets of vertex active sets
+    if not any(face <= v.active for v in datum.vertices):
+        raise ValueError("not a face")
     return _face_holonomy(_facet_generators(datum), face)
 
 
@@ -246,10 +237,9 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
     """Reslice the moment cone with a new characteristic vector.
 
     Labels ride through the cone unchanged, facet by facet.  The new
-    vector must be strictly positive on the cone.
+    vector must be strictly positive on the cone, and integral.
     """
     _require_rational(datum)
-    new_reeb = tuple(int(x) for x in new_reeb)
     cone = cone_over(datum.polytope, datum.reeb)
     return validate_datum(slice_cone(cone, new_reeb), new_reeb)
 

@@ -147,25 +147,12 @@ def presentation_from_document(doc) -> SpherePresentation:
             raise ValueError(f"presentation document is missing {key!r}")
     n_cols = _int_from(doc["N"], "N")
     beta = [_int_list(row, "beta row") for row in _list(doc["beta"], "beta")]
-    if not beta or any(len(row) != n_cols for row in beta):
-        raise ValueError("beta rows must all have length N")
     weights = [_int_list(row, "weights row") for row in _list(doc["weights"], "weights")]
-    if any(len(row) != n_cols for row in weights):
-        raise ValueError("weight rows must all have length N")
-    if len(weights) != n_cols - len(beta):
-        raise ValueError("weight row count must be N minus the ambient dimension")
     deformation = [
         _fraction_from(x, f"deformation component {i}")
         for i, x in enumerate(_list(doc["deformation"], "deformation"))
     ]
-    if len(deformation) != n_cols:
-        raise ValueError("deformation must have length N")
-    return SpherePresentation(
-        N=n_cols,
-        beta=tuple(tuple(row) for row in beta),
-        weights=tuple(tuple(row) for row in weights),
-        deformation=tuple(deformation),
-    )
+    return SpherePresentation(n_cols, beta, weights, deformation)
 
 
 def parse_presentation(text: str) -> SpherePresentation:

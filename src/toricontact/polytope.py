@@ -5,8 +5,9 @@ with p_i a primitive integer outward normal and m_i a positive integer
 label.  The geometry of interest always lives in the slice
 {alpha : <alpha, reeb> = 1}, so every operation here takes the
 characteristic (Reeb) vector alongside the facet data.  The moment cone
-is the homogenization of the same data; ``cone_over`` and ``slice_cone``
-translate between the two pictures.
+is the homogenization of the same data, cut out by the cone normals of
+:func:`cone_normals`; ``cone_over`` and ``slice_cone`` translate between
+the two pictures.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ __all__ = [
     "LabeledPolytope",
     "MomentCone",
     "Vertex",
+    "cone_normals",
     "cone_over",
     "contains",
     "faces_containing",
     "is_rational",
     "is_simple",
     "slice_cone",
-    "slice_rows",
     "vertices",
 ]
 
@@ -106,19 +107,29 @@ class MomentCone:
         return geometry.cone_rays(a_rows, self.ambient_dim)
 
 
-def _reeb_fractions(reeb) -> list[Fraction]:
-    return [Fraction(x) for x in reeb]
+def _exact(reeb) -> list:
+    """The characteristic vector as ints where integral, else Fractions."""
+    return [x.numerator if x.denominator == 1 else x for x in map(Fraction, reeb)]
 
 
-def slice_rows(poly: LabeledPolytope, reeb) -> list[list[Fraction]]:
-    """Rows m_i p_i - lambda_i reeb in facet order: the cone over the slice is
-    {y : <y, row_i> <= 0, <y, reeb> >= 0}, so equal rows and characteristic
-    vectors give equal vertices and active sets.
+def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
+    """The labeled inward cone normals u_i = lambda_i * reeb - m_i * p_i,
+    exactly and in facet order.
+
+    The cone over the slice is {y : <y, u_i> >= 0, <y, reeb> >= 0}, so equal
+    normals and characteristic vectors give equal vertices and active sets.
+    With offset a/b each u_i is (a * reeb - b * m_i p_i) / b, an integer
+    vector unless b does not divide it; only those entries become Fractions.
     """
-    r = _reeb_fractions(reeb)
-    return [
-        [yi - f.offset * ri for yi, ri in zip(f.functional, r)] for f in poly.facets
-    ]
+    r = _exact(reeb)
+    normals = []
+    for f in poly.facets:
+        a, b = f.offset.numerator, f.offset.denominator
+        u = [a * ri - b * yi for ri, yi in zip(r, f.functional)]
+        if b != 1:
+            u = [x // b if x % b == 0 else Fraction(x, b) for x in u]
+        normals.append(u)
+    return normals
 
 
 def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
@@ -126,16 +137,18 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
 
     Coordinates are exact rationals; each vertex carries the set of facets
     active at it.  The vertices are the rays of the cone over the slice
-    (see :func:`slice_rows`) at positive height <y, reeb>, rescaled to
-    height 1; a facet is active exactly when its row vanishes on the
-    integer ray.  Raises if the slice is empty or unbounded.
+    (the cone cut out by :func:`cone_normals`) at positive height
+    <y, reeb>, rescaled to height 1; a facet is active exactly when its
+    cone normal vanishes on the integer ray.  Raises if the slice is empty
+    or unbounded.
     """
-    r = _reeb_fractions(reeb)
+    r = _exact(reeb)
     if len(r) != poly.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
     if not any(r):
         raise ValueError("characteristic vector must be nonzero")
-    status, points = geometry.sliced_cone_points(slice_rows(poly, r), r)
+    a_rows = [[-x for x in u] for u in cone_normals(poly, r)]
+    status, points = geometry.sliced_cone_points(a_rows, r)
     if status == "empty":
         raise ValueError("empty polytope")
     if status == "unbounded":
@@ -157,7 +170,7 @@ def contains(poly: LabeledPolytope, reeb, point) -> bool:
     if len(point) != poly.ambient_dim:
         raise ValueError("point has wrong dimension")
     p = [Fraction(x) for x in point]
-    if geometry.dot(p, _reeb_fractions(reeb)) != 1:
+    if geometry.dot(p, _exact(reeb)) != 1:
         return False
     return all(geometry.dot(p, f.functional) <= f.offset for f in poly.facets)
 
@@ -175,26 +188,24 @@ def faces_containing(poly: LabeledPolytope, reeb, point) -> frozenset[int]:
 
 
 def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
-    """Homogenize to the moment cone: facet i becomes lambda_i*reeb - m_i*p_i.
+    """Homogenize to the moment cone: decompose each cone normal u_i
+    (:func:`cone_normals`) as (positive label) * (primitive vector).
 
-    Each cone normal is decomposed as (positive label) * (primitive vector);
-    the decomposition must be integral.
+    The decomposition must be integral.
     """
-    r = _reeb_fractions(reeb)
     normals = []
-    for i, f in enumerate(poly.facets):
-        w = [f.offset * ri - yi for ri, yi in zip(r, f.functional)]
-        if not any(w):
+    for i, u in enumerate(cone_normals(poly, reeb)):
+        if not any(u):
             raise ValueError("degenerate facet under coning")
-        if any(x.denominator != 1 for x in w):
+        if any(x.denominator != 1 for x in u):
             raise ValueError(
                 f"cone normal decomposition not integral: facet {i} cones to "
-                f"({', '.join(map(str, w))}); scale the characteristic vector "
+                f"({', '.join(map(str, u))}); scale the characteristic vector "
                 "or the offsets so that offset * reeb is integral"
             )
-        w_int = [int(x) for x in w]
-        label = gcd(*w_int)
-        normals.append((tuple(x // label for x in w_int), label))
+        u = [int(x) for x in u]
+        label = gcd(*u)
+        normals.append((tuple(x // label for x in u), label))
     return MomentCone(poly.ambient_dim, tuple(normals))
 
 
@@ -202,10 +213,10 @@ def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
     """Cut the cone by {<alpha, reeb> = 1}, keeping per-facet labels.
 
     Requires the new characteristic vector to be strictly positive on the
-    cone (checked on lineality and every extreme ray), which also makes
-    the resulting polytope compact.
+    cone (checked exactly on lineality and every extreme ray), which also
+    makes the resulting polytope compact.
     """
-    r = [int(x) for x in reeb]
+    r = _exact(reeb)
     if len(r) != cone.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
     lineality, rays = cone.rays()

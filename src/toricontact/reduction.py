@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
-from .polytope import LabeledFacet, LabeledPolytope, cone_over, slice_rows
+from .polytope import LabeledFacet, LabeledPolytope, cone_normals, cone_over
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -39,7 +39,8 @@ class SpherePresentation:
 
     beta has one column per sphere coordinate (shape (n+1) x N), weights
     is the (N-n-1) x N matrix of the reduction torus, and deformation is
-    the positive rational vector with beta @ deformation = reeb.
+    the positive rational vector with beta @ deformation = reeb.  The
+    shapes are checked on construction.
     """
 
     N: int
@@ -55,6 +56,14 @@ class SpherePresentation:
         object.__setattr__(
             self, "deformation", tuple(Fraction(x) for x in self.deformation)
         )
+        if not self.beta or any(len(row) != self.N for row in self.beta):
+            raise ValueError("beta rows must all have length N")
+        if any(len(row) != self.N for row in self.weights):
+            raise ValueError("weight rows must all have length N")
+        if len(self.weights) != self.N - len(self.beta):
+            raise ValueError("weight row count must be N minus the ambient dimension")
+        if len(self.deformation) != self.N:
+            raise ValueError("deformation must have length N")
 
     @property
     def ambient_dim(self) -> int:
@@ -62,9 +71,11 @@ class SpherePresentation:
 
     @cached_property
     def reeb_image(self) -> tuple[Fraction, ...]:
+        """beta @ deformation, in integers over the deformation's lcm denominator."""
+        den = lcm(*(x.denominator for x in self.deformation))
+        nums = [x.numerator * (den // x.denominator) for x in self.deformation]
         return tuple(
-            sum(row[j] * self.deformation[j] for j in range(self.N))
-            for row in self.beta
+            Fraction(sum([b * x for b, x in zip(row, nums)]), den) for row in self.beta
         )
 
 
@@ -87,14 +98,10 @@ class VerificationReport:
 
 def build_beta(datum: ToricContactDatum) -> list[list[int]]:
     """Matrix whose i-th column is the labeled inward cone normal of facet i."""
+    # onto without a rank check: a validated datum's slice is bounded and
+    # nonempty, so its moment cone is pointed and the cone normals span
     cone = cone_over(datum.polytope, datum.reeb)
-    n1 = datum.polytope.ambient_dim
-    beta = [
-        [q[r] * label for q, label in cone.normals] for r in range(n1)
-    ]
-    if rank(beta) != n1:
-        raise ValueError("beta not surjective")
-    return beta
+    return transpose([[label * x for x in q] for q, label in cone.normals])
 
 
 def kernel_torus_weights(beta) -> list[list[int]]:
@@ -145,22 +152,10 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     return tuple(a)
 
 
-def _presentation_problems(pres: SpherePresentation) -> list[str]:
+def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
+    """What is wrong with the presentation on its own and against reeb."""
     problems = []
-    n1 = pres.ambient_dim
-    if any(len(row) != pres.N for row in pres.beta):
-        problems.append("beta shape inconsistent with N")
-        return problems
-    if len(pres.deformation) != pres.N:
-        problems.append("deformation length inconsistent with N")
-        return problems
-    expected_rows = pres.N - n1
-    if len(pres.weights) != expected_rows or any(
-        len(row) != pres.N for row in pres.weights
-    ):
-        problems.append("weight matrix shape inconsistent")
-        return problems
-    if rank(list(map(list, pres.beta))) != n1:
+    if rank(list(map(list, pres.beta))) != pres.ambient_dim:
         problems.append("beta not surjective")
     if pres.weights:
         prod_mat = matmul(list(map(list, pres.beta)), transpose(list(map(list, pres.weights))))
@@ -172,6 +167,8 @@ def _presentation_problems(pres: SpherePresentation) -> list[str]:
             problems.append("weight matrix is not a saturated kernel basis")
     if any(x <= 0 for x in pres.deformation):
         problems.append("deformation vector not strictly positive")
+    if pres.reeb_image != tuple(Fraction(x) for x in reeb):
+        problems.append("beta @ deformation differs from the characteristic vector")
     return problems
 
 
@@ -180,15 +177,8 @@ def synthesize(datum: ToricContactDatum) -> SpherePresentation:
     beta = build_beta(datum)
     weights = kernel_torus_weights(beta)
     a = deformation_vector(datum, beta)
-    pres = SpherePresentation(
-        N=len(datum.facets),
-        beta=tuple(tuple(row) for row in beta),
-        weights=tuple(tuple(row) for row in weights),
-        deformation=a,
-    )
-    problems = _presentation_problems(pres)
-    if pres.reeb_image != tuple(Fraction(x) for x in datum.reeb):
-        problems.append("beta @ deformation differs from the characteristic vector")
+    pres = SpherePresentation(len(datum.facets), beta, weights, a)
+    problems = _presentation_problems(pres, datum.reeb)
     if problems:
         raise ValueError("synthesized presentation is inconsistent: " + "; ".join(problems))
     return pres
@@ -201,9 +191,8 @@ def reduced_polytope(pres: SpherePresentation):
     in the hyperplane <alpha, beta @ a> = 1, with facet labels from the
     primitive decomposition of beta's columns.
     """
-    cols = transpose(list(map(list, pres.beta)))
     facets = []
-    for col in cols:
+    for col in transpose(pres.beta):
         if not any(col):
             raise ValueError("degenerate beta column")
         g = gcd(*col)
@@ -237,26 +226,26 @@ def verify_presentation(
 ) -> VerificationReport:
     """Check a presentation against a datum, exactly.
 
-    The polytope match compares vertex sets and cone-normal data (the
-    latter is the facet data with offsets absorbed, so data that differ
-    only by the hyperplane normalization still match).  Local freeness is
-    checked at every vertex through the reduction-torus stabilizer.
+    The polytope match compares vertex sets and cone normals (the facet
+    data with offsets absorbed, so data that differ only by the hyperplane
+    normalization still match), the latter as multisets of beta's columns
+    and the datum's integral cone normals.  Local freeness is checked at
+    every vertex through the reduction-torus stabilizer.
 
     When the reduced polytope has the datum's characteristic vector and
-    its rows (``slice_rows``, in facet order), it is the datum's labeled
-    polytope and the datum's vertices are reused.  For a correct
-    presentation that always holds: by Lerman's classification of contact
-    toric manifolds of Reeb type (J. Symplectic Geom. 2003), the reduction
-    of the sphere by the kernel torus of beta has the moment cone whose
-    inward normals are beta's columns.
+    beta's columns are the datum's cone normals (``cone_normals``, in
+    facet order), it is the datum's labeled polytope and the datum's
+    vertices are reused.  For a correct presentation that always holds: by
+    Lerman's classification of contact toric manifolds of Reeb type
+    (J. Symplectic Geom. 2003), the reduction of the sphere by the kernel
+    torus of beta has the moment cone whose inward normals are beta's
+    columns.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
     if pres.N != len(datum.facets):
         raise ValueError("presentation and datum facet counts differ")
-    problems = _presentation_problems(pres)
-    if pres.reeb_image != tuple(Fraction(x) for x in datum.reeb):
-        problems.append("beta @ deformation differs from the characteristic vector")
+    problems = _presentation_problems(pres, datum.reeb)
 
     datum_vertices = [v.coords for v in datum.vertices]
     vertex_diff = []
@@ -264,9 +253,9 @@ def verify_presentation(
     reduced_verts = None
     try:
         poly, reeb = reduced_polytope(pres)
-        if reeb == datum.reeb and slice_rows(poly, reeb) == slice_rows(
-            datum.polytope, datum.reeb
-        ):
+        columns = transpose(pres.beta)
+        normals = cone_normals(datum.polytope, datum.reeb)
+        if reeb == datum.reeb and columns == normals:
             reduced_verts = datum.vertices
         else:
             reduced_verts = _poly_vertices(poly, reeb)
@@ -274,13 +263,10 @@ def verify_presentation(
         missing = [c for c in datum_vertices if c not in reduced_coords]
         extra = [c for c in reduced_coords if c not in datum_vertices]
         vertex_diff = [("missing", c) for c in missing] + [("extra", c) for c in extra]
-        cone = cone_over(datum.polytope, datum.reeb)
-        datum_normals = sorted(cone.normals)
-        pres_normals = sorted(
-            (tuple(-x for x in f.normal), f.label) for f in poly.facets
-        )
-        polytope_match = not vertex_diff and datum_normals == pres_normals
-        if datum_normals != pres_normals:
+        cone_over(datum.polytope, datum.reeb)  # raises unless normals are integral
+        same_normals = sorted(columns) == sorted(normals)
+        polytope_match = not vertex_diff and same_normals
+        if not same_normals:
             problems.append("cone normals of presentation and datum differ")
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -25,7 +25,7 @@ from toricontact.lattice import (
     saturate,
     transpose,
 )
-from toricontact.polytope import LabeledFacet, LabeledPolytope, vertices
+from toricontact.polytope import LabeledFacet, LabeledPolytope, faces_containing, vertices
 from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
 
@@ -185,6 +185,23 @@ class TestHolonomy:
         with pytest.raises(ValueError, match="not a face"):
             holonomy(d, {0, 1})
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_not_a_face_exactly_off_the_vertex_active_sets(self, rng, kind):
+        # oracle: a face's vertices have a barycentre whose active facets
+        # are exactly the face
+        d = random_datum(rng, kind)
+        for size in range(len(d.facets) + 1):
+            for face in map(frozenset, combinations(range(len(d.facets)), size)):
+                verts = [v for v in d.vertices if face <= v.active]
+                if not verts:
+                    with pytest.raises(ValueError, match="not a face"):
+                        holonomy(d, face)
+                    continue
+                holonomy(d, face)
+                bary = [sum(col) / len(verts) for col in zip(*(v.coords for v in verts))]
+                assert faces_containing(d.polytope, d.reeb, bary) == face
+
     def test_refused_in_irrational_mode(self):
         d = validate_datum(orthant_polytope(2), (1, F(3, 2)), mode="irrational")
         with pytest.raises(ValueError, match="integral"):
@@ -254,6 +271,12 @@ class TestPerturbReeb:
         d = validate_datum(orthant_polytope(3), (1, 1, 1))
         d2 = perturb_reeb(d, (1, 1, 1))
         assert [v.coords for v in d2.vertices] == [v.coords for v in d.vertices]
+
+    @pytest.mark.parametrize("last", [F(5, 2), 2.9])
+    def test_non_integral_reeb_kept_exact_and_rejected(self, last):
+        d = weighted_simplex((1, 1, 1))
+        with pytest.raises(ValueError, match="characteristic vector not integral"):
+            perturb_reeb(d, (1, 1, last))
 
     def test_negative_pairing_rejected(self):
         d = validate_datum(orthant_polytope(2), (1, 1))

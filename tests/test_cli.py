@@ -321,6 +321,22 @@ class TestErrors:
         assert not out
         assert f"{field} must be a list" in err
 
+    def test_presentation_weight_row_count_exit_two(self, capsys, monkeypatch, tmp_path):
+        d = weighted_simplex((1, 2))
+        doc = json.loads(serialize_presentation(synthesize(d)))
+        doc["weights"] = [[1, 1]]
+        pres_file = tmp_path / "malformed.json"
+        pres_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--presentation", str(pres_file)],
+            stdin=serialize_datum(d),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert not out
+        assert "weight row count must be N minus the ambient dimension" in err
+
     def test_bad_slice_reeb_exit_two(self, capsys, monkeypatch):
         _, datum_doc, _ = run_cli(capsys, ["sphere", "--weights", "1,1", "--output", "json"])
         code, _, err = run_cli(

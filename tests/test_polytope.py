@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
+    cone_normals,
     cone_over,
     contains,
     faces_containing,
@@ -202,6 +203,43 @@ class TestContains:
             contains(standard_simplex(), (1, 1, 1), (1, 0))
 
 
+class TestConeNormals:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_integer_form_is_the_fraction_formula(self, data):
+        dim = data.draw(st.integers(2, 4))
+        entry = st.integers(-3, 3)
+        rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+        facets = []
+        for _ in range(data.draw(st.integers(dim, dim + 3))):
+            normal = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+            assume(any(normal) and gcd(*normal) == 1)
+            facets.append(LabeledFacet(tuple(normal), data.draw(st.integers(1, 3)), data.draw(rational)))
+        # an integral or an irrational (rational, non-integral) reeb
+        reeb = data.draw(st.lists(st.one_of(entry, rational), min_size=dim, max_size=dim))
+        try:
+            poly = LabeledPolytope(dim, facets)
+        except ValueError:
+            assume(False)
+        expected = [
+            [f.offset * F(r) - f.label * p for r, p in zip(reeb, f.normal)]
+            for f in facets
+        ]
+        got = cone_normals(poly, reeb)
+        assert got == expected
+        if all(F(r).denominator == 1 for r in reeb):
+            # integral entries stay ints, as beta and the vertex rows need
+            assert all(type(x) is int for u in got for x in u if F(x).denominator == 1)
+
+    def test_translated_simplex(self):
+        facets = (
+            LabeledFacet((-1, 0), 1, F(1, 2)),
+            LabeledFacet((0, -1), 2, F(3)),
+        )
+        normals = cone_normals(LabeledPolytope(2, facets), (2, 1))
+        assert normals == [[2, F(1, 2)], [6, 5]]
+
+
 class TestConeOver:
     def test_standard_simplex_gives_orthant(self):
         cone = cone_over(standard_simplex(), (1, 1, 1))
@@ -257,6 +295,13 @@ class TestSliceCone:
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, 2))
         assert [v.coords for v in vertices(poly, (1, 2))] == [(0, F(1, 2)), (1, 0)]
+
+    def test_rational_reeb_positivity_is_exact(self):
+        from toricontact.polytope import MomentCone
+
+        quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
+        poly = slice_cone(quadrant, (1, F(1, 2)))
+        assert [v.coords for v in vertices(poly, (1, F(1, 2)))] == [(0, 2), (1, 0)]
 
     def test_positivity_violation(self):
         from toricontact.polytope import MomentCone

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricontact.classify import validate_datum
-from toricontact.lattice import identity, matmul, transpose
-from toricontact.polytope import LabeledFacet, LabeledPolytope, slice_rows, vertices
+from toricontact.lattice import identity, matmul, rank, transpose
+from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
 from toricontact.reduction import (
     SpherePresentation,
     build_beta,
@@ -120,6 +120,23 @@ class TestDeformationVector:
         assert deformation_vector(d, beta) == maximin_deformation(d, beta)
 
 
+class TestPresentationShape:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"beta": ((1, 0), (0, 1, 0), (0, 0, 1))}, "beta rows must all have length N"),
+            ({"beta": ()}, "beta rows must all have length N"),
+            ({"weights": ((1, 1),)}, "weight rows must all have length N"),
+            ({"weights": ((1, 1, 1),)}, "weight row count must be N minus the ambient dimension"),
+            ({"deformation": (1, 1)}, "deformation must have length N"),
+        ],
+    )
+    def test_each_shape_fault_raises_on_construction(self, fault, message):
+        fields = {"N": 3, "beta": identity(3), "weights": (), "deformation": (1, 1, 1)}
+        with pytest.raises(ValueError, match=message):
+            SpherePresentation(**{**fields, **fault})
+
+
 class TestSynthesize:
     def test_standard_simplex_is_the_sphere(self):
         pres = synthesize(standard_simplex_datum())
@@ -166,17 +183,22 @@ class TestReducedPolytope:
 
 
 class TestReducedSliceIsTheDatumSlice:
-    """verify_presentation reuses the datum's vertices when the reduced
-    polytope has the datum's rows and characteristic vector; for a
-    synthesized presentation that always holds, in facet order."""
+    """verify_presentation reuses the datum's vertices when beta's columns
+    are the datum's cone normals and the reduced characteristic vector is
+    the datum's; for a synthesized presentation that always holds, in
+    facet order."""
 
     @settings(deadline=None, max_examples=40)
     @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
     def test_same_rows_vertices_and_active_sets(self, rng, kind):
         d = random_datum(rng, kind)
-        poly, reeb = reduced_polytope(synthesize(d))
+        pres = synthesize(d)
+        poly, reeb = reduced_polytope(pres)
         assert reeb == d.reeb
-        assert slice_rows(poly, reeb) == slice_rows(d.polytope, d.reeb)
+        # beta is onto without build_beta checking it
+        assert rank(build_beta(d)) == d.polytope.ambient_dim
+        assert transpose(pres.beta) == cone_normals(d.polytope, d.reeb)
+        assert cone_normals(poly, reeb) == cone_normals(d.polytope, d.reeb)
         assert [(v.coords, v.active) for v in vertices(poly, reeb)] == [
             (v.coords, v.active) for v in d.vertices
         ]
