@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
-from .lattice import FiniteAbelianGroup, matvec, primitive, snf
+from .lattice import FiniteAbelianGroup, det, matvec, primitive, snf
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_over, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
 from .polytope import vertices as _poly_vertices
@@ -153,15 +153,17 @@ def _reeb_projection(datum: ToricContactDatum):
     return [list(row) for row in u[1:]]
 
 
-def _barycenter(verts) -> tuple[Fraction, ...]:
-    """Mean of the vertex coordinates, as integers over a common denominator."""
-    k = len(verts)
-    bary = []
-    for column in zip(*(v.coords for v in verts)):
-        den = lcm(*(x.denominator for x in column))
-        total = sum(x.numerator * (den // x.denominator) for x in column)
-        bary.append(Fraction(total, den * k))
-    return tuple(bary)
+def _integer_point(v: Vertex) -> tuple[int, list[int]]:
+    """The vertex as (den, nums) with coords = nums / den, den their lcm."""
+    den = lcm(*(x.denominator for x in v.coords))
+    return den, [x.numerator * (den // x.denominator) for x in v.coords]
+
+
+def _barycenter(points) -> tuple[Fraction, ...]:
+    """Mean of points given by :func:`_integer_point`, summed in integers."""
+    den = lcm(*(d for d, _ in points))
+    scaled = ([x * (den // d) for x in nums] for d, nums in points)
+    return tuple(Fraction(sum(col), den * len(points)) for col in zip(*scaled))
 
 
 def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
@@ -185,6 +187,17 @@ def _face_holonomy(generators, face) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
+def _diagonal_holonomy(labels) -> FiniteAbelianGroup:
+    """Torsion of Z^n modulo the span of m_i e_i over part of a basis: the
+    invariant factors of diag(m_i), sorted into a divisibility chain by
+    replacing pairs with their gcd and lcm (Z/a + Z/b = Z/gcd + Z/lcm)."""
+    d = list(labels)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return FiniteAbelianGroup(tuple(x for x in d if x > 1))
+
+
 def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     """Leaf holonomy group of the face with the given active facet set."""
     _require_rational(datum)
@@ -200,28 +213,47 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
 
     The face lattice of a simple polytope is exactly the family of subsets
     of vertex active sets; the whole polytope appears as the empty face.
-    The facet normals are projected once per datum; each nonempty face then
-    costs one Smith normal form of its generator rows, whose diagonal
-    entries above 1 are its holonomy, and its sample point is the
-    barycentre of its vertices.  Regular means every leaf holonomy group is
-    trivial and every label is 1.
+    The facet normals are projected once per datum, and each face's sample
+    point is the barycentre of its vertices.
+
+    Holonomy: at a vertex v whose n generator rows have |det| equal to the
+    product of their labels, the projected primitive normals of A(v) are a
+    basis of Z^n.  Every face F inside A(v) then has the holonomy
+    Z/m_i + ... (i in F), put in invariant-factor form by gcd and lcm with
+    no Smith normal form; with all labels 1 it is trivial.  Every other
+    nonempty face costs one Smith normal form of its generator rows, whose
+    diagonal entries above 1 are its holonomy.
+
+    Regular means every leaf holonomy group is trivial and every label is 1.
     """
     _require_rational(datum)
-    face_vertices = {}
+    generators = _facet_generators(datum)
+    labels = [f.label for f in datum.facets]
+    face_points = {}
+    diagonal = set()  # faces inside the active set of a unimodular vertex
     for v in datum.vertices:
+        point = _integer_point(v)
         active = sorted(v.active)
+        unimodular = abs(det([generators[i] for i in active])) == prod(
+            labels[i] for i in active
+        )
         for mask in range(1 << len(active)):
             face = frozenset(active[i] for i in range(len(active)) if mask >> i & 1)
-            face_vertices.setdefault(face, []).append(v)
-    generators = _facet_generators(datum)
+            face_points.setdefault(face, []).append(point)
+            if unimodular:
+                diagonal.add(face)
     per_face = []
-    for face in sorted(face_vertices, key=lambda f: (len(f), sorted(f))):
+    for face in sorted(face_points, key=lambda f: (len(f), sorted(f))):
+        if face in diagonal:
+            group = _diagonal_holonomy(labels[i] for i in sorted(face))
+        else:
+            group = _face_holonomy(generators, face)
         per_face.append(
             FaceInvariants(
                 face=face,
                 isotropy_basis=tuple(datum.facets[i].normal for i in sorted(face)),
-                holonomy=_face_holonomy(generators, face),
-                sample_point=_barycenter(face_vertices[face]),
+                holonomy=group,
+                sample_point=_barycenter(face_points[face]),
             )
         )
     regular = all(f.holonomy.is_trivial for f in per_face) and all(

@@ -5,9 +5,10 @@ rank, null space and solve scales each rational row to an integer one and
 runs the fraction-free elimination :func:`toricontact.lattice.echelon`;
 Fractions appear only in the answers, as entries over the final pivot.
 The vertices of a slice of a cone are its extreme rays at positive height,
-rescaled; rays come from exhaustive constraint-subset intersection, which
-is exact and entirely adequate at the scale this package targets (a few
-dozen constraints, dimension at most a handful).
+rescaled.  They are found by walking the edges of the slice from a first
+vertex, so the work grows with the number of vertices and edges, not with
+the number of constraint subsets; only the first vertex, and the extreme
+rays of a whole cone (:func:`cone_rays`), come from a scan over subsets.
 """
 
 from __future__ import annotations
@@ -84,26 +85,20 @@ def solve_general(rows, rhs):
     return x
 
 
-def _pointed_cone_rays(a_rows, dim):
-    """Extreme rays of {y : A y <= 0}, assuming rank(A) = dim (pointed).
-
-    Returns (ray, tight) pairs: ``tight`` is the set of row indices that
-    vanish on the primitive integer ray.
-    """
-    rows = [_integral(row) for row in a_rows]
-    rays = {}
-    for subset in combinations(rows, dim - 1):
-        e, pivots, d, _ = echelon(subset)
-        if len(pivots) != dim - 1:
-            continue
-        y = primitive(_kernel(e, pivots, d, dim)[0])
-        vals = [dot(row, y) for row in rows]
-        if any(v > 0 for v in vals):
-            if any(v < 0 for v in vals):
-                continue  # the kernel line leaves the cone both ways
-            y = [-v for v in y]
-        rays[tuple(y)] = frozenset(i for i, v in enumerate(vals) if v == 0)
-    return [(list(ray), tight) for ray, tight in rays.items()]
+def _ray(subset, rows, dim):
+    """(y, rows @ y) for the primitive y spanning the kernel of ``subset``
+    with rows @ y <= 0, or None when the subset has rank below dim - 1 or
+    neither sign of its kernel line satisfies every row."""
+    e, pivots, d, _ = echelon(subset)
+    if len(pivots) != dim - 1:
+        return None
+    y = primitive(_kernel(e, pivots, d, dim)[0])
+    vals = [dot(row, y) for row in rows]
+    if any(v > 0 for v in vals):
+        if any(v < 0 for v in vals):
+            return None  # the kernel line leaves the cone both ways
+        y, vals = [-x for x in y], [-v for v in vals]
+    return y, vals
 
 
 def sliced_cone_points(a_rows, height):
@@ -113,28 +108,81 @@ def sliced_cone_points(a_rows, height):
     The points are the rays of K at positive height, rescaled to height 1,
     in lexicographic order: the vertices of the slice.  Each comes as a
     pair (point, tight) with ``tight`` the indices of the rows of A that
-    vanish on it, read off the same integer ray test.  K is first cut down
-    to the orthogonal complement of its lineality space.  Lineality or a
-    ray at height 0 makes the slice unbounded; with lineality there is no
-    vertex to report.
+    vanish on the primitive integer ray.  Lineality makes the slice
+    unbounded with no vertex to report; it is found first, and K is cut
+    down to its orthogonal complement for the search for a first vertex,
+    one (dim - 1)-subset of rows at a time.
+
+    From that vertex the slice is walked along its edges.  At a vertex y
+    with tight rows T the edge directions are the extreme rays of the
+    tangent cone {d : A_T d <= 0, <d, height> = 0}, each the kernel of a
+    (dim - 2)-subset of T plus the height row; an integer ratio test over
+    the other rows gives the next vertex, or an unbounded edge.  A subset
+    whose kernel is the line of an edge already known at y is skipped, so
+    on a simple polytope each edge costs one elimination, at the end the
+    walk reaches first.  The bounded edges of a pointed polyhedron connect
+    all its vertices (the walk is the idea behind Avis and Fukuda's reverse
+    search, Discrete Comput. Geom. 1992), so every vertex of an unbounded
+    slice is reported too.
     """
     dim = len(height)
     m = len(a_rows)
-    rows = [*a_rows, [-x for x in height]]
-    lineality = null_space(rows, dim)
+    rows = [_integral(row) for row in [*a_rows, [-x for x in height]]]
+    lineality = [_integral(y) for y in null_space(rows, dim)]
     rows += lineality + [[-x for x in y] for y in lineality]
-    rays = _pointed_cone_rays(rows, dim)
-    heights = [dot(ray, height) for ray, _ in rays]
-    points = sorted(  # distinct rays give distinct points
-        (tuple(Fraction(x, h) for x in ray), frozenset(i for i in tight if i < m))
-        for (ray, tight), h in zip(rays, heights)
-        if h > 0
-    )
-    if not points:
+    up = [-x for x in rows[m]]  # height, scaled to integers
+    first = None
+    for subset in combinations(rows, dim - 1):
+        ray = _ray(subset, rows, dim)
+        if ray is not None and dot(ray[0], up) > 0:
+            first = tuple(ray[0])
+            break
+    if first is None:
         return "empty", []
     if lineality:
         return "unbounded", []
-    return ("unbounded" if 0 in heights else "bounded"), points
+    status = "bounded"
+    queue = [first]
+    seen = {first}
+    # per vertex not yet walked from, the tight sets of the vertices that
+    # reached it: rows tight at both ends of an edge vanish on its direction
+    arrived = {}
+    points = []
+    for y in queue:
+        vals = [dot(row, y) for row in rows]
+        tight = [i for i, v in enumerate(vals) if v == 0]
+        active = frozenset(tight)
+        points.append((tuple(Fraction(x, dot(y, height)) for x in y), active))
+        tight_rows = [rows[i] for i in tight]
+        slack = [(-v, row) for row, v in zip(rows, vals) if v]
+        # per edge known at y, the tight rows vanishing on it: a subset
+        # inside one of them has that edge's line as its kernel
+        known = arrived.pop(y, [])
+        for subset in combinations(tight, dim - 2) if dim > 1 else ():
+            if any(zeros.issuperset(subset) for zeros in known):
+                continue
+            ray = _ray([*(rows[i] for i in subset), up], tight_rows, dim)
+            if ray is None:
+                continue
+            d, along = ray
+            known.append({i for i, v in zip(tight, along) if not v})
+            # the step y -> y + (num / den) d stops at the first row to vanish
+            num, den = 0, 0
+            for v, row in slack:
+                s = dot(row, d)
+                if s > 0 and (not den or v * den < num * s):
+                    num, den = v, s
+            if not den:
+                status = "unbounded"
+                continue
+            z = tuple(primitive([den * a + num * b for a, b in zip(y, d)]))
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+                arrived[z] = [active]
+            elif z in arrived:
+                arrived[z].append(active)
+    return status, sorted(points)  # distinct rays give distinct points
 
 
 def enumerate_hpoly(a_rows, b):
@@ -162,4 +210,7 @@ def cone_rays(a_rows, dim: int):
     lineality = null_space(a_rows, dim)
     if lineality:
         return lineality, []
-    return [], [ray for ray, _ in _pointed_cone_rays(a_rows, dim)]
+    rows = [_integral(row) for row in a_rows]
+    rays = (_ray(subset, rows, dim) for subset in combinations(rows, dim - 1))
+    unique = dict.fromkeys(tuple(ray[0]) for ray in rays if ray is not None)
+    return [], [list(ray) for ray in unique]

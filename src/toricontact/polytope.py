@@ -27,6 +27,7 @@ __all__ = [
     "cone_over",
     "contains",
     "faces_containing",
+    "integral_cone_normal",
     "is_rational",
     "is_simple",
     "slice_cone",
@@ -138,9 +139,10 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     Coordinates are exact rationals; each vertex carries the set of facets
     active at it.  The vertices are the rays of the cone over the slice
     (the cone cut out by :func:`cone_normals`) at positive height
-    <y, reeb>, rescaled to height 1; a facet is active exactly when its
-    cone normal vanishes on the integer ray.  Raises if the slice is empty
-    or unbounded.
+    <y, reeb>, rescaled to height 1, found by walking the edges of the
+    slice (:func:`toricontact.geometry.sliced_cone_points`); a facet is
+    active exactly when its cone normal vanishes on the integer ray.
+    Raises if the slice is empty or unbounded.
     """
     r = _exact(reeb)
     if len(r) != poly.ambient_dim:
@@ -187,6 +189,18 @@ def faces_containing(poly: LabeledPolytope, reeb, point) -> frozenset[int]:
     )
 
 
+def integral_cone_normal(i: int, u) -> list[int]:
+    """Facet i's cone normal u (from :func:`cone_normals`) as ints; raises
+    unless it is integral."""
+    if any(x.denominator != 1 for x in u):
+        raise ValueError(
+            f"cone normal decomposition not integral: facet {i} cones to "
+            f"({', '.join(map(str, u))}); scale the characteristic vector "
+            "or the offsets so that offset * reeb is integral"
+        )
+    return [int(x) for x in u]
+
+
 def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
     """Homogenize to the moment cone: decompose each cone normal u_i
     (:func:`cone_normals`) as (positive label) * (primitive vector).
@@ -197,13 +211,7 @@ def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
     for i, u in enumerate(cone_normals(poly, reeb)):
         if not any(u):
             raise ValueError("degenerate facet under coning")
-        if any(x.denominator != 1 for x in u):
-            raise ValueError(
-                f"cone normal decomposition not integral: facet {i} cones to "
-                f"({', '.join(map(str, u))}); scale the characteristic vector "
-                "or the offsets so that offset * reeb is integral"
-            )
-        u = [int(x) for x in u]
+        u = integral_cone_normal(i, u)
         label = gcd(*u)
         normals.append((tuple(x // label for x in u), label))
     return MomentCone(poly.ambient_dim, tuple(normals))

@@ -18,7 +18,13 @@ from math import gcd, lcm, prod
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
-from .polytope import LabeledFacet, LabeledPolytope, cone_normals, cone_over
+from .polytope import (
+    LabeledFacet,
+    LabeledPolytope,
+    cone_normals,
+    cone_over,
+    integral_cone_normal,
+)
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -263,7 +269,8 @@ def verify_presentation(
         missing = [c for c in datum_vertices if c not in reduced_coords]
         extra = [c for c in reduced_coords if c not in datum_vertices]
         vertex_diff = [("missing", c) for c in missing] + [("extra", c) for c in extra]
-        cone_over(datum.polytope, datum.reeb)  # raises unless normals are integral
+        for i, u in enumerate(normals):
+            integral_cone_normal(i, u)
         same_normals = sorted(columns) == sorted(normals)
         polytope_match = not vertex_diff and same_normals
         if not same_normals:

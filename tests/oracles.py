@@ -155,8 +155,9 @@ def maximin_deformation(datum, beta):
 
 def pointed_cone_rays(a_rows, dim):
     """Extreme rays of {y : A y <= 0} for rank(A) = dim, by Fraction null spaces
-    of every dim-1 rows."""
-    rays = []
+    of every dim-1 rows, as (primitive integer ray, indices of the rows
+    vanishing on it) pairs."""
+    rays = {}
     for subset in combinations(range(len(a_rows)), dim - 1):
         kernel = _fraction_null_space([a_rows[i] for i in subset], dim)
         if len(kernel) != 1:
@@ -165,10 +166,39 @@ def pointed_cone_rays(a_rows, dim):
         for cand in (y, [-v for v in y]):
             if all(_dot(row, cand) <= 0 for row in a_rows):
                 ray = _primitive_ray(cand)
-                if ray not in rays:
-                    rays.append(ray)
+                rays[ray] = frozenset(i for i, row in enumerate(a_rows) if not _dot(row, ray))
                 break
-    return rays
+    return list(rays.items())
+
+
+def sliced_cone_points(a_rows, height):
+    """(status, points) of the slice <y, height> = 1 of K = {y : A y <= 0,
+    <y, height> >= 0}, by a scan over every dim-1 rows.
+
+    K is cut down to the orthogonal complement of its lineality space and
+    all its extreme rays are listed; those at positive height, rescaled to
+    height 1 and paired with the rows of A that vanish on them, are the
+    points, in lexicographic order.  No ray at positive height means
+    "empty"; lineality or a ray at height 0 means "unbounded", and with
+    lineality no point is reported.
+    """
+    dim = len(height)
+    m = len(a_rows)
+    rows = [*a_rows, [-x for x in height]]
+    lineality = _fraction_null_space(rows, dim)
+    rows += lineality + [[-x for x in y] for y in lineality]
+    rays = pointed_cone_rays(rows, dim)
+    heights = [_dot(ray, height) for ray, _ in rays]
+    points = sorted(
+        (tuple(Fraction(x) / h for x in ray), frozenset(i for i in tight if i < m))
+        for (ray, tight), h in zip(rays, heights)
+        if h > 0
+    )
+    if not points:
+        return "empty", []
+    if lineality:
+        return "unbounded", []
+    return ("unbounded" if 0 in heights else "bounded"), points
 
 
 def enumerate_hpoly(a_rows, b):

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -36,11 +38,14 @@ from generators import (
     labeled_cube,
     random_datum,
     random_unimodular,
+    simplex_product,
 )
 from oracles import fraction_rref
 from test_reduction import hexagon_datum
 
 F = Fraction
+# the package namespace's ``classify`` is the function, not the module
+classify_module = importlib.import_module("toricontact.classify")
 
 
 def orthant_polytope(dim, labels=None):
@@ -438,3 +443,35 @@ class TestHolonomyMatchesSaturatedChain:
         d = hexagon_datum()
         for fi in classify(d).per_face[1:]:
             assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
+
+    def test_both_branches_on_spheres_and_products(self, monkeypatch):
+        # faces inside a unimodular vertex's active set read their group off
+        # the labels; every other face takes a Smith normal form
+        ran = Counter()
+        for name in ("_diagonal_holonomy", "_face_holonomy"):
+            monkeypatch.setattr(classify_module, name, counted(ran, name))
+        rng = random.Random(1729)
+        spheres = [
+            change_basis(weighted_simplex(w), random_unimodular(rng, n + 1))
+            for n in range(1, 4)
+            for w in product(range(1, 5), repeat=n + 1)
+            if gcd(*w) == 1 and (n < 3 or max(w) < 4)
+        ]
+        products = [simplex_product(rng) for _ in range(30)]
+        for family in (spheres, products):
+            before = Counter(ran)
+            for d in family:
+                for fi in classify(d).per_face[1:]:
+                    assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
+            assert ran["_diagonal_holonomy"] > before["_diagonal_holonomy"]
+        assert ran["_face_holonomy"] > 0
+
+
+def counted(ran, name):
+    real = getattr(classify_module, name)
+
+    def wrapper(*args):
+        ran[name] += 1
+        return real(*args)
+
+    return wrapper

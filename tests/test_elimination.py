@@ -1,6 +1,8 @@
-"""The fraction-free elimination core against plain Fraction Gauss-Jordan."""
+"""The fraction-free elimination core against plain Fraction Gauss-Jordan,
+and the vertex walk built on it against a scan over every row subset."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,14 @@ from toricontact.geometry import (
     enumerate_hpoly,
     null_space,
     rank_q,
+    sliced_cone_points,
     solve_general,
     solve_square,
 )
 
 from oracles import basic_feasible_points, cofactor_det, fraction_rref
 from oracles import enumerate_hpoly as in_plane_enumerate_hpoly
+from oracles import sliced_cone_points as scan_sliced_cone_points
 
 F = Fraction
 
@@ -185,3 +189,62 @@ class TestEnumerateHpolyAgainstOracle:
     def test_random_systems(self, system):
         a_rows, b = system
         assert enumerate_hpoly(a_rows, b) == in_plane_enumerate_hpoly(a_rows, b)
+
+
+def _homogenized(a_rows, b):
+    """The cone rows and height whose slice is {x : A x <= b}."""
+    dim = len(a_rows[0])
+    return [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
+
+
+@st.composite
+def sliced_systems(draw):
+    """(A, height) with 1..4 columns: integer or rational rows, about half
+    of them products through a narrower inner dimension (lineality and
+    degenerate vertices), and a rational height that may vanish."""
+    a_rows = draw(
+        st.one_of(
+            integer_matrices(max_rows=7, max_cols=4),
+            rational_matrices(max_rows=7, max_cols=4),
+        )
+    )
+    height = st.fractions(-3, 3, max_denominator=3)
+    return a_rows, draw(st.lists(height, min_size=len(a_rows[0]), max_size=len(a_rows[0])))
+
+
+class TestEdgeWalkAgainstScan:
+    """The edge walk against the scan over every dim-1 rows of the cone."""
+
+    SYSTEMS = {
+        # the apex (0, 0, 1) is tight on four facets
+        "square pyramid": (
+            [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+            [0, 1, 1, 1, 1],
+        ),
+        # every vertex is tight on four facets
+        "octahedron": ([list(s) for s in product((-1, 1), repeat=3)], [1] * 8),
+        "cone over a square": ([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], [1] * 4),
+        "unbounded rational simplex": ([[-1, 0], [0, -1], [F(2, 3), -1]], [0, 0, F(1, 2)]),
+        "empty": ([[1, 0], [-1, 0], [0, 1]], [-1, 0, 1]),
+        "slab (lineality)": ([[1, 0], [-1, 0]], [1, 1]),
+        "empty slab": ([[1, 0], [-1, 0]], [-2, 1]),
+        "no columns": ([[], []], [1, 0]),
+    }
+
+    def test_named_systems(self):
+        for name, system in self.SYSTEMS.items():
+            a_rows, height = _homogenized(*system)
+            got = sliced_cone_points(a_rows, height)
+            assert got == scan_sliced_cone_points(a_rows, height), name
+        pyramid = sliced_cone_points(*_homogenized(*self.SYSTEMS["square pyramid"]))
+        assert pyramid[0] == "bounded" and max(len(t) for _, t in pyramid[1]) == 4
+        octahedron = sliced_cone_points(*_homogenized(*self.SYSTEMS["octahedron"]))
+        assert len(octahedron[1]) == 6 and all(len(t) == 4 for _, t in octahedron[1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(sliced_systems())
+    @example(([[-1], [1]], [0]))
+    @example(([[1, 0], [0, 1]], [1, 1]))
+    def test_random_systems(self, system):
+        a_rows, height = system
+        assert sliced_cone_points(a_rows, height) == scan_sliced_cone_points(a_rows, height)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricontact import geometry
+from toricontact.lattice import identity
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
@@ -19,6 +21,7 @@ from toricontact.polytope import (
     vertices,
 )
 
+from generators import labeled_cube
 from oracles import in_plane_vertices
 
 F = Fraction
@@ -93,6 +96,24 @@ class TestVertices:
         poly = standard_simplex(4)
         for v in vertices(poly, (1, 2, 3, 4)):
             assert contains(poly, (1, 2, 3, 4), v.coords)
+
+    def test_echelon_calls_grow_with_the_edges(self, monkeypatch):
+        # the 6-cube has 2^6 vertices and 6 * 2^5 edges: one elimination per
+        # edge, plus the lineality check and the first vertex (a scan over
+        # every 6-subset of its 13 cone rows takes 1,716)
+        n = 6
+        d = labeled_cube(n, [1 + i % 3 for i in range(2 * n)], identity(n + 1))
+        calls = 0
+        real = geometry.echelon
+
+        def counted(mat):
+            nonlocal calls
+            calls += 1
+            return real(mat)
+
+        monkeypatch.setattr(geometry, "echelon", counted)
+        assert len(vertices(d.polytope, d.reeb)) == 2**n
+        assert calls <= n * 2 ** (n - 1) + 2
 
 
 @st.composite

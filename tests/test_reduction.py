@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,26 @@ class TestVerifyPresentation:
         bad = SpherePresentation(pres.N, pres.beta, pres.weights, tuple(a))
         report = verify_presentation(bad, d)
         assert not report.ok
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_every_single_entry_mutation_rejected(self, rng, kind):
+        # a mutated beta reduces to another polytope, at times not simple,
+        # unbounded or empty, whose vertices are walked afresh
+        d = random_datum(rng, kind)
+        pres = synthesize(d)
+        assert verify_presentation(pres, d).ok
+        for field in ("beta", "weights"):
+            mat = getattr(pres, field)
+            for i, j in product(range(len(mat)), range(pres.N)):
+                rows = [list(r) for r in mat]
+                rows[i][j] += 1
+                bad = replace(pres, **{field: rows})
+                assert not verify_presentation(bad, d).ok, (field, i, j)
+        for j in range(pres.N):
+            a = list(pres.deformation)
+            a[j] += 1
+            assert not verify_presentation(replace(pres, deformation=a), d).ok, ("a", j)
 
     def test_dimension_mismatch(self):
         d = standard_simplex_datum()
