@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .lattice import FiniteAbelianGroup, det, matvec, primitive, snf
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_over, slice_cone
+from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
+from .polytope import integral_cone_normals, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
 from .polytope import vertices as _poly_vertices
 
@@ -96,10 +97,9 @@ def validate_datum(
     if mode not in ("rational", "irrational"):
         raise ValueError(f"unknown mode {mode!r}")
     r = [Fraction(x) for x in reeb]
+    # vertices() checks this too, but "not integral" must not win over it
     if len(r) != poly.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
-    if not any(r):
-        raise ValueError("characteristic vector must be nonzero")
     integral = all(x.denominator == 1 for x in r)
     if not integral and mode == "rational":
         raise ValueError("characteristic vector not integral")
@@ -125,7 +125,9 @@ def validate_datum(
     #   of them; a vertex is tight on those and on k more, so on more than
     #   n facets, and the simplicity check raised.
     if actual_mode == "rational":
-        cone_over(poly, stored)  # reduction needs integral cone normals
+        # reduction needs integral cone normals; none is zero, for a zero
+        # one is tight at every vertex and the simplicity check raised
+        integral_cone_normals(cone_normals(poly, stored))
     return ToricContactDatum(poly, stored, actual_mode, tuple(verts))
 
 

@@ -46,7 +46,7 @@ def _emit(args, doc: dict, text_lines) -> None:
             print(line)
 
 
-def _datum_lines(datum, emit_vertices=False):
+def _emit_datum(args, datum) -> int:
     lines = [
         f"toric contact datum ({datum.mode} mode), ambient dimension "
         f"{datum.polytope.ambient_dim}, {len(datum.facets)} facets"
@@ -57,20 +57,15 @@ def _datum_lines(datum, emit_vertices=False):
             f"label {f.label}, offset {f.offset}"
         )
     lines.append(f"  reeb ({', '.join(str(x) for x in datum.reeb)})")
-    if emit_vertices:
+    if args.emit_vertices:
         for v in datum.vertices:
             lines.append(f"  vertex ({', '.join(str(x) for x in v.coords)})")
-    return lines
+    _emit(args, documents.datum_to_document(datum, args.emit_vertices), lines)
+    return 0
 
 
 def _cmd_validate(args) -> int:
-    datum = _read_datum(args)
-    _emit(
-        args,
-        documents.datum_to_document(datum, args.emit_vertices),
-        _datum_lines(datum, args.emit_vertices),
-    )
-    return 0
+    return _emit_datum(args, _read_datum(args))
 
 
 def _cmd_classify(args) -> int:
@@ -99,14 +94,7 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    datum = _read_datum(args)
-    perturbed = perturb_reeb(datum, args.reeb)
-    _emit(
-        args,
-        documents.datum_to_document(perturbed, args.emit_vertices),
-        _datum_lines(perturbed, args.emit_vertices),
-    )
-    return 0
+    return _emit_datum(args, perturb_reeb(_read_datum(args), args.reeb))
 
 
 def _cmd_reduce(args) -> int:
@@ -147,13 +135,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
-    datum = weighted_simplex(args.weights)
-    _emit(
-        args,
-        documents.datum_to_document(datum, args.emit_vertices),
-        _datum_lines(datum, args.emit_vertices),
-    )
-    return 0
+    return _emit_datum(args, weighted_simplex(args.weights))
 
 
 def _cmd_sample(args) -> int:
@@ -239,10 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 
 from .classify import ClassificationReport, ToricContactDatum, validate_datum
 from .polytope import LabeledFacet, LabeledPolytope, MomentCone
@@ -31,11 +30,6 @@ __all__ = [
     "serialize_presentation",
     "verification_to_document",
 ]
-
-
-def _fraction_to_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _fraction_from(value, what: str) -> Fraction:
@@ -76,16 +70,16 @@ def datum_to_document(datum: ToricContactDatum, emit_vertices: bool = False) -> 
             {
                 "normal": list(f.normal),
                 "label": f.label,
-                "offset": _fraction_to_str(f.offset),
+                "offset": str(f.offset),
             }
             for f in datum.polytope.facets
         ],
-        "reeb": [_fraction_to_str(x) for x in datum.reeb],
+        "reeb": [str(x) for x in datum.reeb],
         "mode": datum.mode,
     }
     if emit_vertices:
         doc["vertices"] = [
-            [_fraction_to_str(x) for x in v.coords] for v in datum.vertices
+            [str(x) for x in v.coords] for v in datum.vertices
         ]
     return doc
 
@@ -104,16 +98,10 @@ def datum_from_document(doc, mode: str | None = None) -> ToricContactDatum:
         normal = _int_list(fdoc["normal"], f"facet {k} normal")
         label = _int_from(fdoc.get("label", 1), f"facet {k} label")
         offset = _fraction_from(fdoc.get("offset", 0), f"facet {k} offset")
-        if not any(normal):
-            raise ValueError(f"facet {k} normal is zero")
-        g = gcd(*normal)
-        if g != 1:
-            reduced = ", ".join(str(x // g) for x in normal)
-            raise ValueError(
-                f"facet {k} normal not primitive; write label {label * g}, "
-                f"normal ({reduced})"
-            )
-        facets.append(LabeledFacet(tuple(normal), label, offset))
+        try:
+            facets.append(LabeledFacet(tuple(normal), label, offset))
+        except ValueError as exc:
+            raise ValueError(f"facet {k} {exc}") from None
     reeb = [
         _fraction_from(x, f"reeb component {i}")
         for i, x in enumerate(_list(doc["reeb"], "reeb"))
@@ -135,7 +123,7 @@ def presentation_to_document(pres: SpherePresentation) -> dict:
         "N": pres.N,
         "beta": [list(row) for row in pres.beta],
         "weights": [list(row) for row in pres.weights],
-        "deformation": [_fraction_to_str(x) for x in pres.deformation],
+        "deformation": [str(x) for x in pres.deformation],
     }
 
 
@@ -189,7 +177,7 @@ def classification_to_document(report: ClassificationReport) -> dict:
                 "face": sorted(f.face),
                 "isotropy_basis": [list(p) for p in f.isotropy_basis],
                 "holonomy": _group_to_document(f.holonomy),
-                "sample_point": [_fraction_to_str(x) for x in f.sample_point],
+                "sample_point": [str(x) for x in f.sample_point],
             }
             for f in report.per_face
         ],
@@ -201,12 +189,12 @@ def verification_to_document(report: VerificationReport) -> dict:
         "ok": report.ok,
         "polytope_match": report.polytope_match,
         "vertex_diff": [
-            {"kind": kind, "vertex": [_fraction_to_str(x) for x in coords]}
+            {"kind": kind, "vertex": [str(x) for x in coords]}
             for kind, coords in report.vertex_diff
         ],
         "local_freeness": [
             {
-                "vertex": [_fraction_to_str(x) for x in coords],
+                "vertex": [str(x) for x in coords],
                 "stabilizer_order": order,
             }
             for coords, order in report.local_freeness

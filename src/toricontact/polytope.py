@@ -27,7 +27,7 @@ __all__ = [
     "cone_over",
     "contains",
     "faces_containing",
-    "integral_cone_normal",
+    "integral_cone_normals",
     "is_rational",
     "is_simple",
     "slice_cone",
@@ -50,11 +50,15 @@ class LabeledFacet:
         object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
         object.__setattr__(self, "offset", Fraction(self.offset))
         if not any(self.normal):
-            raise ValueError("facet normal must be nonzero")
-        if gcd(*self.normal) != 1:
-            raise ValueError("facet normal must be primitive")
+            raise ValueError("normal is zero")
+        g = gcd(*self.normal)
+        if g != 1:
+            reduced = ", ".join(str(x // g) for x in self.normal)
+            raise ValueError(
+                f"normal not primitive; write label {self.label * g}, normal ({reduced})"
+            )
         if self.label < 1:
-            raise ValueError("facet label must be a positive integer")
+            raise ValueError("label must be a positive integer")
 
     @property
     def functional(self) -> tuple[int, ...]:
@@ -189,16 +193,17 @@ def faces_containing(poly: LabeledPolytope, reeb, point) -> frozenset[int]:
     )
 
 
-def integral_cone_normal(i: int, u) -> list[int]:
-    """Facet i's cone normal u (from :func:`cone_normals`) as ints; raises
-    unless it is integral."""
-    if any(x.denominator != 1 for x in u):
-        raise ValueError(
-            f"cone normal decomposition not integral: facet {i} cones to "
-            f"({', '.join(map(str, u))}); scale the characteristic vector "
-            "or the offsets so that offset * reeb is integral"
-        )
-    return [int(x) for x in u]
+def integral_cone_normals(normals) -> list[list[int]]:
+    """The cone normals of :func:`cone_normals` as ints; raises at the first
+    facet whose cone normal is not integral."""
+    for i, u in enumerate(normals):
+        if any(x.denominator != 1 for x in u):
+            raise ValueError(
+                f"cone normal decomposition not integral: facet {i} cones to "
+                f"({', '.join(map(str, u))}); scale the characteristic vector "
+                "or the offsets so that offset * reeb is integral"
+            )
+    return [[int(x) for x in u] for u in normals]
 
 
 def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
@@ -208,10 +213,9 @@ def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
     The decomposition must be integral.
     """
     normals = []
-    for i, u in enumerate(cone_normals(poly, reeb)):
+    for u in integral_cone_normals(cone_normals(poly, reeb)):
         if not any(u):
             raise ValueError("degenerate facet under coning")
-        u = integral_cone_normal(i, u)
         label = gcd(*u)
         normals.append((tuple(x // label for x in u), label))
     return MomentCone(poly.ambient_dim, tuple(normals))

@@ -18,13 +18,7 @@ from math import gcd, lcm, prod
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
-from .polytope import (
-    LabeledFacet,
-    LabeledPolytope,
-    cone_normals,
-    cone_over,
-    integral_cone_normal,
-)
+from .polytope import LabeledFacet, LabeledPolytope, cone_normals, integral_cone_normals
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -106,8 +100,7 @@ def build_beta(datum: ToricContactDatum) -> list[list[int]]:
     """Matrix whose i-th column is the labeled inward cone normal of facet i."""
     # onto without a rank check: a validated datum's slice is bounded and
     # nonempty, so its moment cone is pointed and the cone normals span
-    cone = cone_over(datum.polytope, datum.reeb)
-    return transpose([[label * x for x in q] for q, label in cone.normals])
+    return transpose(integral_cone_normals(cone_normals(datum.polytope, datum.reeb)))
 
 
 def kernel_torus_weights(beta) -> list[list[int]]:
@@ -179,15 +172,17 @@ def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
 
 
 def synthesize(datum: ToricContactDatum) -> SpherePresentation:
-    """Assemble the full presentation {N, beta, W, a} for a valid datum."""
+    """Assemble the full presentation {N, beta, W, a} for a valid datum.
+
+    Each fact that verification checks holds by construction: beta is onto
+    (``kernel_torus_weights`` checks the kernel's dimension), W is a
+    saturated basis of beta's kernel, and ``deformation_vector``'s closed
+    form is positive with beta @ a = reeb.
+    """
     beta = build_beta(datum)
     weights = kernel_torus_weights(beta)
     a = deformation_vector(datum, beta)
-    pres = SpherePresentation(len(datum.facets), beta, weights, a)
-    problems = _presentation_problems(pres, datum.reeb)
-    if problems:
-        raise ValueError("synthesized presentation is inconsistent: " + "; ".join(problems))
-    return pres
+    return SpherePresentation(len(datum.facets), beta, weights, a)
 
 
 def reduced_polytope(pres: SpherePresentation):
@@ -240,12 +235,12 @@ def verify_presentation(
 
     When the reduced polytope has the datum's characteristic vector and
     beta's columns are the datum's cone normals (``cone_normals``, in
-    facet order), it is the datum's labeled polytope and the datum's
-    vertices are reused.  For a correct presentation that always holds: by
-    Lerman's classification of contact toric manifolds of Reeb type
-    (J. Symplectic Geom. 2003), the reduction of the sphere by the kernel
-    torus of beta has the moment cone whose inward normals are beta's
-    columns.
+    facet order), it is the datum's labeled polytope: the datum's vertices
+    are reused and the comparisons, which hold by construction, are
+    skipped.  For a correct presentation that always holds: by Lerman's
+    classification of contact toric manifolds of Reeb type (J. Symplectic
+    Geom. 2003), the reduction of the sphere by the kernel torus of beta
+    has the moment cone whose inward normals are beta's columns.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
@@ -253,7 +248,6 @@ def verify_presentation(
         raise ValueError("presentation and datum facet counts differ")
     problems = _presentation_problems(pres, datum.reeb)
 
-    datum_vertices = [v.coords for v in datum.vertices]
     vertex_diff = []
     polytope_match = False
     reduced_verts = None
@@ -262,19 +256,22 @@ def verify_presentation(
         columns = transpose(pres.beta)
         normals = cone_normals(datum.polytope, datum.reeb)
         if reeb == datum.reeb and columns == normals:
+            # the datum's own system: equal vertices, equal normals, and
+            # integral ones (they are beta's columns)
             reduced_verts = datum.vertices
+            polytope_match = True
         else:
             reduced_verts = _poly_vertices(poly, reeb)
-        reduced_coords = [v.coords for v in reduced_verts]
-        missing = [c for c in datum_vertices if c not in reduced_coords]
-        extra = [c for c in reduced_coords if c not in datum_vertices]
-        vertex_diff = [("missing", c) for c in missing] + [("extra", c) for c in extra]
-        for i, u in enumerate(normals):
-            integral_cone_normal(i, u)
-        same_normals = sorted(columns) == sorted(normals)
-        polytope_match = not vertex_diff and same_normals
-        if not same_normals:
-            problems.append("cone normals of presentation and datum differ")
+            ours = [v.coords for v in datum.vertices]
+            theirs = [v.coords for v in reduced_verts]
+            ours_set, theirs_set = set(ours), set(theirs)
+            vertex_diff = [("missing", c) for c in ours if c not in theirs_set]
+            vertex_diff += [("extra", c) for c in theirs if c not in ours_set]
+            integral_cone_normals(normals)
+            same_normals = sorted(columns) == sorted(normals)
+            polytope_match = not vertex_diff and same_normals
+            if not same_normals:
+                problems.append("cone normals of presentation and datum differ")
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")
 

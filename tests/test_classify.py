@@ -27,7 +27,13 @@ from toricontact.lattice import (
     saturate,
     transpose,
 )
-from toricontact.polytope import LabeledFacet, LabeledPolytope, faces_containing, vertices
+from toricontact.polytope import (
+    LabeledFacet,
+    LabeledPolytope,
+    cone_normals,
+    faces_containing,
+    vertices,
+)
 from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import reeb_orbit_order, weighted_simplex
 
@@ -88,6 +94,24 @@ class TestValidateDatum:
         )
         with pytest.raises(ValueError, match="not simple"):
             validate_datum(LabeledPolytope(4, facets), (0, 0, 0, 1))
+
+    @pytest.mark.parametrize("mode", ["rational", "irrational"])
+    def test_reeb_checks_in_order(self, mode):
+        # the wrong dimension wins over "not integral"; the zero vector is
+        # integral and left to vertices()
+        with pytest.raises(ValueError, match="characteristic vector has wrong dimension"):
+            validate_datum(orthant_polytope(3), (1, F(1, 2)), mode=mode)
+        with pytest.raises(ValueError, match="characteristic vector must be nonzero"):
+            validate_datum(orthant_polytope(3), (0, 0, 0), mode=mode)
+
+    def test_zero_cone_normal_is_not_simple(self):
+        # <x, e_2> <= 1 at reeb e_2 cones to zero: the row is tight at every
+        # vertex, so build_beta never meets a zero cone normal
+        normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)]
+        poly = LabeledPolytope(3, tuple(LabeledFacet(p, 1, F(1)) for p in normals))
+        assert cone_normals(poly, (0, 0, 1))[4] == [0, 0, 0]
+        with pytest.raises(ValueError, match="polytope not simple"):
+            validate_datum(poly, (0, 0, 1))
 
     def test_unbounded_rejected(self):
         poly = LabeledPolytope(

@@ -60,6 +60,21 @@ class TestDocuments:
         with pytest.raises(ValueError, match=r"write label 6, normal \(-1, -2\)"):
             parse_datum(json.dumps(doc))
 
+    def test_facet_errors_name_the_facet(self, capsys, monkeypatch):
+        facets = [{"normal": [0, -1]}, {"normal": [-1, 0], "label": 0}]
+        doc = {"ambient_dim": 2, "facets": facets, "reeb": [1, 1]}
+        code, out, err = run_cli(
+            capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err == "error: facet 1 label must be a positive integer\n"
+        facets[1] = {"normal": [0, 0]}
+        code, _, err = run_cli(
+            capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert err == "error: facet 1 normal is zero\n"
+
     def test_fractional_reeb_named_condition(self):
         doc = {
             "ambient_dim": 2,

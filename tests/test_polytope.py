@@ -15,6 +15,7 @@ from toricontact.polytope import (
     cone_over,
     contains,
     faces_containing,
+    integral_cone_normals,
     is_rational,
     is_simple,
     slice_cone,
@@ -259,6 +260,13 @@ class TestConeNormals:
         )
         normals = cone_normals(LabeledPolytope(2, facets), (2, 1))
         assert normals == [[2, F(1, 2)], [6, 5]]
+
+    def test_integral_cone_normals_names_the_first_non_integral_facet(self):
+        got = integral_cone_normals([[F(4, 2), 0], [-1, 3]])
+        assert got == [[2, 0], [-1, 3]]
+        assert all(type(x) is int for u in got for x in u)
+        with pytest.raises(ValueError, match=r"not integral: facet 1 cones to \(1/2, 5\)"):
+            integral_cone_normals([[2, 0], [F(1, 2), 5], [F(1, 3), 1]])
 
 
 class TestConeOver:

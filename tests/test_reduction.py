@@ -1,12 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricontact.classify import validate_datum
+from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
 from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
 from toricontact.reduction import (
@@ -205,10 +207,39 @@ class TestReducedSliceIsTheDatumSlice:
             (v.coords, v.active) for v in d.vertices
         ]
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product", "sphere"]),
+    )
+    def test_reuse_reports_what_the_full_comparison_reports(self, rng, kind):
+        # the synthesized presentation is the datum's own system and skips
+        # the comparisons; permuting its columns forces them
+        if kind == "sphere":
+            weights = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+            d = weighted_simplex([w // gcd(*weights) for w in weights])
+        else:
+            d = random_datum(rng, kind)
+        pres = synthesize(d)
+        perm = rng.sample(range(pres.N), pres.N)
+        if perm == sorted(perm):
+            perm = perm[1:] + perm[:1]
+        permuted = SpherePresentation(
+            pres.N,
+            [[row[j] for j in perm] for row in pres.beta],
+            [[row[j] for j in perm] for row in pres.weights],
+            [pres.deformation[j] for j in perm],
+        )
+        assert transpose(pres.beta) == cone_normals(d.polytope, d.reeb)
+        assert transpose(permuted.beta) != cone_normals(d.polytope, d.reeb)
+        expected = verification_to_document(verify_presentation(pres, d))
+        assert expected["ok"]
+        assert verification_to_document(verify_presentation(permuted, d)) == expected
+
     def test_irrational_square_keeps_its_vertex_diff(self):
         # the square's presentation at reeb e_2, checked against the square
-        # at reeb e_2 / 2: no reuse, and cone_over failing afterwards must
-        # not empty the diff
+        # at reeb e_2 / 2: no reuse, and the integrality check failing
+        # afterwards must not empty the diff
         pres = synthesize(square((0, 0, 1)))
         report = verify_presentation(pres, square((0, 0, F(1, 2))))
         corners = [(F(x), F(y)) for x in (-1, 1) for y in (-1, 1)]
