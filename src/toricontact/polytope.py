@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import geometry
 
@@ -30,6 +30,7 @@ __all__ = [
     "integral_cone_normals",
     "is_rational",
     "is_simple",
+    "resliced_vertices",
     "slice_cone",
     "vertices",
 ]
@@ -160,6 +161,45 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
     return [Vertex(p, active) for p, active in points]
+
+
+def resliced_vertices(verts, reeb) -> list[Vertex]:
+    """The vertices of a validated datum's moment cone sliced by another
+    characteristic vector, read off the datum's vertices ``verts``.
+
+    Lemma.  Let the datum's slice be bounded and nonempty, with C = {y :
+    <u_i, y> >= 0} cut out by its cone normals.  Then C meets reeb^perp
+    only in 0, so reeb > 0 on C minus 0 and C is pointed, and its extreme
+    rays are exactly the vertices v, each with <v, reeb> = 1.  For any
+    reeb', with h_v = <v, reeb'>, the slice C cap {<y, reeb'> = 1} is empty
+    iff no h_v is positive and bounded iff every h_v is; its vertices are
+    then v / h_v, with the same tight facets.
+
+    Returns the vertices in the order of ``verts``, each one the same
+    object when h_v = 1, and raises as :func:`vertices` does on the same
+    cone, with the same messages in the same order.
+    """
+    r = [Fraction(x) for x in reeb]
+    if len(r) != len(verts[0].coords):
+        raise ValueError("characteristic vector has wrong dimension")
+    if not any(r):
+        raise ValueError("characteristic vector must be nonzero")
+    # h_v = s / (den * hv), in integers: reeb' = rs / den, v = vs / hv
+    den = lcm(*(x.denominator for x in r))
+    rs = [x.numerator * (den // x.denominator) for x in r]
+    heights = []
+    for v in verts:
+        hv = lcm(*(x.denominator for x in v.coords))
+        vs = [x.numerator * (hv // x.denominator) for x in v.coords]
+        heights.append((sum([a * b for a, b in zip(vs, rs)]), den * hv, vs))
+    if all(s <= 0 for s, _, _ in heights):
+        raise ValueError("empty polytope")
+    if any(s <= 0 for s, _, _ in heights):
+        raise ValueError("polytope unbounded in characteristic hyperplane")
+    return [
+        v if s == one else Vertex(tuple(Fraction(x * den, s) for x in vs), v.active)
+        for v, (s, one, vs) in zip(verts, heights)
+    ]
 
 
 def is_simple(poly: LabeledPolytope, reeb) -> bool:

@@ -18,7 +18,8 @@ from math import gcd, lcm, prod
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
-from .polytope import LabeledFacet, LabeledPolytope, cone_normals, integral_cone_normals
+from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
+from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -152,10 +153,9 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
 
 
 def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
-    """What is wrong with the presentation on its own and against reeb."""
+    """What is wrong with the presentation's torus and deformation, on their
+    own and against reeb."""
     problems = []
-    if rank(list(map(list, pres.beta))) != pres.ambient_dim:
-        problems.append("beta not surjective")
     if pres.weights:
         prod_mat = matmul(list(map(list, pres.beta)), transpose(list(map(list, pres.weights))))
         if any(any(row) for row in prod_mat):
@@ -233,45 +233,61 @@ def verify_presentation(
     and the datum's integral cone normals.  Local freeness is checked at
     every vertex through the reduction-torus stabilizer.
 
-    When the reduced polytope has the datum's characteristic vector and
-    beta's columns are the datum's cone normals (``cone_normals``, in
-    facet order), it is the datum's labeled polytope: the datum's vertices
-    are reused and the comparisons, which hold by construction, are
-    skipped.  For a correct presentation that always holds: by Lerman's
-    classification of contact toric manifolds of Reeb type (J. Symplectic
-    Geom. 2003), the reduction of the sphere by the kernel torus of beta
-    has the moment cone whose inward normals are beta's columns.
+    By Lerman's classification of contact toric manifolds of Reeb type
+    (J. Symplectic Geom. 2003), the reduction of the sphere by the kernel
+    torus of beta has the moment cone whose inward normals are beta's
+    columns, sliced by reeb' = beta @ a.  When those columns are the
+    datum's cone normals (``cone_normals``) in any order, that cone is the
+    datum's own: beta is onto, the normals match, and only reeb' can
+    differ.  The reduced vertices are then the datum's vertices v divided
+    by their heights <v, reeb'> (``resliced_vertices`` states the lemma),
+    so a vertex is unchanged exactly when its height is 1, and no vertex
+    is enumerated again.  Only a different cone is sliced afresh.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
     if pres.N != len(datum.facets):
         raise ValueError("presentation and datum facet counts differ")
-    problems = _presentation_problems(pres, datum.reeb)
+    columns = transpose(pres.beta)
+    normals = cone_normals(datum.polytope, datum.reeb)
+    same_cone = sorted(columns) == sorted(normals)
+    problems = []
+    # on the same cone beta is onto: the datum's cone is pointed
+    if not same_cone and rank(list(map(list, pres.beta))) != pres.ambient_dim:
+        problems.append("beta not surjective")
+    problems += _presentation_problems(pres, datum.reeb)
 
     vertex_diff = []
     polytope_match = False
     reduced_verts = None
     try:
-        poly, reeb = reduced_polytope(pres)
-        columns = transpose(pres.beta)
-        normals = cone_normals(datum.polytope, datum.reeb)
-        if reeb == datum.reeb and columns == normals:
-            # the datum's own system: equal vertices, equal normals, and
-            # integral ones (they are beta's columns)
-            reduced_verts = datum.vertices
-            polytope_match = True
+        if same_cone:
+            moved = resliced_vertices(datum.vertices, pres.reeb_image)
+            vertex_diff = [
+                ("missing", v.coords) for v, w in zip(datum.vertices, moved) if w is not v
+            ]
+            if vertex_diff or columns != normals:
+                # column j is the datum facet whose cone normal equals it
+                column = {tuple(c): j for j, c in enumerate(columns)}
+                to_column = [column[tuple(u)] for u in normals]
+                reduced = sorted(
+                    (w.coords, w is not v, frozenset(to_column[i] for i in w.active))
+                    for v, w in zip(datum.vertices, moved)
+                )
+                vertex_diff += [("extra", c) for c, extra, _ in reduced if extra]
+                reduced_verts = [Vertex(c, active) for c, _, active in reduced]
+            else:
+                reduced_verts = datum.vertices
+            polytope_match = not vertex_diff
         else:
-            reduced_verts = _poly_vertices(poly, reeb)
+            reduced_verts = _poly_vertices(*reduced_polytope(pres))
             ours = [v.coords for v in datum.vertices]
             theirs = [v.coords for v in reduced_verts]
             ours_set, theirs_set = set(ours), set(theirs)
             vertex_diff = [("missing", c) for c in ours if c not in theirs_set]
             vertex_diff += [("extra", c) for c in theirs if c not in ours_set]
             integral_cone_normals(normals)
-            same_normals = sorted(columns) == sorted(normals)
-            polytope_match = not vertex_diff and same_normals
-            if not same_normals:
-                problems.append("cone normals of presentation and datum differ")
+            problems.append("cone normals of presentation and datum differ")
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")
 

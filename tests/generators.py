@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from toricontact.classify import validate_datum
+from toricontact.classify import perturb_reeb, validate_datum
 from toricontact.lattice import identity, matvec
 from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.spheres import weighted_simplex
@@ -73,6 +73,26 @@ def random_datum(rng, kind):
         return simplex_product(rng)
     d = cube_or_simplex(rng, kind == "cube")
     return change_basis(d, random_unimodular(rng, d.n + 1))
+
+
+def random_sphere(rng):
+    """A weighted sphere, n <= 3, weights 1..6 over their gcd."""
+    weights = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+    return weighted_simplex([w // gcd(*weights) for w in weights])
+
+
+def positive_reeb(rng, d):
+    """A random integral vector strictly positive on the datum's vertex rays:
+    a random perturbation e plus k * reeb, k past every -<v, e>."""
+    e = [rng.randint(-2, 2) for _ in d.reeb]
+    worst = max(-sum(x * y for x, y in zip(v.coords, e)) for v in d.vertices)
+    k = max(int(worst) + 1, 1) + rng.randint(0, 2)
+    return tuple(k * r + x for r, x in zip(d.reeb, e))
+
+
+def perturbed(rng, d):
+    """The datum's moment cone resliced by ``positive_reeb`` (``perturb_reeb``)."""
+    return perturb_reeb(d, positive_reeb(rng, d))
 
 
 def change_basis(d, u):

@@ -1,12 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricontact import reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
@@ -22,8 +23,8 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import weighted_simplex
 
-from generators import labeled_cube, random_datum
-from oracles import maximin_deformation, small_kernel_vectors
+from generators import labeled_cube, perturbed, random_datum, random_sphere
+from oracles import maximin_deformation, minor_gcd_invariant_factors, small_kernel_vectors
 
 F = Fraction
 
@@ -248,6 +249,135 @@ class TestReducedSliceIsTheDatumSlice:
         assert sorted(report.vertex_diff) == extra + missing
         assert not report.ok and not report.polytope_match
         assert any("not integral" in p for p in report.problems)
+
+
+def enumerated_report(pres, d):
+    """(polytope_match, vertex_diff, local_freeness, problems) as verify must
+    report them for a presentation of d's own cone with a valid torus,
+    from enumerating the reduced polytope's vertices afresh."""
+    problems = []
+    if any(x <= 0 for x in pres.deformation):
+        problems.append("deformation vector not strictly positive")
+    if pres.reeb_image != tuple(F(x) for x in d.reeb):
+        problems.append("beta @ deformation differs from the characteristic vector")
+    try:
+        verts = vertices(*reduced_polytope(pres))
+    except ValueError as exc:
+        problems.append(f"reduced polytope unavailable: {exc}")
+        verts, diff = d.vertices, None
+    else:
+        ours, theirs = [v.coords for v in d.vertices], [v.coords for v in verts]
+        diff = [("missing", c) for c in ours if c not in theirs]
+        diff += [("extra", c) for c in theirs if c not in ours]
+    k = len(pres.weights)
+    local = []
+    for v in verts:
+        support = [j for j in range(pres.N) if j not in v.active]
+        w_support = [[row[j] for j in support] for row in pres.weights]
+        factors = minor_gcd_invariant_factors(w_support) if k else []
+        local.append((v.coords, prod(factors) if len(factors) == k else None))
+    return diff == [], tuple(diff or ()), tuple(local), tuple(problems)
+
+
+def reported(pres, d):
+    r = verify_presentation(pres, d)
+    return r.polytope_match, r.vertex_diff, r.local_freeness, r.problems
+
+
+def permuted(pres, perm, deformation=None):
+    """The presentation with its sphere coordinates listed in the order perm."""
+    a = pres.deformation if deformation is None else deformation
+    return SpherePresentation(
+        pres.N,
+        [[row[j] for j in perm] for row in pres.beta],
+        [[row[j] for j in perm] for row in pres.weights],
+        [a[j] for j in perm],
+    )
+
+
+def any_datum(rng, kind):
+    return random_sphere(rng) if kind == "sphere" else random_datum(rng, kind)
+
+
+class TestSameCone:
+    """A presentation whose columns are the datum's cone normals, in any
+    order, is read off the datum's vertices rescaled by their heights; the
+    enumeration of the reduced polytope is the oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product", "sphere"]),
+    )
+    def test_permuted_and_deformed_matches_the_enumeration(self, rng, kind):
+        d = any_datum(rng, kind)
+        pres = synthesize(d)
+        a = list(pres.deformation)
+        for j in rng.sample(range(pres.N), rng.randint(1, pres.N)):
+            nudge = F(rng.randint(-3, 3), rng.randint(1, 3))
+            a[j] = rng.choice([a[j] + 1, a[j] - 1, 0 * a[j], -a[j], a[j] + nudge])
+        bad = permuted(pres, rng.sample(range(pres.N), pres.N), a)
+        assert reported(bad, d) == enumerated_report(bad, d)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a: [-x for x in a], "empty polytope"),
+            (lambda a: [0 * x for x in a], "characteristic vector must be nonzero"),
+            (lambda a: [-a[0], *a[1:]], "polytope unbounded in characteristic hyperplane"),
+        ],
+    )
+    def test_each_error_status_matches_the_enumeration(self, change, message):
+        d = weighted_simplex((1, 2, 3))
+        pres = synthesize(d)
+        for perm in ([0, 1, 2], [2, 0, 1]):
+            bad = permuted(pres, perm, change(pres.deformation))
+            got = reported(bad, d)
+            assert got == enumerated_report(bad, d)
+            assert got[3][-1] == f"reduced polytope unavailable: {message}"
+
+    @pytest.mark.parametrize("datum", [cube_datum, lambda: weighted_simplex((1, 2, 3))])
+    def test_no_vertex_enumeration_on_the_same_cone(self, monkeypatch, datum):
+        d = datum()
+        pres = synthesize(d)
+        deformed = list(pres.deformation)
+        deformed[0] += 1
+        perm = [*range(1, pres.N), 0]
+        cases = [permuted(pres, perm), replace(pres, deformation=deformed)]
+        expected = [verification_to_document(verify_presentation(p, d)) for p in cases]
+
+        def refuse(*args):
+            raise AssertionError("the same cone was enumerated again")
+
+        monkeypatch.setattr(reduction, "_poly_vertices", refuse)
+        monkeypatch.setattr(reduction, "reduced_polytope", refuse)
+        got = [verification_to_document(verify_presentation(p, d)) for p in cases]
+        assert got == expected
+        assert got[0]["ok"] and not got[1]["ok"] and got[1]["vertex_diff"]
+
+
+class TestPerturbedReeb:
+    """Data resliced by ``perturb_reeb`` with a random integral reeb' that is
+    strictly positive on the vertex rays."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_round_trip(self, rng, kind):
+        d2 = perturbed(rng, random_datum(rng, kind))
+        assert verify_presentation(synthesize(d2), d2).ok
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_old_presentation_reports_the_enumerated_diff(self, rng, kind):
+        # the old presentation has the new datum's cone normals in facet
+        # order and slices them by the old reeb
+        d = random_datum(rng, kind)
+        d2 = perturbed(rng, d)
+        pres = synthesize(d)
+        assert transpose(pres.beta) == cone_normals(d2.polytope, d2.reeb)
+        got = reported(pres, d2)
+        assert got == enumerated_report(pres, d2)
+        assert got[0] == (d2.reeb == d.reeb)
 
 
 def square(reeb):
