@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import geometry
 from .classify import ToricContactDatum
-from .lattice import kernel_lattice_basis, matmul, rank, snf, transpose
+from .lattice import echelon, kernel_lattice_basis, matmul, rank, snf, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -157,12 +157,10 @@ def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
     own and against reeb."""
     problems = []
     if pres.weights:
-        prod_mat = matmul(list(map(list, pres.beta)), transpose(list(map(list, pres.weights))))
-        if any(any(row) for row in prod_mat):
+        if any(any(row) for row in matmul(pres.beta, transpose(pres.weights))):
             problems.append("beta @ weights^T is not zero")
-        s, _, _ = snf(list(map(list, pres.weights)))
-        diag = [s[i][i] for i in range(min(len(pres.weights), pres.N))]
-        if any(d != 1 for d in diag):
+        s, _, _ = snf(pres.weights)
+        if any(s[i][i] != 1 for i in range(len(pres.weights))):
             problems.append("weight matrix is not a saturated kernel basis")
     if any(x <= 0 for x in pres.deformation):
         problems.append("deformation vector not strictly positive")
@@ -209,17 +207,22 @@ def _stabilizer_order(weights, support) -> int | None:
     """Order of the reduction-torus stabilizer on the given support, or None.
 
     The stabilizer of a point with coordinate support S is the kernel of
-    T^k -> T^S induced by the support columns of W; its order is the
-    product of the k invariant factors of those columns, and it is
-    infinite exactly when that product is 0 (rank below k).
+    T^k -> T^S given by the columns W_S of the k x N weights.  Its order is
+    the gcd of the k x k minors of W_S, and it is infinite (None) exactly
+    when W_S has rank below k.  A vertex of the n-dimensional slice lies on
+    at least n facets, so |S| <= N - n = k + 1, and one fraction-free
+    elimination of W_S gives every such minor by Cramer's rule: the pivot
+    minor is +-d, and the one that trades pivot column r for the non-pivot
+    column f is +-E[r][f].
     """
     k = len(weights)
     if k == 0:
         return 1
-    if len(support) < k:
-        return None
-    s, _, _ = snf([[row[i] for i in support] for row in weights])
-    return prod(s[i][i] for i in range(k)) or None
+    if len(support) > k + 1:
+        raise ValueError("support wider than k + 1 columns: not a vertex")
+    e, pivots, d, _ = echelon([[row[i] for i in support] for row in weights])
+    free = set(range(len(support))).difference(pivots)
+    return gcd(d, *[row[f] for row in e for f in free]) if len(pivots) == k else None
 
 
 def verify_presentation(
@@ -253,13 +256,16 @@ def verify_presentation(
     same_cone = sorted(columns) == sorted(normals)
     problems = []
     # on the same cone beta is onto: the datum's cone is pointed
-    if not same_cone and rank(list(map(list, pres.beta))) != pres.ambient_dim:
+    if not same_cone and rank(pres.beta) != pres.ambient_dim:
         problems.append("beta not surjective")
     problems += _presentation_problems(pres, datum.reeb)
 
     vertex_diff = []
     polytope_match = False
-    reduced_verts = None
+    # stabilizer supports index the presentation's own columns, so read the
+    # active sets off the reduced polytope; keep the datum's when the
+    # reduction is too broken to slice (the report is already failing then)
+    reduced_verts = datum.vertices
     try:
         if same_cone:
             moved = resliced_vertices(datum.vertices, pres.reeb_image)
@@ -276,8 +282,6 @@ def verify_presentation(
                 )
                 vertex_diff += [("extra", c) for c, extra, _ in reduced if extra]
                 reduced_verts = [Vertex(c, active) for c, _, active in reduced]
-            else:
-                reduced_verts = datum.vertices
             polytope_match = not vertex_diff
         else:
             reduced_verts = _poly_vertices(*reduced_polytope(pres))
@@ -291,19 +295,15 @@ def verify_presentation(
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")
 
-    # stabilizer supports index the presentation's own columns, so read the
-    # active sets off the reduced polytope; fall back to the datum's when the
-    # reduction is too broken to slice (the report is already failing then)
+    coords = range(pres.N)
     local = []
-    for v in reduced_verts if reduced_verts is not None else datum.vertices:
-        support = sorted(set(range(pres.N)) - set(v.active))
-        order = _stabilizer_order(list(map(list, pres.weights)), support)
-        local.append((v.coords, order))
-    smooth = all(order == 1 for _, order in local)
+    for v in reduced_verts:
+        support = [i for i in coords if i not in v.active]
+        local.append((v.coords, _stabilizer_order(pres.weights, support)))
     return VerificationReport(
         polytope_match=polytope_match,
         vertex_diff=tuple(vertex_diff),
         local_freeness=tuple(local),
-        smooth=smooth,
+        smooth=all(order == 1 for _, order in local),
         problems=tuple(problems),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from toricontact.classify import perturb_reeb, validate_datum
@@ -39,6 +40,20 @@ def labeled_cube(n, labels, u):
     normals = [tuple(-int(i == j) for j in range(dim)) for i in range(n)]
     normals += [tuple(int(j == i) - int(j == n) for j in range(dim)) for i in range(n)]
     return _height_one(normals, labels, u)
+
+
+def parabola(count):
+    """The polygon {<x, u> <= 1} over u = (x, x^2 - 1) for x = -K..K and
+    u = (1, K^2), with K = count / 2 - 1: facet (u, 0) with label
+    m = 1 + i mod 3 and offset m, reeb e_2.  Its k x (k + 1) stabilizer
+    blocks grow with the even facet count."""
+    top = count // 2 - 1
+    ring = [(x, x * x - 1) for x in range(-top, top + 1)] + [(1, top * top)]
+    facets = tuple(
+        LabeledFacet((x, y, 0), 1 + i % 3, Fraction(1 + i % 3))
+        for i, (x, y) in enumerate(ring)
+    )
+    return validate_datum(LabeledPolytope(3, facets), (0, 0, 1))
 
 
 def simplex_product(rng):

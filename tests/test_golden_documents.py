@@ -31,11 +31,14 @@ from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.reduction import SpherePresentation, synthesize, verify_presentation
 from toricontact.spheres import weighted_simplex
 
+from generators import parabola
+
 GOLDEN = {
     "cubes": "f594ef15136df980785a37063f8c86572284c1c5f60ae45082daa58456fa831f",
     "ngons": "c7843fe470fd797a2ca66abb78891f267b2bb67ff112b9e68fed8948ee8ca985",
     "spheres": "6a98a338a3921173a44c4ee9b0bcce09215960d0e3d00a62d89c70f239a4bc69",
     "mutations": "3a3cfb14b9bd539381683a5c34241db7534440776733260e1873d6405b4aa3a6",
+    "parabola": "3da52d879ad1040078dad34cdecedc80a5c882e22cab748e9f2acaa80a88bc09",
     "irrational-square": "054d7762d751fcc62deb880fc5d57a5208c0cc4974fe07a1548b3e29f031f8d0",
 }
 
@@ -84,6 +87,15 @@ def ngon(count):
         for i, (x, y) in enumerate(ring)
     )
     return validate_datum(LabeledPolytope(3, facets), (0, 0, 1))
+
+
+def row_mutants(pres):
+    """The presentations that add 1 to the last entry of W's first, middle
+    or last row."""
+    for r in sorted({0, len(pres.weights) // 2, len(pres.weights) - 1}):
+        rows = [list(row) for row in pres.weights]
+        rows[r][-1] += 1
+        yield SpherePresentation(pres.N, pres.beta, tuple(map(tuple, rows)), pres.deformation)
 
 
 def spheres(max_n=3):
@@ -150,6 +162,17 @@ def family_documents(name):
             for d in data
             for mutant in mutants(synthesize(d))
         )
+    if name == "parabola":
+        # k = N - 3 torus rows, so each vertex's stabilizer block is wide
+        docs = []
+        for count in (18, 32):
+            d = parabola(count)
+            pres = synthesize(d)
+            docs += _pipeline_documents([d])
+            docs += (
+                verification_to_document(verify_presentation(m, d)) for m in row_mutants(pres)
+            )
+        return docs
     if name == "irrational-square":
         # the presentation of the square at reeb e_2 checked against the same
         # square at reeb e_2 / 2, where cone_over is not integral

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from toricontact import reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
-from toricontact.lattice import identity, matmul, rank, transpose
+from toricontact.lattice import identity, matmul, rank, snf, transpose
 from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
 from toricontact.reduction import (
     SpherePresentation,
@@ -23,7 +23,7 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import weighted_simplex
 
-from generators import labeled_cube, perturbed, random_datum, random_sphere
+from generators import labeled_cube, parabola, perturbed, random_datum, random_sphere
 from oracles import maximin_deformation, minor_gcd_invariant_factors, small_kernel_vectors
 
 F = Fraction
@@ -564,3 +564,57 @@ class TestVerifyPresentation:
         pres = synthesize(weighted_simplex((1, 2)))
         with pytest.raises(ValueError, match="differ"):
             verify_presentation(pres, d)
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """(weights, support): k <= 4 rows of k + 1..k + 3 entries in -4..4, some
+    columns zero and at times one row a multiple of another, and a support
+    of at most k + 1 columns."""
+    k = draw(st.integers(1, 4))
+    width = draw(st.integers(k + 1, k + 3))
+    entry = st.integers(-4, 4)
+    rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if k > 1 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        rows[-1] = [c * x for x in rows[0]]
+    support = sorted(draw(st.sets(st.integers(0, width - 1), max_size=k + 1)))
+    return rows, support
+
+
+class TestStabilizerOrder:
+    @settings(deadline=None, max_examples=300)
+    @given(stabilizer_cases())
+    def test_matches_the_minor_gcd_oracle(self, case):
+        weights, support = case
+        k = len(weights)
+        factors = minor_gcd_invariant_factors([[row[j] for j in support] for row in weights])
+        expected = prod(factors) if len(factors) == k else None
+        assert reduction._stabilizer_order(weights, support) == expected
+
+    def test_support_wider_than_a_vertex_is_refused(self):
+        with pytest.raises(ValueError, match="wider"):
+            reduction._stabilizer_order([[1, 2, 3]], [0, 1, 2])
+
+    def test_one_snf_per_verification(self, monkeypatch):
+        # the saturation check of W is the only normal form verify takes;
+        # the stabilizer orders come from one elimination per vertex
+        d = parabola(12)
+        pres = synthesize(d)
+        rows = [list(r) for r in pres.weights]
+        rows[0][0] += 1
+        mutant = replace(pres, weights=rows)
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return snf(mat)
+
+        monkeypatch.setattr(reduction, "snf", counted)
+        for p, ok in ((pres, True), (mutant, False)):
+            calls.clear()
+            assert verify_presentation(p, d).ok is ok
+            assert len(calls) == 1
