@@ -20,11 +20,10 @@ oracle; see the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .lattice import FiniteAbelianGroup, det, matvec, primitive, snf
+from .lattice import FiniteAbelianGroup, FrozenValue, det, matvec, primitive, snf
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
 from .polytope import integral_cone_normals, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToricContactDatum:
+class ToricContactDatum(FrozenValue):
     """A validated (polytope, characteristic vector) pair.
 
     ``reeb`` holds ints in rational mode, Fractions in irrational mode.
@@ -52,10 +50,15 @@ class ToricContactDatum:
     and caches the vertex list.
     """
 
-    polytope: LabeledPolytope
-    reeb: tuple
-    mode: str
-    vertices: tuple[Vertex, ...]
+    __slots__ = ("polytope", "reeb", "mode", "vertices")
+
+    def __init__(
+        self, polytope: LabeledPolytope, reeb: tuple, mode: str, vertices: tuple[Vertex, ...]
+    ):
+        object.__setattr__(self, "polytope", polytope)
+        object.__setattr__(self, "reeb", reeb)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def n(self) -> int:
@@ -66,18 +69,28 @@ class ToricContactDatum:
         return self.polytope.facets
 
 
-@dataclass(frozen=True)
-class FaceInvariants:
-    face: frozenset[int]
-    isotropy_basis: tuple[tuple[int, ...], ...]
-    holonomy: FiniteAbelianGroup
-    sample_point: tuple[Fraction, ...]
+class FaceInvariants(FrozenValue):
+    __slots__ = ("face", "isotropy_basis", "holonomy", "sample_point")
+
+    def __init__(
+        self,
+        face: frozenset[int],
+        isotropy_basis: tuple[tuple[int, ...], ...],
+        holonomy: FiniteAbelianGroup,
+        sample_point: tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "isotropy_basis", isotropy_basis)
+        object.__setattr__(self, "holonomy", holonomy)
+        object.__setattr__(self, "sample_point", sample_point)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    regularity: str  # "regular" or "quasi-regular"
-    per_face: tuple[FaceInvariants, ...]
+class ClassificationReport(FrozenValue):
+    __slots__ = ("regularity", "per_face")
+
+    def __init__(self, regularity: str, per_face: tuple[FaceInvariants, ...]):
+        object.__setattr__(self, "regularity", regularity)  # "regular" or "quasi-regular"
+        object.__setattr__(self, "per_face", per_face)
 
     @property
     def nontrivial_faces(self) -> tuple[FaceInvariants, ...]:
@@ -126,8 +139,14 @@ def validate_datum(
     #   n facets, and the simplicity check raised.
     if actual_mode == "rational":
         # reduction needs integral cone normals; none is zero, for a zero
-        # one is tight at every vertex and the simplicity check raised
-        integral_cone_normals(cone_normals(poly, stored))
+        # one is tight at every vertex and the simplicity check raised.
+        # With offset a/b in lowest terms, u_i = (a * reeb - b * m_i p_i) / b
+        # is integral exactly when b divides every entry of reeb, so the
+        # normals that vertices() built are built again only to name the
+        # first facet that fails
+        g = gcd(*stored)
+        if any(g % f.offset.denominator for f in poly.facets):
+            integral_cone_normals(cone_normals(poly, stored))
     return ToricContactDatum(poly, stored, actual_mode, tuple(verts))
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success / property holds, 1 mathematical failure
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import documents
@@ -38,8 +39,6 @@ def _emit(args, doc: dict, text_lines) -> None:
     # so that command pipelines compose without flags
     mode = args.output or ("text" if sys.stdout.isatty() else "json")
     if mode == "json":
-        import json
-
         print(json.dumps(doc, indent=2))
     else:
         for line in text_lines:

@@ -12,7 +12,6 @@ rational solve in :mod:`toricontact.geometry` read their answer off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -292,26 +291,65 @@ def saturate(generators: IntMat) -> IntMat:
     return result if result else []
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` (a name starting with
+    ``_`` is a private cache, not a field) and sets them in ``__init__``
+    with ``object.__setattr__``.  Instances of one class are equal when
+    their fields are, hash by their fields, and refuse assignment and
+    deletion.  This stands in for ``dataclasses``, whose import and
+    per-class code generation every CLI process would pay at start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteAbelianGroup(FrozenValue):
     """Z_{d_1} x ... x Z_{d_k} x Z^r with 2 <= d_1 | d_2 | ... | d_k.
 
     Factors equal to 1 are never stored; the trivial group is
     ``FiniteAbelianGroup()``.
     """
 
-    invariant_factors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("invariant_factors", "free_rank")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, invariant_factors: tuple[int, ...] = (), free_rank: int = 0):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError("invariant factors must be at least 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def is_trivial(self) -> bool:

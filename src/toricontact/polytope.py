@@ -12,11 +12,11 @@ the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import geometry
+from .lattice import FrozenValue
 
 __all__ = [
     "LabeledFacet",
@@ -36,30 +36,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledFacet:
+class LabeledFacet(FrozenValue):
     """One facet: outward primitive normal, positive integer label, offset.
 
     The facet inequality is <alpha, label * normal> <= offset.
     """
 
-    normal: tuple[int, ...]
-    label: int = 1
-    offset: Fraction = Fraction(0)
+    __slots__ = ("normal", "label", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if not any(self.normal):
+    def __init__(self, normal: tuple[int, ...], label: int = 1, offset: Fraction = 0):
+        normal = tuple(int(x) for x in normal)
+        offset = Fraction(offset)
+        if not any(normal):
             raise ValueError("normal is zero")
-        g = gcd(*self.normal)
+        g = gcd(*normal)
         if g != 1:
-            reduced = ", ".join(str(x // g) for x in self.normal)
+            reduced = ", ".join(str(x // g) for x in normal)
             raise ValueError(
-                f"normal not primitive; write label {self.label * g}, normal ({reduced})"
+                f"normal not primitive; write label {label * g}, normal ({reduced})"
             )
-        if self.label < 1:
+        if label < 1:
             raise ValueError("label must be a positive integer")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def functional(self) -> tuple[int, ...]:
@@ -67,26 +67,26 @@ class LabeledFacet:
         return tuple(self.label * x for x in self.normal)
 
 
-@dataclass(frozen=True)
-class LabeledPolytope:
-    ambient_dim: int
-    facets: tuple[LabeledFacet, ...]
+class LabeledPolytope(FrozenValue):
+    __slots__ = ("ambient_dim", "facets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "facets", tuple(self.facets))
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, facets: tuple[LabeledFacet, ...]):
+        facets = tuple(facets)
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if len(self.facets) < self.ambient_dim:
+        if len(facets) < ambient_dim:
             raise ValueError("a polytope needs at least ambient_dim facets")
-        for f in self.facets:
-            if len(f.normal) != self.ambient_dim:
+        for f in facets:
+            if len(f.normal) != ambient_dim:
                 raise ValueError("facet normal has wrong dimension")
         seen = {}
-        for i, f in enumerate(self.facets):
+        for i, f in enumerate(facets):
             key = (f.normal, Fraction(f.offset, f.label))
             if key in seen:
                 raise ValueError(f"duplicate facet: indices {seen[key]} and {i}")
             seen[key] = i
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "facets", facets)
 
     @property
     def dim(self) -> int:
@@ -94,18 +94,22 @@ class LabeledPolytope:
         return self.ambient_dim - 1
 
 
-@dataclass(frozen=True)
-class Vertex:
-    coords: tuple[Fraction, ...]
-    active: frozenset[int]
+class Vertex(FrozenValue):
+    __slots__ = ("coords", "active")
+
+    def __init__(self, coords: tuple[Fraction, ...], active: frozenset[int]):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "active", active)
 
 
-@dataclass(frozen=True)
-class MomentCone:
+class MomentCone(FrozenValue):
     """Homogeneous form {x : <x, label_i * q_i> >= 0} with q_i primitive."""
 
-    ambient_dim: int
-    normals: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("ambient_dim", "normals")
+
+    def __init__(self, ambient_dim: int, normals: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "normals", normals)
 
     def rays(self):
         """(lineality basis, extreme rays) of the cone."""

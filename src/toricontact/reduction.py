@@ -10,14 +10,12 @@ the presentation's correctness into an exact round-trip check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import geometry
 from .classify import ToricContactDatum
-from .lattice import echelon, kernel_lattice_basis, matmul, rank, snf, transpose
+from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul, rank, snf, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -34,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpherePresentation:
+class SpherePresentation(FrozenValue):
     """Reduction data: the sphere S^{2N-1}, torus weights, deformation.
 
     beta has one column per sphere coordinate (shape (n+1) x N), weights
@@ -44,49 +41,62 @@ class SpherePresentation:
     shapes are checked on construction.
     """
 
-    N: int
-    beta: tuple
-    weights: tuple
-    deformation: tuple[Fraction, ...]
+    __slots__ = ("N", "beta", "weights", "deformation", "_reeb_image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(tuple(int(x) for x in r) for r in self.beta))
-        object.__setattr__(
-            self, "weights", tuple(tuple(int(x) for x in r) for r in self.weights)
-        )
-        object.__setattr__(
-            self, "deformation", tuple(Fraction(x) for x in self.deformation)
-        )
-        if not self.beta or any(len(row) != self.N for row in self.beta):
+    def __init__(self, N: int, beta: tuple, weights: tuple, deformation: tuple[Fraction, ...]):
+        beta = tuple(tuple(int(x) for x in r) for r in beta)
+        weights = tuple(tuple(int(x) for x in r) for r in weights)
+        deformation = tuple(Fraction(x) for x in deformation)
+        if not beta or any(len(row) != N for row in beta):
             raise ValueError("beta rows must all have length N")
-        if any(len(row) != self.N for row in self.weights):
+        if any(len(row) != N for row in weights):
             raise ValueError("weight rows must all have length N")
-        if len(self.weights) != self.N - len(self.beta):
+        if len(weights) != N - len(beta):
             raise ValueError("weight row count must be N minus the ambient dimension")
-        if len(self.deformation) != self.N:
+        if len(deformation) != N:
             raise ValueError("deformation must have length N")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "deformation", deformation)
 
     @property
     def ambient_dim(self) -> int:
         return len(self.beta)
 
-    @cached_property
+    @property
     def reeb_image(self) -> tuple[Fraction, ...]:
-        """beta @ deformation, in integers over the deformation's lcm denominator."""
+        """beta @ deformation, in integers over the deformation's lcm
+        denominator; computed on first use and kept."""
+        try:
+            return self._reeb_image
+        except AttributeError:
+            pass
         den = lcm(*(x.denominator for x in self.deformation))
         nums = [x.numerator * (den // x.denominator) for x in self.deformation]
-        return tuple(
+        image = tuple(
             Fraction(sum([b * x for b, x in zip(row, nums)]), den) for row in self.beta
         )
+        object.__setattr__(self, "_reeb_image", image)
+        return image
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    polytope_match: bool
-    vertex_diff: tuple
-    local_freeness: tuple  # per vertex: (coords, stabilizer order or None)
-    smooth: bool
-    problems: tuple[str, ...] = ()
+class VerificationReport(FrozenValue):
+    __slots__ = ("polytope_match", "vertex_diff", "local_freeness", "smooth", "problems")
+
+    def __init__(
+        self,
+        polytope_match: bool,
+        vertex_diff: tuple,
+        local_freeness: tuple,  # per vertex: (coords, stabilizer order or None)
+        smooth: bool,
+        problems: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "polytope_match", polytope_match)
+        object.__setattr__(self, "vertex_diff", vertex_diff)
+        object.__setattr__(self, "local_freeness", local_freeness)
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "problems", problems)
 
     @property
     def ok(self) -> bool:

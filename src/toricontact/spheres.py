@@ -11,11 +11,11 @@ oracle for the holonomy groups computed combinatorially in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .classify import ToricContactDatum, validate_datum
+from .lattice import FrozenValue
 from .polytope import LabeledFacet, LabeledPolytope
 
 __all__ = [
@@ -28,18 +28,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(FrozenValue):
     """Positive integer weights; normalized presentations have gcd 1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if len(self.entries) < 2:
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(int(x) for x in entries)
+        if len(entries) < 2:
             raise ValueError("need at least two weights")
-        if any(a <= 0 for a in self.entries):
+        if any(a <= 0 for a in entries):
             raise ValueError("weights must be positive")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def content(self) -> int:
@@ -86,13 +86,24 @@ def moment_eval(a, z) -> list[float]:
     return [si / denom for si in sq]
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    samples: int
-    tol: float
-    max_facet_violation: float
-    max_hyperplane_deviation: float
-    failures: tuple = field(default_factory=tuple)
+class SampleReport(FrozenValue):
+    __slots__ = (
+        "samples", "tol", "max_facet_violation", "max_hyperplane_deviation", "failures"
+    )
+
+    def __init__(
+        self,
+        samples: int,
+        tol: float,
+        max_facet_violation: float,
+        max_hyperplane_deviation: float,
+        failures: tuple = (),
+    ):
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_facet_violation", max_facet_violation)
+        object.__setattr__(self, "max_hyperplane_deviation", max_hyperplane_deviation)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

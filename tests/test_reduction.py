@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -343,7 +342,8 @@ class TestSameCone:
         deformed = list(pres.deformation)
         deformed[0] += 1
         perm = [*range(1, pres.N), 0]
-        cases = [permuted(pres, perm), replace(pres, deformation=deformed)]
+        deformed_pres = SpherePresentation(pres.N, pres.beta, pres.weights, deformed)
+        cases = [permuted(pres, perm), deformed_pres]
         expected = [verification_to_document(verify_presentation(p, d)) for p in cases]
 
         def refuse(*args):
@@ -547,17 +547,19 @@ class TestVerifyPresentation:
         d = random_datum(rng, kind)
         pres = synthesize(d)
         assert verify_presentation(pres, d).ok
+        parts = {"N": pres.N, "beta": pres.beta, "weights": pres.weights}
         for field in ("beta", "weights"):
-            mat = getattr(pres, field)
+            mat = parts[field]
             for i, j in product(range(len(mat)), range(pres.N)):
                 rows = [list(r) for r in mat]
                 rows[i][j] += 1
-                bad = replace(pres, **{field: rows})
+                bad = SpherePresentation(**{**parts, field: rows}, deformation=pres.deformation)
                 assert not verify_presentation(bad, d).ok, (field, i, j)
         for j in range(pres.N):
             a = list(pres.deformation)
             a[j] += 1
-            assert not verify_presentation(replace(pres, deformation=a), d).ok, ("a", j)
+            bad = SpherePresentation(**parts, deformation=a)
+            assert not verify_presentation(bad, d).ok, ("a", j)
 
     def test_dimension_mismatch(self):
         d = standard_simplex_datum()
@@ -606,7 +608,7 @@ class TestStabilizerOrder:
         pres = synthesize(d)
         rows = [list(r) for r in pres.weights]
         rows[0][0] += 1
-        mutant = replace(pres, weights=rows)
+        mutant = SpherePresentation(pres.N, pres.beta, rows, pres.deformation)
         calls = []
 
         def counted(mat):
