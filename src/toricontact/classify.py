@@ -23,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .lattice import FiniteAbelianGroup, FrozenValue, det, matvec, primitive, snf
+from .lattice import FiniteAbelianGroup, FrozenValue, det, kernel_lattice_basis, matvec
+from .lattice import over_common_denominator, primitive, snf
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
 from .polytope import integral_cone_normals, slice_cone
 from .polytope import faces_containing as _poly_faces_containing
@@ -164,24 +165,14 @@ def _require_rational(datum: ToricContactDatum):
 
 
 def _reeb_projection(datum: ToricContactDatum):
-    """Matrix of Z^{n+1} -> Z^{n+1}/Z*primitive(reeb) in a chosen basis."""
-    r0 = primitive(list(datum.reeb))
-    s, u, _ = snf([[x] for x in r0])
-    # u @ r0 = e_0 (up to sign, fixed below), so dropping the first row of u
-    # is the quotient projection
-    first = matvec(u, r0)
-    assert first[0] in (1, -1) and not any(first[1:])
-    return [list(row) for row in u[1:]]
-
-
-def _integer_point(v: Vertex) -> tuple[int, list[int]]:
-    """The vertex as (den, nums) with coords = nums / den, den their lcm."""
-    den = lcm(*(x.denominator for x in v.coords))
-    return den, [x.numerator * (den // x.denominator) for x in v.coords]
+    """Matrix of Z^{n+1} -> Z^{n+1}/Z*primitive(reeb): a saturated basis of the
+    functionals vanishing on reeb.  It extends to a basis of the dual lattice,
+    so the map is onto Z^n; its kernel is the line of reeb, Z*primitive(reeb)."""
+    return kernel_lattice_basis([list(datum.reeb)])
 
 
 def _barycenter(points) -> tuple[Fraction, ...]:
-    """Mean of points given by :func:`_integer_point`, summed in integers."""
+    """Mean of points given by :func:`over_common_denominator`, summed in integers."""
     den = lcm(*(d for d, _ in points))
     scaled = ([x * (den // d) for x in nums] for d, nums in points)
     return tuple(Fraction(sum(col), den * len(points)) for col in zip(*scaled))
@@ -253,7 +244,7 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     face_points = {}
     diagonal = set()  # faces inside the active set of a unimodular vertex
     for v in datum.vertices:
-        point = _integer_point(v)
+        point = over_common_denominator(v.coords)
         active = sorted(v.active)
         unimodular = abs(det([generators[i] for i in active])) == prod(
             labels[i] for i in active

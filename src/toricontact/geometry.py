@@ -5,22 +5,20 @@ rank, null space and solve scales each rational row to an integer one and
 runs the fraction-free elimination :func:`toricontact.lattice.echelon`;
 Fractions appear only in the answers, as entries over the final pivot.
 The vertices of a slice of a cone are its extreme rays at positive height,
-rescaled.  They are found by walking the edges of the slice from a first
-vertex, so the work grows with the number of vertices and edges, not with
-the number of constraint subsets; only the first vertex, and the extreme
-rays of a whole cone (:func:`cone_rays`), come from a scan over subsets.
+rescaled.  An exact phase 1 finds a first vertex or proves the slice empty,
+and the others are found by walking the edges of the slice from it, so the
+work grows with the number of vertices and edges, not with the number of
+constraint subsets, and does not depend on the order of the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .lattice import echelon, primitive
+from .lattice import echelon, identity, over_common_denominator, primitive
 
 __all__ = [
-    "cone_rays",
     "dot",
     "enumerate_hpoly",
     "null_space",
@@ -38,8 +36,7 @@ def dot(u, v):
 def _integral(row) -> list[int]:
     """A rational row scaled by the lcm of its denominators (same ray)."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
+    return over_common_denominator(row)[1]
 
 
 def rank_q(rows) -> int:
@@ -101,6 +98,40 @@ def _ray(subset, rows, dim):
     return y, vals
 
 
+def _first_ray(rows, up):
+    """A primitive y on an extreme ray of {y : rows @ y <= 0} with <up, y> > 0,
+    or None if there is none; the rows span Q^dim and up is nonzero.
+
+    Bland's rule (Bland, Math. Oper. Res. 1977).  A basis is up and dim - 1
+    rows B, its point y has <up, y> = 1 and B y = 0, and ``echelon`` of the
+    columns up, B, the other rows and the identity is d [up | B]^-1 times
+    them: row 0 holds d <row, y> per row and d y, and row r holds d c_r for
+    each row = c_0 up + sum_r c_r B_r.  The first row with <row, y> = c_0 > 0
+    enters and the first B_r with c_r > 0 leaves.  If there is none, up =
+    (row - sum_r c_r B_r) / c_0 is a nonnegative combination of rows, so no
+    y exists (Farkas).  Each pivot is a degenerate simplex step on the dual
+    min {mu : sum_i lambda_i row_i + mu up = 0, lambda >= 0}, where Bland's
+    rule cannot cycle.  The first basis is the elimination's pivots in row
+    order: up and each row independent of up and the rows before it.
+    """
+    eye = identity(len(up))
+    basis = []
+    while True:
+        order = basis + [i for i in range(len(rows)) if i not in basis]
+        e, pivots, d, _ = echelon(
+            [[u, *(rows[i][j] for i in order), *eye[j]] for j, u in enumerate(up)]
+        )
+        col = {i: c for c, i in enumerate(order, 1)}
+        basis = [order[c - 1] for c in pivots[1:]]
+        enter = next((i for i in range(len(rows)) if e[0][col[i]] * d > 0), None)
+        if enter is None:
+            return tuple(primitive([x * d for x in e[0][len(rows) + 1 :]]))
+        leave = min((i for i, row in zip(basis, e[1:]) if row[col[enter]] * d > 0), default=None)
+        if leave is None:
+            return None
+        basis[basis.index(leave)] = enter
+
+
 def sliced_cone_points(a_rows, height):
     """(status, points) of the slice <y, height> = 1 of K = {y : A y <= 0,
     <y, height> >= 0}; status is "empty", "bounded" or "unbounded".
@@ -110,8 +141,8 @@ def sliced_cone_points(a_rows, height):
     pair (point, tight) with ``tight`` the indices of the rows of A that
     vanish on the primitive integer ray.  Lineality makes the slice
     unbounded with no vertex to report; it is found first, and K is cut
-    down to its orthogonal complement for the search for a first vertex,
-    one (dim - 1)-subset of rows at a time.
+    down to its orthogonal complement, where an exact phase 1
+    (:func:`_first_ray`) finds a first vertex or proves the slice empty.
 
     From that vertex the slice is walked along its edges.  At a vertex y
     with tight rows T the edge directions are the extreme rays of the
@@ -131,12 +162,7 @@ def sliced_cone_points(a_rows, height):
     lineality = [_integral(y) for y in null_space(rows, dim)]
     rows += lineality + [[-x for x in y] for y in lineality]
     up = [-x for x in rows[m]]  # height, scaled to integers
-    first = None
-    for subset in combinations(rows, dim - 1):
-        ray = _ray(subset, rows, dim)
-        if ray is not None and dot(ray[0], up) > 0:
-            first = tuple(ray[0])
-            break
+    first = _first_ray(rows, up) if any(up) else None
     if first is None:
         return "empty", []
     if lineality:
@@ -199,18 +225,3 @@ def enumerate_hpoly(a_rows, b):
         [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
     )
     return status, [p[:-1] for p, _ in points]
-
-
-def cone_rays(a_rows, dim: int):
-    """Lineality basis and extreme rays of the cone {x : A x <= 0}.
-
-    Extreme rays are returned as primitive integer vectors; they are only
-    computed when the lineality space is trivial (pointed cone).
-    """
-    lineality = null_space(a_rows, dim)
-    if lineality:
-        return lineality, []
-    rows = [_integral(row) for row in a_rows]
-    rays = (_ray(subset, rows, dim) for subset in combinations(rows, dim - 1))
-    unique = dict.fromkeys(tuple(ray[0]) for ray in rays if ray is not None)
-    return [], [list(ray) for ray in unique]

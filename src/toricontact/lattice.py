@@ -22,6 +22,7 @@ __all__ = [
     "kernel_lattice_basis",
     "matmul",
     "matvec",
+    "over_common_denominator",
     "primitive",
     "quotient_group",
     "rank",
@@ -86,6 +87,12 @@ def primitive(vec) -> list[int]:
         raise ValueError("zero vector has no primitive representative")
     g = math.gcd(*vec)
     return [x // g for x in vec]
+
+
+def over_common_denominator(vec) -> tuple[int, list[int]]:
+    """(den, nums) with vec = nums / den, den the lcm of the entries' denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
 
 
 def echelon(mat: IntMat) -> tuple[IntMat, list[int], int, int]:

@@ -13,10 +13,10 @@ the two pictures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import geometry
-from .lattice import FrozenValue
+from .lattice import FrozenValue, over_common_denominator
 
 __all__ = [
     "LabeledFacet",
@@ -111,11 +111,6 @@ class MomentCone(FrozenValue):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "normals", normals)
 
-    def rays(self):
-        """(lineality basis, extreme rays) of the cone."""
-        a_rows = [[-x for x in q] for q, _ in self.normals]
-        return geometry.cone_rays(a_rows, self.ambient_dim)
-
 
 def _exact(reeb) -> list:
     """The characteristic vector as ints where integral, else Fractions."""
@@ -189,12 +184,10 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
     if not any(r):
         raise ValueError("characteristic vector must be nonzero")
     # h_v = s / (den * hv), in integers: reeb' = rs / den, v = vs / hv
-    den = lcm(*(x.denominator for x in r))
-    rs = [x.numerator * (den // x.denominator) for x in r]
+    den, rs = over_common_denominator(r)
     heights = []
     for v in verts:
-        hv = lcm(*(x.denominator for x in v.coords))
-        vs = [x.numerator * (hv // x.denominator) for x in v.coords]
+        hv, vs = over_common_denominator(v.coords)
         heights.append((sum([a * b for a, b in zip(vs, rs)]), den * hv, vs))
     if all(s <= 0 for s, _, _ in heights):
         raise ValueError("empty polytope")
@@ -268,19 +261,21 @@ def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
 def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
     """Cut the cone by {<alpha, reeb> = 1}, keeping per-facet labels.
 
-    Requires the new characteristic vector to be strictly positive on the
-    cone (checked exactly on lineality and every extreme ray), which also
-    makes the resulting polytope compact.
+    Requires the cone C != 0 and reeb strictly positive on C minus 0, which
+    makes the polytope compact: exactly when the edge walk
+    (:func:`toricontact.geometry.sliced_cone_points`) finds the slice
+    bounded and nonempty with no vertex v tight on every normal (-v would
+    be in C).  For if y in C minus 0 has <y, reeb> <= 0 and x is a vertex,
+    y or else x + t y, t = -1 / <y, reeb>, lies in C cap reeb^perp, a
+    recession direction of the slice, unless x + t y = 0: then -x is in C.
     """
     r = _exact(reeb)
     if len(r) != cone.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
-    lineality, rays = cone.rays()
-    if lineality:
+    a_rows = [[-x for x in q] for q, _ in cone.normals]
+    status, points = geometry.sliced_cone_points(a_rows, r)
+    if status != "bounded" or any(len(t) == len(a_rows) for _, t in points):
         raise ValueError("characteristic vector not in interior of dual cone")
-    for ray in rays:
-        if geometry.dot(ray, r) <= 0:
-            raise ValueError("characteristic vector not in interior of dual cone")
     facets = [
         LabeledFacet(tuple(-x for x in q), label, Fraction(0))
         for q, label in cone.normals

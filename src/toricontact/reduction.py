@@ -11,11 +11,12 @@ the presentation's correctness into an exact round-trip check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import geometry
 from .classify import ToricContactDatum
-from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul, rank, snf, transpose
+from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
+from .lattice import over_common_denominator, rank, snf, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -72,8 +73,7 @@ class SpherePresentation(FrozenValue):
             return self._reeb_image
         except AttributeError:
             pass
-        den = lcm(*(x.denominator for x in self.deformation))
-        nums = [x.numerator * (den // x.denominator) for x in self.deformation]
+        den, nums = over_common_denominator(self.deformation)
         image = tuple(
             Fraction(sum([b * x for b, x in zip(row, nums)]), den) for row in self.beta
         )
@@ -141,8 +141,8 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     # the best vertex so far as num / h = <total, v>, h the lcm of its denominators
     num, h, best = 0, 1, None
     for v in datum.vertices:
-        hv = lcm(*[x.denominator for x in v.coords])
-        nv = sum([t * x.numerator * (hv // x.denominator) for t, x in zip(total, v.coords)])
+        hv, vs = over_common_denominator(v.coords)
+        nv = sum([t * x for t, x in zip(total, vs)])
         if nv * h > num * hv:
             num, h, best = nv, hv, v
     if num <= 0:

@@ -284,6 +284,37 @@ class TestErrors:
             assert not out
             assert "redundant" in err
 
+    def test_empty_cube_exits_two(self):
+        # 0 <= x_i and x_i <= -1 at reeb e_12: phase 1 proves the slice empty
+        # in a few pivots, where a scan would try C(25, 12) row subsets; the
+        # timeout only keeps a regression from hanging the suite
+        import os
+        import subprocess
+        import sys
+
+        import toricontact
+
+        n = 12
+        unit = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+        doc = {
+            "ambient_dim": n + 1,
+            "facets": [{"normal": [-x for x in e], "label": 1, "offset": "0"} for e in unit]
+            + [{"normal": [*e[:n], 1], "label": 1, "offset": "0"} for e in unit],
+            "reeb": [0] * n + [1],
+        }
+        src = os.path.dirname(os.path.dirname(toricontact.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "toricontact.cli", "validate"],
+            input=json.dumps(doc),
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 2
+        assert not out.stdout
+        assert "empty polytope" in out.stderr
+
     def test_non_integral_cone_normal_exit_two(self, capsys, monkeypatch):
         # the segment x <= 1/2 at reeb (0, 1): its cone normal (-1, 1/2)
         # would make reduce fail, so validation refuses it up front

@@ -248,3 +248,35 @@ class TestEdgeWalkAgainstScan:
     def test_random_systems(self, system):
         a_rows, height = system
         assert sliced_cone_points(a_rows, height) == scan_sliced_cone_points(a_rows, height)
+
+
+@st.composite
+def padded_systems(draw):
+    """``sliced_systems()`` with up to three more rows, each a copy of a row,
+    a row times a positive rational or a zero row, and the rows permuted:
+    (A, height, perm) with perm[j] the index in A of row j of the permuted
+    system."""
+    a_rows, height = draw(sliced_systems())
+    rows = list(a_rows)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["duplicate", "scaled", "zero"]))
+        if kind == "zero":
+            rows.append([0] * len(height))
+            continue
+        scale = 1 if kind == "duplicate" else draw(st.fractions(F(1, 3), 3, max_denominator=3))
+        rows.append([scale * x for x in draw(st.sampled_from(a_rows))])
+    return rows, height, draw(st.permutations(range(len(rows))))
+
+
+class TestRowOrder:
+    """The phase 1 and the walk see the same system in any row order."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(padded_systems())
+    @example(([[1, 0], [-1, 0], [0, 1], [2, 0], [0, 0]], [1, 1], [4, 3, 2, 1, 0]))
+    def test_permuted_rows_give_relabelled_active_sets(self, case):
+        a_rows, height, perm = case
+        status, points = sliced_cone_points(a_rows, height)
+        got_status, got = sliced_cone_points([a_rows[i] for i in perm], height)
+        assert got_status == status
+        assert [(p, frozenset(perm[j] for j in t)) for p, t in got] == points

@@ -1,5 +1,4 @@
 from toricontact.geometry import (
-    cone_rays,
     enumerate_hpoly,
     null_space,
     rank_q,
@@ -68,21 +67,3 @@ class TestEnumerateHpoly:
         assert status == "bounded"
         assert verts == [(0, 0), (0, 1), (1, 0)]
 
-
-class TestConeRays:
-    def test_quadrant(self):
-        lineality, rays = cone_rays([[-1, 0], [0, -1]], 2)
-        assert lineality == []
-        assert sorted(rays) == [[0, 1], [1, 0]]
-
-    def test_halfplane_has_lineality(self):
-        lineality, rays = cone_rays([[-1, 0]], 2)
-        assert len(lineality) == 1
-        assert rays == []
-
-    def test_pointed_3d(self):
-        # cone over a square: x, y >= 0, z >= x, z >= y
-        a = [[-1, 0, 0], [0, -1, 0], [1, 0, -1], [0, 1, -1]]
-        lineality, rays = cone_rays(a, 3)
-        assert lineality == []
-        assert sorted(rays) == [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]

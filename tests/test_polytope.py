@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricontact import geometry
-from toricontact.lattice import identity
+from toricontact import geometry, lattice
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
+    MomentCone,
     cone_normals,
     cone_over,
     contains,
@@ -22,8 +22,7 @@ from toricontact.polytope import (
     vertices,
 )
 
-from generators import labeled_cube
-from oracles import in_plane_vertices
+from oracles import in_plane_vertices, pointed_cone_rays
 
 F = Fraction
 
@@ -42,6 +41,38 @@ def standard_simplex(dim=3):
 
 def weighted_segment():
     return LabeledPolytope(2, orthant_facets(2, labels=[2, 1]))
+
+
+def box(n, top, interleaved=False):
+    """The box 0 <= x_i <= top at reeb e_n (empty for top < 0), facet i
+    labeled 1 + i mod 3, the upper facets after the lower ones or
+    interleaved with them."""
+    e = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    lower = [tuple(-x for x in e[i]) for i in range(n)]
+    upper = [tuple(a - top * b for a, b in zip(e[i], e[n])) for i in range(n)]
+    normals = [*sum(zip(lower, upper), ())] if interleaved else lower + upper
+    facets = tuple(LabeledFacet(p, 1 + i % 3) for i, p in enumerate(normals))
+    return LabeledPolytope(n + 1, facets), tuple(e[n])
+
+
+def cone_rows(cone):
+    """The rows A of the moment cone written as {y : A y <= 0}."""
+    return [[-x for x in q] for q, _ in cone.normals]
+
+
+def count_eliminations(monkeypatch, bound):
+    """Make ``geometry.echelon`` raise once it is called more than ``bound``
+    times, so that a run over its budget fails at once instead of running on."""
+    calls = 0
+
+    def counted(mat):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"more than {bound} eliminations")
+        return lattice.echelon(mat)
+
+    monkeypatch.setattr(geometry, "echelon", counted)
 
 
 class TestFacetValidation:
@@ -100,21 +131,20 @@ class TestVertices:
 
     def test_echelon_calls_grow_with_the_edges(self, monkeypatch):
         # the 6-cube has 2^6 vertices and 6 * 2^5 edges: one elimination per
-        # edge, plus the lineality check and the first vertex (a scan over
-        # every 6-subset of its 13 cone rows takes 1,716)
+        # edge, plus the lineality check and the phase-1 pivots to the first
+        # vertex, whatever the order of the facets
         n = 6
-        d = labeled_cube(n, [1 + i % 3 for i in range(2 * n)], identity(n + 1))
-        calls = 0
-        real = geometry.echelon
+        for interleaved in (False, True):
+            count_eliminations(monkeypatch, n * 2 ** (n - 1) + 2)
+            assert len(vertices(*box(n, 1, interleaved))) == 2**n
 
-        def counted(mat):
-            nonlocal calls
-            calls += 1
-            return real(mat)
-
-        monkeypatch.setattr(geometry, "echelon", counted)
-        assert len(vertices(d.polytope, d.reeb)) == 2**n
-        assert calls <= n * 2 ** (n - 1) + 2
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_empty_cube_costs_a_few_phase_one_pivots(self, monkeypatch, n):
+        # the first basis is the vertex x = 0 of the lower facets; the first
+        # row it violates, x_0 <= -1, and x_0 >= 0 already certify emptiness
+        count_eliminations(monkeypatch, 2 * n + 2)
+        with pytest.raises(ValueError, match="empty polytope"):
+            vertices(*box(n, -1))
 
 
 @st.composite
@@ -308,8 +338,6 @@ class TestConeOver:
 
 class TestSliceCone:
     def test_orthant_to_simplex(self):
-        from toricontact.polytope import MomentCone
-
         orthant = MomentCone(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)))
         poly = slice_cone(orthant, (1, 1, 1))
         assert [v.coords for v in vertices(poly, (1, 1, 1))] == [
@@ -319,25 +347,60 @@ class TestSliceCone:
         ]
 
     def test_quadrant_weighted(self):
-        from toricontact.polytope import MomentCone
-
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, 2))
         assert [v.coords for v in vertices(poly, (1, 2))] == [(0, F(1, 2)), (1, 0)]
 
     def test_rational_reeb_positivity_is_exact(self):
-        from toricontact.polytope import MomentCone
-
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, F(1, 2)))
         assert [v.coords for v in vertices(poly, (1, F(1, 2)))] == [(0, 2), (1, 0)]
 
     def test_positivity_violation(self):
-        from toricontact.polytope import MomentCone
-
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         with pytest.raises(ValueError, match="interior of dual cone"):
             slice_cone(quadrant, (1, -1))
+
+    def test_quadrant_sliced_through_its_rays(self):
+        quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
+        poly = slice_cone(quadrant, (1, 1))
+        assert [v.coords for v in vertices(poly, (1, 1))] == [(0, 1), (1, 0)]
+
+    def test_cone_over_a_square(self):
+        # x, y >= 0, z >= x, z >= y: the slice z = 1 is the unit square
+        cone = MomentCone(
+            3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, 0, 1), 1), ((0, -1, 1), 1))
+        )
+        poly = slice_cone(cone, (0, 0, 1))
+        assert [v.coords for v in vertices(poly, (0, 0, 1))] == [
+            (0, 0, 1),
+            (0, 1, 1),
+            (1, 0, 1),
+            (1, 1, 1),
+        ]
+
+    def test_half_plane_rejected(self):
+        # x >= 0 contains the line of (0, 1), on which no reeb is positive
+        for reeb in [(1, 0), (1, 1), (1, -1), (0, 1)]:
+            with pytest.raises(ValueError, match="interior of dual cone"):
+                slice_cone(MomentCone(2, (((1, 0), 1),)), reeb)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            ((0, 1), (0, -1)),  # the line of (1, 0): its slice is one point
+            ((1, 0), (-1, 0), (0, 1), (0, -1)),  # {0}: its slice is empty
+        ],
+    )
+    def test_line_and_zero_cone_rejected(self, normals):
+        cone = MomentCone(2, tuple((q, 1) for q in normals))
+        with pytest.raises(ValueError, match="interior of dual cone"):
+            slice_cone(cone, (1, 0))
+
+    def test_ray_with_positive_reeb_accepted(self):
+        # the ray of (1, 0); its slice at (1, 0) is one point
+        cone = MomentCone(2, (((0, 1), 1), ((0, -1), 1), ((1, 0), 1)))
+        assert slice_cone(cone, (1, 0)).facets[2].normal == (-1, 0)
 
 
 class TestRoundTripAndHull:
@@ -369,17 +432,16 @@ class TestRoundTripAndHull:
             (standard_simplex(), (1, 1, 1)),
             (weighted_segment(), (1, 2)),
         ]:
-            lineality, rays = cone_over(poly, reeb).rays()
-            assert lineality == []
-            assert all(
-                sum(a * b for a, b in zip(ray, reeb)) > 0 for ray in rays
-            )
+            a_rows = cone_rows(cone_over(poly, reeb))
+            assert geometry.null_space(a_rows, len(reeb)) == []
+            rays = pointed_cone_rays(a_rows, len(reeb))
+            assert len(rays) == len(reeb)
+            assert all(sum(a * b for a, b in zip(ray, reeb)) > 0 for ray, _ in rays)
         # a slab (unbounded slice) cones to a half plane: lineality appears
         slab = LabeledPolytope(
             2, (LabeledFacet((-1, 0)), LabeledFacet((1, 0), 1, F(2)))
         )
-        lineality, _ = cone_over(slab, (1, 0)).rays()
-        assert lineality
+        assert geometry.null_space(cone_rows(cone_over(slab, (1, 0))), 2)
 
     def test_convex_hull_property(self):
         rng = random.Random(77)
