@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add
 
 from .lattice import FiniteAbelianGroup, FrozenValue, det, kernel_lattice_basis, matvec
-from .lattice import over_common_denominator, primitive, snf
+from .lattice import primitive, smith_diagonal
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
-from .polytope import integral_cone_normals, slice_cone
+from .polytope import integral_cone_normals, resliced_vertices
 from .polytope import faces_containing as _poly_faces_containing
 from .polytope import vertices as _poly_vertices
 
@@ -171,13 +172,6 @@ def _reeb_projection(datum: ToricContactDatum):
     return kernel_lattice_basis([list(datum.reeb)])
 
 
-def _barycenter(points) -> tuple[Fraction, ...]:
-    """Mean of points given by :func:`over_common_denominator`, summed in integers."""
-    den = lcm(*(d for d, _ in points))
-    scaled = ([x * (den // d) for x in nums] for d, nums in points)
-    return tuple(Fraction(sum(col), den * len(points)) for col in zip(*scaled))
-
-
 def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
     """Per facet, label * primitive(image of its normal) in Z^{n+1}/Z*reeb."""
     proj = _reeb_projection(datum)
@@ -194,8 +188,7 @@ def _face_holonomy(generators, face) -> FiniteAbelianGroup:
     """
     if not face:
         return FiniteAbelianGroup()
-    s, _, _ = snf([generators[i] for i in sorted(face)])
-    diag = (s[k][k] for k in range(min(len(s), len(s[0]))))
+    diag = smith_diagonal([generators[i] for i in sorted(face)])
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
@@ -225,67 +218,80 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
 
     The face lattice of a simple polytope is exactly the family of subsets
     of vertex active sets; the whole polytope appears as the empty face.
-    The facet normals are projected once per datum, and each face's sample
-    point is the barycentre of its vertices.
+    Each active set is a bitmask ``full`` whose subsets are the masks
+    ``sub = (sub - 1) & full``.  Per face the walk sums its vertex count
+    and its vertices' numerators over D, the lcm of all vertex
+    denominators, so its sample point, the barycentre of its vertices, is
+    sum / (D * count).  The facet normals are projected once per datum.
 
     Holonomy: at a vertex v whose n generator rows have |det| equal to the
     product of their labels, the projected primitive normals of A(v) are a
     basis of Z^n.  Every face F inside A(v) then has the holonomy
     Z/m_i + ... (i in F), put in invariant-factor form by gcd and lcm with
-    no Smith normal form; with all labels 1 it is trivial.  Every other
-    nonempty face costs one Smith normal form of its generator rows, whose
-    diagonal entries above 1 are its holonomy.
+    no Smith normal form, once per multiset of labels; with all labels 1
+    it is trivial.  Every other nonempty face costs the Smith diagonal of
+    its generator rows, whose entries above 1 are its holonomy.
 
     Regular means every leaf holonomy group is trivial and every label is 1.
     """
     _require_rational(datum)
     generators = _facet_generators(datum)
     labels = [f.label for f in datum.facets]
-    face_points = {}
-    diagonal = set()  # faces inside the active set of a unimodular vertex
+    den = lcm(*(x.denominator for v in datum.vertices for x in v.coords))
+    sums = {}  # face mask -> [vertices, unimodular vertices, numerator sums over den]
+    zero = [0] * (datum.polytope.ambient_dim + 2)
     for v in datum.vertices:
-        point = over_common_denominator(v.coords)
         active = sorted(v.active)
-        unimodular = abs(det([generators[i] for i in active])) == prod(
-            labels[i] for i in active
-        )
-        for mask in range(1 << len(active)):
-            face = frozenset(active[i] for i in range(len(active)) if mask >> i & 1)
-            face_points.setdefault(face, []).append(point)
-            if unimodular:
-                diagonal.add(face)
+        unimodular = abs(det([generators[i] for i in active])) == prod(labels[i] for i in active)
+        row = [1, unimodular, *(x.numerator * (den // x.denominator) for x in v.coords)]
+        full = sub = sum(1 << i for i in active)
+        while True:
+            sums[sub] = list(map(add, sums.get(sub, zero), row))
+            if not sub:
+                break
+            sub = (sub - 1) & full
+    groups = {}  # sorted labels -> holonomy of a face inside a unimodular vertex
+    faces = {m: [i for i in range(len(labels)) if m >> i & 1] for m in sums}
     per_face = []
-    for face in sorted(face_points, key=lambda f: (len(f), sorted(f))):
-        if face in diagonal:
-            group = _diagonal_holonomy(labels[i] for i in sorted(face))
+    for mask, idx in sorted(faces.items(), key=lambda face: (len(face[1]), face[1])):
+        count, diagonal, *nums = sums[mask]
+        if diagonal:  # the face lies in a unimodular vertex's active set
+            key = tuple(sorted([labels[i] for i in idx]))
+            if key not in groups:
+                groups[key] = _diagonal_holonomy(key)
+            group = groups[key]
         else:
-            group = _face_holonomy(generators, face)
-        per_face.append(
-            FaceInvariants(
-                face=face,
-                isotropy_basis=tuple(datum.facets[i].normal for i in sorted(face)),
-                holonomy=group,
-                sample_point=_barycenter(face_points[face]),
-            )
-        )
-    regular = all(f.holonomy.is_trivial for f in per_face) and all(
-        f.label == 1 for f in datum.facets
-    )
-    return ClassificationReport(
-        regularity="regular" if regular else "quasi-regular",
-        per_face=tuple(per_face),
-    )
+            group = _face_holonomy(generators, idx)
+        normals = tuple([datum.facets[i].normal for i in idx])
+        point = tuple([Fraction(s, den * count) for s in nums])
+        per_face.append(FaceInvariants(frozenset(idx), normals, group, point))
+    regular = all(f.holonomy.is_trivial for f in per_face) and set(labels) == {1}
+    return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
 
 
 def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
     """Reslice the moment cone with a new characteristic vector.
 
     Labels ride through the cone unchanged, facet by facet.  The new
-    vector must be strictly positive on the cone, and integral.
+    vector must be strictly positive on the cone, and integral.  The cone
+    is the datum's own, so the new vertices are the datum's, rescaled
+    (:func:`toricontact.polytope.resliced_vertices`), with the same active
+    sets, and the rest of :func:`validate_datum` holds with no slice walked.
     """
     _require_rational(datum)
+    r = [Fraction(x) for x in new_reeb]
+    if len(r) != datum.polytope.ambient_dim:
+        raise ValueError("characteristic vector has wrong dimension")
+    try:
+        verts = sorted(resliced_vertices(datum.vertices, r), key=lambda v: v.coords)
+    except ValueError:  # empty, unbounded or zero: not positive on the cone
+        raise ValueError("characteristic vector not in interior of dual cone") from None
+    if any(x.denominator != 1 for x in r):
+        raise ValueError("characteristic vector not integral")
     cone = cone_over(datum.polytope, datum.reeb)
-    return validate_datum(slice_cone(cone, new_reeb), new_reeb)
+    facets = tuple(LabeledFacet(tuple(-x for x in q), m) for q, m in cone.normals)
+    poly = LabeledPolytope(cone.ambient_dim, facets)
+    return ToricContactDatum(poly, tuple(map(int, r)), "rational", tuple(verts))
 
 
 def rescale(datum: ToricContactDatum, c) -> ToricContactDatum:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .lattice import echelon, identity, over_common_denominator, primitive
 
@@ -30,7 +31,7 @@ __all__ = [
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _integral(row) -> list[int]:

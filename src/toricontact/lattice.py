@@ -12,6 +12,7 @@ rational solve in :mod:`toricontact.geometry` read their answer off it.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -27,6 +28,7 @@ __all__ = [
     "quotient_group",
     "rank",
     "saturate",
+    "smith_diagonal",
     "snf",
     "transpose",
 ]
@@ -53,11 +55,11 @@ def transpose(mat: IntMat) -> IntMat:
 
 def matmul(a: IntMat, b: IntMat) -> IntMat:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def matvec(mat: IntMat, vec) -> list:
-    return [sum(x * y for x, y in zip(row, vec)) for row in mat]
+    return [sum(map(mul, row, vec)) for row in mat]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -190,46 +192,38 @@ def rank(mat: IntMat) -> int:
     return len(echelon(mat)[1])
 
 
-def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith normal form with transformations.
-
-    Returns (S, U, V) with S = U @ mat @ V, S diagonal with nonnegative
-    entries d_1 | d_2 | ... and U, V unimodular.
-    """
-    rows, cols = _shape(mat)
-    s = [list(row) for row in mat]
-    u = identity(rows)
-    v = identity(cols)
+def _smith(row_mats: tuple, col_mats: tuple) -> None:
+    """Bring ``s = row_mats[0]`` (also ``col_mats[0]``) to Smith normal form
+    in place, applying every row operation to each matrix of ``row_mats``
+    and every column operation to each matrix of ``col_mats``."""
+    s = row_mats[0]
+    rows, cols = len(s), len(s[0])
 
     def row_combine(i1, i2, a11, a12, a21, a22):
-        for m in (s, u):
+        for m in row_mats:
             r1, r2 = m[i1], m[i2]
             m[i1] = [a11 * x + a12 * y for x, y in zip(r1, r2)]
             m[i2] = [a21 * x + a22 * y for x, y in zip(r1, r2)]
 
     def col_combine(j1, j2, a11, a21, a12, a22):
-        for m in (s, v):
+        for m in col_mats:
             for row in m:
                 x, y = row[j1], row[j2]
                 row[j1] = a11 * x + a21 * y
                 row[j2] = a12 * x + a22 * y
 
     for t in range(min(rows, cols)):
-        # Move the smallest nonzero entry of the trailing block to (t, t).
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if s[i][j] and (piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+        # Move the smallest nonzero entry of the trailing block to (t, t),
+        # the first in row-major order on a tie.
+        entries = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(s[i][t:], t) if x]
+        if not entries:
             break
-        if piv[0] != t:
-            s[t], s[piv[0]] = s[piv[0]], s[t]
-            u[t], u[piv[0]] = u[piv[0]], u[t]
-        if piv[1] != t:
-            for m in (s, v):
-                for row in m:
-                    row[t], row[piv[1]] = row[piv[1]], row[t]
+        _, pi, pj = min(entries)
+        for m in row_mats:
+            m[t], m[pi] = m[pi], m[t]
+        for m in col_mats:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, rows):
                 if s[i][t]:
@@ -249,21 +243,37 @@ def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
                         col_combine(t, j, x, y, -(b // g), a // g)
             if any(s[i][t] for i in range(t + 1, rows)):
                 continue  # column ops disturbed the pivot column
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % s[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # add to row t a lower row (0 up to column t) with an entry d_t does not divide
+            p = s[t][t]
+            offender = next((i for i in range(t + 1, rows) if any(x % p for x in s[i])), None)
             if offender is None:
                 break
             row_combine(t, offender, 1, 1, 0, 1)
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            for m in row_mats:
+                m[t] = [-x for x in m[t]]
+
+
+def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
+    """Smith normal form with transformations.
+
+    Returns (S, U, V) with S = U @ mat @ V, S diagonal with nonnegative
+    entries d_1 | d_2 | ... and U, V unimodular.
+    """
+    rows, cols = _shape(mat)
+    s, u, v = [list(row) for row in mat], identity(rows), identity(cols)
+    _smith((s, u), (s, v))
     return s, u, v
+
+
+def smith_diagonal(mat: IntMat) -> list[int]:
+    """The min(rows, cols) diagonal entries d_1 | d_2 | ... of the Smith
+    normal form of ``mat``, zeros last: the loop of :func:`snf` with no
+    transformations to update."""
+    rows, cols = _shape(mat)
+    s = [list(row) for row in mat]
+    _smith((s,), (s,))
+    return [s[k][k] for k in range(min(rows, cols))]
 
 
 def _row_hnf_basis(mat: IntMat) -> IntMat:
@@ -399,9 +409,7 @@ def quotient_group(ambient_basis: IntMat, sub_generators: IntMat) -> FiniteAbeli
         if any(x % d for x, d in zip(gv, pivots)) or any(gv[a_rows:]):
             raise ValueError("subgroup not contained in ambient lattice")
         coords.append([x // d for x, d in zip(gv, pivots)])
-    s, _, _ = snf(coords)
-    diag = [s[i][i] for i in range(min(len(coords), a_rows))]
-    nonzero = [d for d in diag if d]
+    nonzero = [d for d in smith_diagonal(coords) if d]
     return FiniteAbelianGroup(
         tuple(d for d in nonzero if d > 1), a_rows - len(nonzero)
     )

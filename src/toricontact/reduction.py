@@ -16,7 +16,7 @@ from math import gcd
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
-from .lattice import over_common_denominator, rank, snf, transpose
+from .lattice import over_common_denominator, rank, smith_diagonal, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -169,8 +169,7 @@ def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
     if pres.weights:
         if any(any(row) for row in matmul(pres.beta, transpose(pres.weights))):
             problems.append("beta @ weights^T is not zero")
-        s, _, _ = snf(pres.weights)
-        if any(s[i][i] != 1 for i in range(len(pres.weights))):
+        if any(d != 1 for d in smith_diagonal(pres.weights)):
             problems.append("weight matrix is not a saturated kernel basis")
     if any(x <= 0 for x in pres.deformation):
         problems.append("deformation vector not strictly positive")

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here calls into the package's normal-form code, so agreement
-between these and the fast paths is a real cross-check.
+between these and the fast paths is a real cross-check.  The one
+exception is :func:`classify`, the reference for the package's bitmask
+face walk: it shares the facet projection and takes a full ``snf``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+from toricontact.classify import ClassificationReport, FaceInvariants, _facet_generators
+from toricontact.lattice import FiniteAbelianGroup, snf
 
 
 def cofactor_det(mat) -> int:
@@ -261,3 +266,38 @@ def in_plane_vertices(functionals, offsets, reeb):
         active = frozenset(i for i, hit in enumerate(tight) if hit)
         result.append((alpha, active))
     return sorted(result, key=lambda pair: pair[0])
+
+
+def classify(datum):
+    """The classification report by the plain face loop: one frozenset per
+    vertex-face incidence, each face's sample point the Fraction mean of
+    its vertices, and each nonempty face's holonomy the diagonal entries
+    above 1 of a Smith normal form with transformations, with no shortcut
+    at unimodular vertices."""
+    generators = _facet_generators(datum)
+    face_points = {}
+    for v in datum.vertices:
+        active = sorted(v.active)
+        for mask in range(1 << len(active)):
+            face = frozenset(active[i] for i in range(len(active)) if mask >> i & 1)
+            face_points.setdefault(face, []).append(v.coords)
+    per_face = []
+    for face in sorted(face_points, key=lambda f: (len(f), sorted(f))):
+        group = FiniteAbelianGroup()
+        if face:
+            s, _, _ = snf([generators[i] for i in sorted(face)])
+            diag = [s[k][k] for k in range(min(len(s), len(s[0])))]
+            group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+        points = face_points[face]
+        per_face.append(
+            FaceInvariants(
+                face,
+                tuple(datum.facets[i].normal for i in sorted(face)),
+                group,
+                tuple(sum(col, Fraction(0)) / len(points) for col in zip(*points)),
+            )
+        )
+    regular = all(f.holonomy.is_trivial for f in per_face) and all(
+        f.label == 1 for f in datum.facets
+    )
+    return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))

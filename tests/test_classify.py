@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricontact import geometry, lattice
 from toricontact.classify import (
     _reeb_projection,
     classify,
@@ -31,7 +32,9 @@ from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
     cone_normals,
+    cone_over,
     faces_containing,
+    slice_cone,
     vertices,
 )
 from toricontact.reduction import synthesize, verify_presentation
@@ -42,10 +45,14 @@ from generators import (
     cube_or_simplex,
     degenerate,
     labeled_cube,
+    parabola,
+    positive_reeb,
     random_datum,
+    random_sphere,
     random_unimodular,
     simplex_product,
 )
+import oracles
 from oracles import fraction_rref
 from test_reduction import hexagon_datum
 
@@ -312,6 +319,49 @@ class TestPerturbReeb:
         with pytest.raises(ValueError, match="interior of dual cone"):
             perturb_reeb(d, (1, -1))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["cube", "simplex", "product"]))
+    def test_matches_slicing_the_cone_afresh(self, rng, kind):
+        # oracle: validate the polytope that slice_cone cuts out of the
+        # datum's cone, which walks the new slice; the outcome, a datum or
+        # the first error message, must be the same for every vector
+        d = random_datum(rng, kind)
+        dim = len(d.reeb)
+        candidates = [
+            positive_reeb(rng, d),
+            d.reeb,
+            tuple(-x for x in d.reeb),
+            (0,) * dim,
+            d.reeb + (1,),
+            d.reeb[:-1],
+            tuple(rng.randint(-3, 3) for _ in range(dim)),
+            tuple(F(x, 2) for x in positive_reeb(rng, d)),
+            tuple(F(-x, 2) for x in d.reeb),
+        ]
+        for reeb in candidates:
+            assert _outcome(lambda: perturb_reeb(d, reeb)) == _outcome(
+                lambda: validate_datum(slice_cone(cone_over(d.polytope, d.reeb), reeb), reeb)
+            ), reeb
+
+    def test_reslicing_walks_no_slice(self, monkeypatch):
+        d = labeled_cube(6, [1 + i % 3 for i in range(12)], lattice.identity(7))
+
+        def refused(mat):
+            raise AssertionError("an elimination ran")
+
+        monkeypatch.setattr(lattice, "echelon", refused)
+        monkeypatch.setattr(geometry, "echelon", refused)
+        d2 = perturb_reeb(d, (1, 1, 1, 1, 1, 1, 8))
+        assert len(d2.vertices) == 64
+        assert d2.reeb == (1, 1, 1, 1, 1, 1, 8)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
 
 class TestRescale:
     def test_identity(self):
@@ -489,6 +539,44 @@ class TestHolonomyMatchesSaturatedChain:
                     assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
             assert ran["_diagonal_holonomy"] > before["_diagonal_holonomy"]
         assert ran["_face_holonomy"] > 0
+
+
+class TestBitmaskFaceWalk:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product", "sphere", "parabola"]),
+    )
+    def test_matches_the_face_loop_oracle(self, rng, kind):
+        # field for field and in order: faces, normals, groups, sample points
+        if kind == "sphere":
+            d = random_sphere(rng)
+            d = change_basis(d, random_unimodular(rng, d.n + 1))
+        elif kind == "parabola":
+            d = change_basis(parabola(2 * rng.randint(2, 8)), random_unimodular(rng, 3))
+        else:
+            d = random_datum(rng, kind)
+        assert classify(d) == oracles.classify(d)
+
+    def test_labeled_six_cube_takes_one_determinant_per_vertex(self, monkeypatch):
+        # every vertex of the labeled cube is unimodular, so each face reads
+        # its group off its labels and no Smith normal form is taken
+        d = labeled_cube(6, [1 + i % 3 for i in range(12)], lattice.identity(7))
+        calls = []
+        echelon = lattice.echelon
+
+        def counted(mat):
+            calls.append(len(mat))
+            return echelon(mat)
+
+        def refused(row_mats, col_mats):
+            raise AssertionError("a Smith normal form ran")
+
+        monkeypatch.setattr(lattice, "echelon", counted)
+        monkeypatch.setattr(lattice, "_smith", refused)
+        report = classify(d)
+        assert len(report.per_face) == 3**6
+        assert calls == [6] * 64
 
 
 def counted(ran, name):

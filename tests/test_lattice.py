@@ -16,6 +16,7 @@ from toricontact.lattice import (
     quotient_group,
     rank,
     saturate,
+    smith_diagonal,
     snf,
     transpose,
 )
@@ -128,6 +129,42 @@ class TestSnf:
         s, _, _ = snf(m)
         d = [x for x in diag_of(s) if x]
         assert d == minor_gcd_invariant_factors(m)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small matrices, many of them a single row or column, with zero rows,
+    or rank deficient (a row a combination of two earlier ones)."""
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    rows = 1 if shape == "row" else draw(st.integers(1, 4))
+    cols = 1 if shape == "column" else draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(rows):
+        how = draw(st.sampled_from(["keep", "zero", "combine"]))
+        if how == "zero":
+            m[i] = [0] * cols
+        elif how == "combine" and i >= 2:
+            a, b = draw(entry), draw(entry)
+            m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+class TestSmithDiagonal:
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(degenerate_matrices(), small_matrices(max_dim=3, max_entry=6)))
+    def test_matches_snf_and_the_minor_gcd_oracle(self, m):
+        d = smith_diagonal(m)
+        assert d == diag_of(snf(m)[0])
+        assert [x for x in d if x] == minor_gcd_invariant_factors(m)
+
+    def test_zero_matrix(self):
+        assert smith_diagonal([[0, 0, 0], [0, 0, 0]]) == [0, 0]
+
+    def test_leaves_its_argument_alone(self):
+        m = [[2, 4], [6, 8]]
+        assert smith_diagonal(m) == [2, 4]
+        assert m == [[2, 4], [6, 8]]
 
 
 class TestKernel:

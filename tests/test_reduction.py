@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricontact import reduction
+from toricontact import lattice, reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
-from toricontact.lattice import identity, matmul, rank, snf, transpose
+from toricontact.lattice import identity, matmul, rank, transpose
 from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
 from toricontact.reduction import (
     SpherePresentation,
@@ -602,21 +602,23 @@ class TestStabilizerOrder:
             reduction._stabilizer_order([[1, 2, 3]], [0, 1, 2])
 
     def test_one_snf_per_verification(self, monkeypatch):
-        # the saturation check of W is the only normal form verify takes;
-        # the stabilizer orders come from one elimination per vertex
+        # the saturation check of W is the only normal form verify takes, and
+        # it reads the Smith diagonal with no transformations; the stabilizer
+        # orders come from one elimination per vertex
         d = parabola(12)
         pres = synthesize(d)
         rows = [list(r) for r in pres.weights]
         rows[0][0] += 1
         mutant = SpherePresentation(pres.N, pres.beta, rows, pres.deformation)
         calls = []
+        smith = lattice._smith
 
-        def counted(mat):
-            calls.append(mat)
-            return snf(mat)
+        def counted(row_mats, col_mats):
+            calls.append(len(row_mats) + len(col_mats))
+            return smith(row_mats, col_mats)
 
-        monkeypatch.setattr(reduction, "snf", counted)
+        monkeypatch.setattr(lattice, "_smith", counted)
         for p, ok in ((pres, True), (mutant, False)):
             calls.clear()
             assert verify_presentation(p, d).ok is ok
-            assert len(calls) == 1
+            assert calls == [2]  # S alone, for rows and for columns
