@@ -162,14 +162,15 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     return tuple(a)
 
 
-def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
+def _presentation_problems(pres: SpherePresentation, reeb, order_gcd: int) -> list[str]:
     """What is wrong with the presentation's torus and deformation, on their
-    own and against reeb."""
+    own and against reeb; order_gcd is the gcd of the vertex stabilizer
+    orders, and 1 proves W saturated (see ``verify_presentation``)."""
     problems = []
     if pres.weights:
         if any(any(row) for row in matmul(pres.beta, transpose(pres.weights))):
             problems.append("beta @ weights^T is not zero")
-        if any(d != 1 for d in smith_diagonal(pres.weights)):
+        if order_gcd != 1 and any(d != 1 for d in smith_diagonal(pres.weights)):
             problems.append("weight matrix is not a saturated kernel basis")
     if any(x <= 0 for x in pres.deformation):
         problems.append("deformation vector not strictly positive")
@@ -212,26 +213,51 @@ def reduced_polytope(pres: SpherePresentation):
     return poly, reeb
 
 
-def _stabilizer_order(weights, support) -> int | None:
-    """Order of the reduction-torus stabilizer on the given support, or None.
+def _stabilizer_orders(weights, supports) -> list[int | None]:
+    """Order of the reduction-torus stabilizer on each support, or None.
 
     The stabilizer of a point with coordinate support S is the kernel of
     T^k -> T^S given by the columns W_S of the k x N weights.  Its order is
     the gcd of the k x k minors of W_S, and it is infinite (None) exactly
-    when W_S has rank below k.  A vertex of the n-dimensional slice lies on
-    at least n facets, so |S| <= N - n = k + 1, and one fraction-free
-    elimination of W_S gives every such minor by Cramer's rule: the pivot
-    minor is +-d, and the one that trades pivot column r for the non-pivot
-    column f is +-E[r][f].
+    when they all vanish.  A vertex of the n-dimensional slice lies on at
+    least n facets, so |S| <= N - n = k + 1.
+
+    One fraction-free elimination echelon(W) = (E, P, d) gives every such
+    minor.  With Q the non-pivot columns and R = E / d = W_P^-1 W, a k-set T
+    of columns has det W_T = +-det E[P - T, Q & T] / d^(r-1), r = |P - T|
+    <= n + 1.  At |S| = k + 1 with s = |S & Q|, let c be the signed maximal
+    minors of the (s-1) x s block E[P - S, S & Q]: its kernel vector, read
+    off one elimination of the block by Cramer's rule (c = [1] when s = 1).
+    Then det W_{S-q} = +-c_q / d^(s-2), and by Laplace expansion along row
+    p, det W_{S-p} = +-<E_p[S & Q], c> / d^(s-1).  A smaller support gets
+    k + 1 - |S| zero columns of W: the block keeps one column more than
+    rows, and its kernel vector is zero off those columns, so |S| = k reads
+    off |det W_S| alone and |S| < k has no maximal minor but 0.
     """
     k = len(weights)
     if k == 0:
-        return 1
-    if len(support) > k + 1:
+        return [1] * len(supports)
+    if any(len(support) > k + 1 for support in supports):
         raise ValueError("support wider than k + 1 columns: not a vertex")
-    e, pivots, d, _ = echelon([[row[i] for i in support] for row in weights])
-    free = set(range(len(support))).difference(pivots)
-    return gcd(d, *[row[f] for row in e for f in free]) if len(pivots) == k else None
+    e, pivots, d, _ = echelon(weights)
+    if len(pivots) < k:
+        return [None] * len(supports)
+    row_of = {p: r for r, p in enumerate(pivots)}
+    orders = []
+    for support in supports:
+        on = {row_of[j] for j in support if j in row_of}
+        free = [j for j in support if j not in row_of]
+        off = [row for r, row in enumerate(e) if r not in on]
+        pad = [0] * (k + 1 - len(support))  # the zero columns of a small support
+        block = [[row[j] for j in free] + pad for row in off]
+        c, *rest = geometry._kernel(*echelon(block)[:3], len(off) + 1)
+        if rest:  # the block's rank is below its row count: every minor is 0
+            orders.append(None)
+            continue
+        # d^|P - S| times the maximal minors of W_S, up to sign
+        minors = [d * x for x in c] + [sum([e[r][j] * x for j, x in zip(free, c)]) for r in on]
+        orders.append(gcd(*minors) // abs(d) ** len(off))
+    return orders
 
 
 def verify_presentation(
@@ -243,7 +269,10 @@ def verify_presentation(
     data with offsets absorbed, so data that differ only by the hyperplane
     normalization still match), the latter as multisets of beta's columns
     and the datum's integral cone normals.  Local freeness is checked at
-    every vertex through the reduction-torus stabilizer.
+    every vertex through the reduction-torus stabilizer, all read off one
+    elimination of W (``_stabilizer_orders``).  Each order is the gcd of
+    some maximal minors of W, so orders with gcd 1 leave the gcd of all of
+    them 1: W is saturated, and the Smith loop runs only otherwise.
 
     By Lerman's classification of contact toric manifolds of Reeb type
     (J. Symplectic Geom. 2003), the reduction of the sphere by the kernel
@@ -267,7 +296,7 @@ def verify_presentation(
     # on the same cone beta is onto: the datum's cone is pointed
     if not same_cone and rank(pres.beta) != pres.ambient_dim:
         problems.append("beta not surjective")
-    problems += _presentation_problems(pres, datum.reeb)
+    late = []  # the reduced polytope's problems, reported after the torus's
 
     vertex_diff = []
     polytope_match = False
@@ -300,19 +329,19 @@ def verify_presentation(
             vertex_diff = [("missing", c) for c in ours if c not in theirs_set]
             vertex_diff += [("extra", c) for c in theirs if c not in ours_set]
             integral_cone_normals(normals)
-            problems.append("cone normals of presentation and datum differ")
+            late.append("cone normals of presentation and datum differ")
     except ValueError as exc:
-        problems.append(f"reduced polytope unavailable: {exc}")
+        late.append(f"reduced polytope unavailable: {exc}")
 
     coords = range(pres.N)
-    local = []
-    for v in reduced_verts:
-        support = [i for i in coords if i not in v.active]
-        local.append((v.coords, _stabilizer_order(pres.weights, support)))
+    supports = [[i for i in coords if i not in v.active] for v in reduced_verts]
+    orders = _stabilizer_orders(pres.weights, supports)
+    problems += _presentation_problems(pres, datum.reeb, gcd(*[o or 0 for o in orders]))
+    local = [(v.coords, order) for v, order in zip(reduced_verts, orders)]
     return VerificationReport(
         polytope_match=polytope_match,
         vertex_diff=tuple(vertex_diff),
         local_freeness=tuple(local),
-        smooth=all(order == 1 for _, order in local),
-        problems=tuple(problems),
+        smooth=all(order == 1 for order in orders),
+        problems=tuple(problems + late),
     )

@@ -71,6 +71,36 @@ def simplex_product(rng):
     return _height_one(normals, labels, random_unimodular(rng, n + 1))
 
 
+def weighted_simplex_product(rng):
+    """A product of 2 or 3 weighted simplices {y >= 0, <w, y> <= h} (each of
+    dimension 1 or 2, n <= 4, w_i in 1..3) at height 1, in a random lattice
+    basis: N = n + factors facets, so k = factors - 1 >= 1.
+
+    The facets y_i >= 0 have label 1, and the first factor has h = 1 and
+    label 1, so beta is onto Z^{n+1}.  The other factors have h in 1..3 and
+    labels 1..3 on <w, y> <= h, one of them above 1.  The order at a vertex
+    is then the gcd of the maximal minors of its labeled normals, each
+    linear in every column, so a vertex on a facet labeled m > 1 is an
+    orbifold point of order a multiple of m; so, at times, is h e_i / w_i."""
+    dims = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+    while sum(dims) > 4:
+        dims[dims.index(2)] = 1
+    n = sum(dims)
+    normals, labels, start = [], [], 0
+    for f, size in enumerate(dims):
+        block = range(start, start + size)
+        normals += [tuple(-int(i == j) for j in range(n + 1)) for i in block]
+        slant = [rng.randint(1, 3) if j in block else 0 for j in range(n)]
+        slant.append(-rng.randint(1, 3) if f else -1)
+        g = gcd(*slant)
+        normals.append(tuple(x // g for x in slant))
+        labels += [1] * size + [g * rng.randint(1, 3) if f else 1]
+        start += size
+    slanted = [i for i, p in enumerate(normals) if p[n] and i > dims[0]]
+    labels[rng.choice(slanted)] *= rng.randint(2, 3)
+    return _height_one(normals, labels, random_unimodular(rng, n + 1))
+
+
 def cube_or_simplex(rng, cube):
     """A labeled cube (n <= 4, labels 1..3) or a weighted simplex (n <= 3,
     weights 1..6 over their gcd)."""

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here calls into the package's normal-form code, so agreement
-between these and the fast paths is a real cross-check.  The one
-exception is :func:`classify`, the reference for the package's bitmask
-face walk: it shares the facet projection and takes a full ``snf``.
+between these and the fast paths is a real cross-check.  The two
+exceptions are :func:`classify`, the reference for the package's bitmask
+face walk: it shares the facet projection and takes a full ``snf``, and
+:func:`stabilizer_order`, the reference for reading every stabilizer order
+off one elimination of W: it takes one ``echelon`` of each support block.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from toricontact.classify import ClassificationReport, FaceInvariants, _facet_generators
-from toricontact.lattice import FiniteAbelianGroup, snf
+from toricontact.lattice import FiniteAbelianGroup, echelon, snf
 
 
 def cofactor_det(mat) -> int:
@@ -46,6 +48,24 @@ def minor_gcd_invariant_factors(mat) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def stabilizer_order(weights, support) -> int | None:
+    """Order of the reduction-torus stabilizer on one support, or None.
+
+    The gcd of the k x k minors of W_S, None when they all vanish, from one
+    fraction-free elimination of W_S by Cramer's rule: the pivot minor is
+    +-d, and the one that trades pivot column r for the non-pivot column f
+    is +-E[r][f].
+    """
+    k = len(weights)
+    if k == 0:
+        return 1
+    if len(support) > k + 1:
+        raise ValueError("support wider than k + 1 columns: not a vertex")
+    e, pivots, d, _ = echelon([[row[i] for i in support] for row in weights])
+    free = set(range(len(support))).difference(pivots)
+    return math.gcd(d, *[row[f] for row in e for f in free]) if len(pivots) == k else None
 
 
 def small_kernel_vectors(mat, bound: int) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricontact import lattice, reduction
+from toricontact import geometry, lattice, reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
@@ -23,7 +23,9 @@ from toricontact.reduction import (
 from toricontact.spheres import weighted_simplex
 
 from generators import labeled_cube, parabola, perturbed, random_datum, random_sphere
+from generators import weighted_simplex_product
 from oracles import maximin_deformation, minor_gcd_invariant_factors, small_kernel_vectors
+from oracles import stabilizer_order
 
 F = Fraction
 
@@ -530,6 +532,15 @@ class TestVerifyPresentation:
         assert dict(report.local_freeness)[vertex.coords] is None
         assert not report.ok
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=False))
+    def test_weighted_simplex_products_round_trip(self, rng):
+        d = weighted_simplex_product(rng)
+        pres = synthesize(d)
+        assert reduced_polytope(pres)[1] == d.reeb
+        report = verify_presentation(pres, d)
+        assert report.ok and report.polytope_match and not report.smooth
+
     def test_tampered_deformation_detected(self):
         d = weighted_simplex((1, 2))
         pres = synthesize(d)
@@ -570,9 +581,10 @@ class TestVerifyPresentation:
 
 @st.composite
 def stabilizer_cases(draw):
-    """(weights, support): k <= 4 rows of k + 1..k + 3 entries in -4..4, some
-    columns zero and at times one row a multiple of another, and a support
-    of at most k + 1 columns."""
+    """(weights, supports): k <= 4 rows of k + 1..k + 3 entries in -4..4, some
+    columns zero and at times one row a multiple of another, and supports
+    of fewer than k, exactly k and k + 1 columns, plus up to three more of
+    at most k + 1."""
     k = draw(st.integers(1, 4))
     width = draw(st.integers(k + 1, k + 3))
     entry = st.integers(-4, 4)
@@ -583,42 +595,148 @@ def stabilizer_cases(draw):
     if k > 1 and draw(st.booleans()):
         c = draw(st.integers(-2, 2))
         rows[-1] = [c * x for x in rows[0]]
-    support = sorted(draw(st.sets(st.integers(0, width - 1), max_size=k + 1)))
-    return rows, support
+    sizes = [draw(st.integers(0, k - 1)), k, k + 1]
+    sizes += draw(st.lists(st.integers(0, k + 1), max_size=3))
+    column = st.integers(0, width - 1)
+    supports = [
+        sorted(draw(st.lists(column, min_size=size, max_size=size, unique=True)))
+        for size in sizes
+    ]
+    return rows, supports
+
+
+def minor_gcd_order(weights, support):
+    """The gcd of the k x k minors of W_S by brute force, None when 0."""
+    factors = minor_gcd_invariant_factors([[row[j] for j in support] for row in weights])
+    return prod(factors) if len(factors) == len(weights) else None
+
+
+def assert_orders_match_the_oracles(weights, supports):
+    got = reduction._stabilizer_orders(weights, supports)
+    assert got == [stabilizer_order(weights, support) for support in supports]
+    assert got == [minor_gcd_order(weights, support) for support in supports]
+
+
+def counted_smith(monkeypatch):
+    """The list that collects one entry per ``lattice._smith`` call."""
+    calls = []
+    smith = lattice._smith
+
+    def counted(row_mats, col_mats):
+        calls.append(len(row_mats) + len(col_mats))
+        return smith(row_mats, col_mats)
+
+    monkeypatch.setattr(lattice, "_smith", counted)
+    return calls
+
+
+def weight_mutant(pres, r, j):
+    """The presentation with 1 added to W[r][j]."""
+    rows = [list(row) for row in pres.weights]
+    rows[r][j] += 1
+    return SpherePresentation(pres.N, pres.beta, rows, pres.deformation)
+
+
+SATURATION = "weight matrix is not a saturated kernel basis"
 
 
 class TestStabilizerOrder:
     @settings(deadline=None, max_examples=300)
     @given(stabilizer_cases())
     def test_matches_the_minor_gcd_oracle(self, case):
-        weights, support = case
-        k = len(weights)
-        factors = minor_gcd_invariant_factors([[row[j] for j in support] for row in weights])
-        expected = prod(factors) if len(factors) == k else None
-        assert reduction._stabilizer_order(weights, support) == expected
+        assert_orders_match_the_oracles(*case)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False))
+    def test_weighted_simplex_products_match_the_oracles(self, rng):
+        # vertex supports of k + 1 columns with orbifold orders, then the same
+        # supports against a W with one entry moved
+        d = weighted_simplex_product(rng)
+        pres = synthesize(d)
+        supports = [[j for j in range(pres.N) if j not in v.active] for v in d.vertices]
+        assert max(reduction._stabilizer_orders(pres.weights, supports)) > 1
+        assert_orders_match_the_oracles(pres.weights, supports)
+        r, j = rng.randrange(len(pres.weights)), rng.randrange(pres.N)
+        assert_orders_match_the_oracles(weight_mutant(pres, r, j).weights, supports)
 
     def test_support_wider_than_a_vertex_is_refused(self):
         with pytest.raises(ValueError, match="wider"):
-            reduction._stabilizer_order([[1, 2, 3]], [0, 1, 2])
+            reduction._stabilizer_orders([[1, 2, 3]], [[0, 1], [0, 1, 2]])
 
-    def test_one_snf_per_verification(self, monkeypatch):
-        # the saturation check of W is the only normal form verify takes, and
-        # it reads the Smith diagonal with no transformations; the stabilizer
-        # orders come from one elimination per vertex
+    def test_degenerate_reduced_vertex_of_k_columns(self):
+        # beta[0][3] + 1 on the hexagon of the golden mutations family
+        # (ngon(6)): the reduced polytope has a vertex on 3 of 6 facets, so
+        # its support has k = 3 columns and its order is |det W_S| alone
+        hull = [(-4, -3), (-3, -4), (3, -4), (4, 3), (3, 4), (-3, 4)]
+        facets = tuple(
+            LabeledFacet((x, y, 0), 1 + i % 3, F(1 + i % 3)) for i, (x, y) in enumerate(hull)
+        )
+        d = validate_datum(LabeledPolytope(3, facets), (0, 0, 1))
+        pres = synthesize(d)
+        beta = [list(row) for row in pres.beta]
+        beta[0][3] += 1
+        mutant = SpherePresentation(pres.N, beta, pres.weights, pres.deformation)
+        [vertex] = [v for v in vertices(*reduced_polytope(mutant)) if len(v.active) == 3]
+        support = [j for j in range(pres.N) if j not in vertex.active]
+        assert vertex.coords == (F(12, 37), F(0), F(36, 37)) and support == [0, 1, 5]
+        w_support = [[row[j] for j in support] for row in pres.weights]
+        report = verify_presentation(mutant, d)
+        assert dict(report.local_freeness)[vertex.coords] == abs(lattice.det(w_support)) == 24
+
+    def test_one_elimination_of_w_per_verification(self, monkeypatch):
+        # the 62-gon has k = 59 torus rows; every other elimination verify
+        # runs is of at most n + 1 = 3 rows
+        d = parabola(62)
+        pres = synthesize(d)
+        k = len(pres.weights)
+        calls = []
+        echelon = lattice.echelon
+
+        def counted(mat):
+            calls.append(len(mat))
+            return echelon(mat)
+
+        for module in (lattice, geometry, reduction):
+            monkeypatch.setattr(module, "echelon", counted)
+        assert verify_presentation(pres, d).ok
+        assert calls.count(k) == 1
+        assert all(rows <= 3 for rows in calls if rows != k)
+
+    def test_saturation_needs_no_smith_form_when_the_orders_are_coprime(self, monkeypatch):
+        # the orders of parabola(12) and of its row mutant have gcd 1, so W
+        # is saturated with no Smith normal form
         d = parabola(12)
         pres = synthesize(d)
-        rows = [list(r) for r in pres.weights]
-        rows[0][0] += 1
-        mutant = SpherePresentation(pres.N, pres.beta, rows, pres.deformation)
-        calls = []
-        smith = lattice._smith
-
-        def counted(row_mats, col_mats):
-            calls.append(len(row_mats) + len(col_mats))
-            return smith(row_mats, col_mats)
-
-        monkeypatch.setattr(lattice, "_smith", counted)
-        for p, ok in ((pres, True), (mutant, False)):
-            calls.clear()
+        calls = counted_smith(monkeypatch)
+        for p, ok in ((pres, True), (weight_mutant(pres, 0, 0), False)):
             assert verify_presentation(p, d).ok is ok
-            assert calls == [2]  # S alone, for rows and for columns
+        assert calls == []
+
+    def test_orders_with_a_common_factor_take_one_smith_form(self, monkeypatch):
+        # W[0][1] + 1 on the labeled square doubles W's second entry: every
+        # vertex order is even, so the Smith loop runs once and finds W
+        # unsaturated
+        d = labeled_cube(2, [1, 2, 3, 1], identity(3))
+        mutant = weight_mutant(synthesize(d), 0, 1)
+        calls = counted_smith(monkeypatch)
+        report = verify_presentation(mutant, d)
+        orders = [order for _, order in report.local_freeness]
+        assert gcd(*orders) == 2
+        assert SATURATION in report.problems
+        assert calls == [2]  # S alone, for rows and for columns
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product", "weighted"]),
+    )
+    def test_saturation_problem_iff_smith_diagonal_off_one(self, rng, kind):
+        d = weighted_simplex_product(rng) if kind == "weighted" else random_datum(rng, kind)
+        pres = synthesize(d)
+        if not pres.weights:
+            return
+        for _ in range(3):
+            r, j = rng.randrange(len(pres.weights)), rng.randrange(pres.N)
+            mutant = weight_mutant(pres, r, j)
+            unsaturated = any(x != 1 for x in lattice.smith_diagonal(mutant.weights))
+            assert (SATURATION in verify_presentation(mutant, d).problems) == unsaturated
