@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -314,6 +315,21 @@ class TestErrors:
         assert out.returncode == 2
         assert not out.stdout
         assert "empty polytope" in out.stderr
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cross_polytope_not_simple_exit_two(self, capsys, monkeypatch, n):
+        # +-x_1 +- ... +- x_n <= 1 at reeb e_(n+1): every vertex is tight on
+        # 2^(n-1) facets, so the whole walk goes by subsets
+        facets = [
+            {"normal": [*signs, -1], "label": 1, "offset": "0"}
+            for signs in product((-1, 1), repeat=n)
+        ]
+        doc = {"ambient_dim": n + 1, "facets": facets, "reeb": [0] * n + [1]}
+        code, out, err = run_cli(
+            capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err == "error: polytope not simple\n"
 
     def test_non_integral_cone_normal_exit_two(self, capsys, monkeypatch):
         # the segment x <= 1/2 at reeb (0, 1): its cone normal (-1, 1/2)

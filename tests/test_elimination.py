@@ -1,13 +1,16 @@
 """The fraction-free elimination core against plain Fraction Gauss-Jordan,
 and the vertex walk built on it against a scan over every row subset."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricontact import lattice
+from toricontact import geometry, lattice
 from toricontact.geometry import (
     enumerate_hpoly,
     null_space,
@@ -16,7 +19,18 @@ from toricontact.geometry import (
     solve_general,
     solve_square,
 )
+from toricontact.polytope import cone_normals
 
+from generators import (
+    change_basis,
+    degenerate,
+    parabola,
+    positive_reeb,
+    random_datum,
+    random_sphere,
+    random_unimodular,
+    weighted_simplex_product,
+)
 from oracles import basic_feasible_points, cofactor_det, fraction_rref
 from oracles import enumerate_hpoly as in_plane_enumerate_hpoly
 from oracles import sliced_cone_points as scan_sliced_cone_points
@@ -280,3 +294,127 @@ class TestRowOrder:
         got_status, got = sliced_cone_points([a_rows[i] for i in perm], height)
         assert got_status == status
         assert [(p, frozenset(perm[j] for j in t)) for p, t in got] == points
+
+
+def _traced(monkeypatch, *names):
+    """The names of the calls to these ``geometry`` functions, in order."""
+    calls = []
+    for name in names:
+        real = getattr(geometry, name)
+
+        def traced(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, name, traced)
+    return calls
+
+
+def _simple_datum(rng, kind):
+    if kind == "weighted":
+        return weighted_simplex_product(rng)
+    if kind == "parabola":
+        return change_basis(parabola(2 * rng.randint(2, 8)), random_unimodular(rng, 3))
+    if kind == "sphere":
+        d = random_sphere(rng)
+        return change_basis(d, random_unimodular(rng, d.n + 1))
+    return random_datum(rng, kind)
+
+
+def _fractional_reeb(rng, d):
+    """k reeb + e with e of denominator 2..5, k past every -<v, e>: positive
+    on the vertex rays, so the slice is bounded with the same tight sets."""
+    q = rng.randint(2, 5)
+    e = [F(rng.randint(-2, 2), q) for _ in d.reeb]
+    worst = max(-sum(x * y for x, y in zip(v.coords, e)) for v in d.vertices)
+    k = max(int(worst) + 1, 1)
+    return tuple(k * r + x for r, x in zip(d.reeb, e))
+
+
+class TestPivotWalkOnSimpleData:
+    """On a simple polytope every vertex is walked by pivots: no subset is
+    tried, and the null space and the first dictionary are the only
+    eliminations."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product", "weighted", "sphere", "parabola"]),
+        st.sampled_from(["datum", "positive", "fractional"]),
+    )
+    def test_same_points_order_tight_sets_and_status_as_the_scan(self, rng, kind, reeb):
+        d = _simple_datum(rng, kind)
+        if reeb == "positive":
+            r = positive_reeb(rng, d)
+        elif reeb == "fractional":
+            r = _fractional_reeb(rng, d)
+        else:
+            r = d.reeb
+        a_rows = [[-x for x in u] for u in cone_normals(d.polytope, r)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _traced(monkeypatch, "echelon", "_ray")
+            got = sliced_cone_points(a_rows, list(r))
+        assert got == scan_sliced_cone_points(a_rows, list(r))
+        assert got[0] == "bounded" and len(got[1]) == len(d.vertices)
+        assert Counter(calls) == {"echelon": 2}
+
+    def test_fractional_heights(self):
+        # the orthant simplex at reeb (1, 3/2, 1) has the vertex (0, 2/3, 0)
+        a_rows = [[-int(i == j) for j in range(3)] for i in range(3)]
+        status, points = sliced_cone_points(a_rows, [1, F(3, 2), 1])
+        assert status == "bounded"
+        assert points == scan_sliced_cone_points(a_rows, [1, F(3, 2), 1])[1]
+        assert (F(0), F(2, 3), F(0)) in [p for p, _ in points]
+
+
+def _prism(a_rows, b):
+    """The prism {x : A x <= b} x [0, 1] as rows and offsets."""
+    dim = len(a_rows[0])
+    rows = [[*row, 0] for row in a_rows] + [[0] * dim + [-1], [0] * dim + [1]]
+    return rows, [*b, 0, 1]
+
+
+class TestPivotsAndSubsets:
+    """A degenerate vertex is walked by subsets, and a simple vertex found
+    there gets one elimination and is walked by pivots again."""
+
+    BASE_FIRST = TestEdgeWalkAgainstScan.SYSTEMS["square pyramid"]
+    SIDES_FIRST = (BASE_FIRST[0][1:] + BASE_FIRST[0][:1], BASE_FIRST[1][1:] + BASE_FIRST[1][:1])
+
+    def _walk(self, monkeypatch, system):
+        calls = _traced(monkeypatch, "_pivot", "_ray", "_dictionary")
+        a_rows, height = _homogenized(*system)
+        got = sliced_cone_points(a_rows, height)
+        assert got == scan_sliced_cone_points(a_rows, height)
+        return calls
+
+    def test_pivots_to_the_apex_and_back(self, monkeypatch):
+        # phase 1 stops at a base vertex; pivots reach the apex by a tie,
+        # its subsets find the rest, and the prism's far side is pivoted to
+        calls = self._walk(monkeypatch, self.BASE_FIRST)
+        assert calls[:3] == ["_dictionary", "_pivot", "_pivot"] and "_ray" in calls
+        calls = self._walk(monkeypatch, _prism(*self.BASE_FIRST))
+        first_ray = calls.index("_ray")
+        assert "_pivot" in calls[:first_ray] and "_pivot" in calls[first_ray:]
+
+    def test_phase_one_on_the_apex(self, monkeypatch):
+        # the side facets come first, so phase 1 stops at the apex: subsets
+        # find the four base vertices, each simple with its own dictionary
+        calls = self._walk(monkeypatch, self.SIDES_FIRST)
+        assert calls[:2] == ["_dictionary", "_ray"]
+        assert calls.count("_dictionary") == 5 and "_pivot" not in calls
+        calls = self._walk(monkeypatch, _prism(*self.SIDES_FIRST))
+        assert calls.count("_dictionary") == 9
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product"]),
+        st.sampled_from(["free", "pinned", "cut"]),
+    )
+    def test_degenerate_data_against_the_scan(self, rng, kind, how):
+        poly, reeb = degenerate(rng, random_datum(rng, kind), how)
+        a_rows = [[-x for x in u] for u in cone_normals(poly, reeb)]
+        # the scan tries every dim - 1 of the rows and the height row
+        assume(comb(len(a_rows) + 1, len(reeb) - 1) <= 300)
+        assert sliced_cone_points(a_rows, reeb) == scan_sliced_cone_points(a_rows, reeb)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricontact import geometry, lattice
+from toricontact import geometry
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
@@ -60,19 +61,18 @@ def cone_rows(cone):
     return [[-x for x in q] for q, _ in cone.normals]
 
 
-def count_eliminations(monkeypatch, bound):
-    """Make ``geometry.echelon`` raise once it is called more than ``bound``
-    times, so that a run over its budget fails at once instead of running on."""
-    calls = 0
+def count_calls(monkeypatch, *names):
+    """A Counter of the calls to these ``geometry`` functions."""
+    calls = Counter()
+    for name in names:
+        real = getattr(geometry, name)
 
-    def counted(mat):
-        nonlocal calls
-        calls += 1
-        if calls > bound:
-            raise AssertionError(f"more than {bound} eliminations")
-        return lattice.echelon(mat)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(geometry, "echelon", counted)
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
 
 
 class TestFacetValidation:
@@ -129,22 +129,27 @@ class TestVertices:
         for v in vertices(poly, (1, 2, 3, 4)):
             assert contains(poly, (1, 2, 3, 4), v.coords)
 
-    def test_echelon_calls_grow_with_the_edges(self, monkeypatch):
-        # the 6-cube has 2^6 vertices and 6 * 2^5 edges: one elimination per
-        # edge, plus the lineality check and the phase-1 pivots to the first
-        # vertex, whatever the order of the facets
+    def test_six_cube_takes_two_eliminations_and_a_pivot_per_vertex(self, monkeypatch):
+        # the null space and the first dictionary are the only eliminations,
+        # and each of the other 63 vertices is reached by one pivot, whatever
+        # the order of the facets
         n = 6
+        calls = count_calls(monkeypatch, "echelon", "_pivot")
         for interleaved in (False, True):
-            count_eliminations(monkeypatch, n * 2 ** (n - 1) + 2)
+            calls.clear()
             assert len(vertices(*box(n, 1, interleaved))) == 2**n
+            assert calls == {"echelon": 2, "_pivot": 2**n - 1}
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_empty_cube_costs_a_few_phase_one_pivots(self, monkeypatch, n):
         # the first basis is the vertex x = 0 of the lower facets; the first
-        # row it violates, x_0 <= -1, and x_0 >= 0 already certify emptiness
-        count_eliminations(monkeypatch, 2 * n + 2)
+        # row it violates, x_0 <= -1, and x_0 >= 0 already certify emptiness,
+        # with no pivot: the null space and the first dictionary are the
+        # only eliminations
+        calls = count_calls(monkeypatch, "echelon", "_pivot")
         with pytest.raises(ValueError, match="empty polytope"):
             vertices(*box(n, -1))
+        assert calls == {"echelon": 2}
 
 
 @st.composite
