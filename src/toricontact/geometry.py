@@ -7,17 +7,19 @@ Fractions appear only in the answers, as entries over the final pivot.
 The vertices of a slice of a cone are its extreme rays at positive height,
 rescaled.  An exact phase 1 finds a first vertex or proves the slice empty,
 and the others are found by walking the edges of the slice from it, so the
-work grows with the number of vertices and edges, not with the number of
-constraint subsets, and does not depend on the order of the rows.  Both
-move by fraction-free pivots of one integer simplex dictionary, each new
-simple vertex one pivot; only degenerate vertices take one elimination per
-subset of their tight rows.
+work grows with the number of bases walked (one per vertex of a simple
+slice) and their edges, not with the number of constraint subsets, and
+does not depend on the order of the rows.  Both
+move by fraction-free pivots of one integer simplex dictionary, one pivot
+per basis; a lexicographic ratio test walks degenerate vertices by pivots
+too, so a whole walk takes two eliminations, the lineality check and the
+first dictionary.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -87,45 +89,23 @@ def solve_general(rows, rhs):
     return x
 
 
-def _ray(subset, rows, dim):
-    """(y, rows @ y) for the primitive y spanning the kernel of ``subset``
-    with rows @ y <= 0, or None when the subset has rank below dim - 1 or
-    neither sign of its kernel line satisfies every row."""
-    e, pivots, d, _ = echelon(subset)
-    if len(pivots) != dim - 1:
-        return None
-    y = primitive(_kernel(e, pivots, d, dim)[0])
-    vals = [dot(row, y) for row in rows]
-    if any(v > 0 for v in vals):
-        if any(v < 0 for v in vals):
-            return None  # the kernel line leaves the cone both ways
-        y, vals = [-x for x in y], [-v for v in vals]
-    return y, vals
-
-
-def _dictionary(rows, up, lead):
-    """The simplex dictionary (cols, d, basis) of the basis up, B, with B the
-    rows ``lead`` or, for no ``lead``, each row independent of up and the
-    rows before it; the rows span Q^dim and up is nonzero.
+def _dictionary(rows, up):
+    """The simplex dictionary (cols, d, basis) of the basis up, B, with B
+    each row independent of up and the rows before it; the rows span Q^dim
+    and up is nonzero.
 
     With M the matrix of rows up, B and d = |det M| > 0, ``cols[r]`` is
     column r of d [rows; I] M^-1, one entry per row and then one per
     coordinate, and ``basis[r - 1]`` is row r of M.  Column 0 holds
     d <row, y> per row and then d y, for the point y with <up, y> = 1 and
     B y = 0; column r holds d c_r per row, for row = c_0 up + sum_r c_r B_r.
-    It is read off one ``echelon`` of the columns up, B, the rows and the
+    It is read off one ``echelon`` of the columns up, the rows and the
     identity, which is d M^-T times them.
     """
     eye = identity(len(up))
-    e, pivots, d, _ = echelon(
-        [
-            [u, *(rows[i][j] for i in lead), *(row[j] for row in rows), *eye[j]]
-            for j, u in enumerate(up)
-        ]
-    )
-    skip = len(lead) + 1
-    cols = [row[skip:] if d > 0 else [-x for x in row[skip:]] for row in e]
-    return cols, abs(d), list(lead) or [c - skip for c in pivots[1:]]
+    e, pivots, d, _ = echelon([[u, *(row[j] for row in rows), *eye[j]] for j, u in enumerate(up)])
+    cols = [row[1:] if d > 0 else [-x for x in row[1:]] for row in e]
+    return cols, abs(d), [c - 1 for c in pivots[1:]]
 
 
 def _pivot(dictionary, i, r):
@@ -171,7 +151,7 @@ def _first_ray(rows, up):
     where Bland's rule cannot cycle.  The first basis is up and each row
     independent of up and the rows before it.
     """
-    dictionary = _dictionary(rows, up, ())
+    dictionary = _dictionary(rows, up)
     while True:
         cols, _, basis = dictionary
         enter = next((i for i, v in enumerate(cols[0][: len(rows)]) if v > 0), None)
@@ -183,62 +163,35 @@ def _first_ray(rows, up):
         dictionary = _pivot(dictionary, enter, leave[1])
 
 
-def _pivot_steps(dictionary, n, active, known):
-    """(z, pivot) per edge at a simple vertex with this dictionary over n
-    rows: z the primitive ray at its other end, or None for an unbounded
-    edge, and pivot the (row, position) that reaches z's dictionary, or
-    None when z is degenerate.  Edges in ``known`` are skipped."""
+def _entering(dictionary, r, n, rank_order):
+    """The row among the first n that stops the edge dropping basis
+    position r, by the lexicographic ratio test, or None for an unbounded
+    edge; ``rank_order`` lists the rows by their perturbation's rank."""
     cols, _, basis = dictionary
-    col0 = cols[0]
-    # an arrival is tight on every row of ``active`` but the one its edge drops
-    arrivals = set().union(*(active - zeros for zeros in known))
-    for r, row in enumerate(basis, 1):
-        if row in arrivals:
-            continue
-        colr = cols[r]
-        rising = [(a, b, i) for i, a, b in zip(range(n), col0, colr) if b < 0]
-        if not rising:
-            yield None, None
-            continue
-        pa, pb, enter = rising[0]
-        tie = False
-        for a, b, i in rising[1:]:
-            if a * pb < pa * b:
-                pa, pb, enter, tie = a, b, i, False
+    col0, colr = cols[0], cols[r]
+    ties = []
+    for i in range(n):
+        b = colr[i]
+        if b < 0:
+            a = col0[i]
+            if not ties or a * pb < pa * b:
+                pa, pb, ties = a, b, [i]
             elif a * pb == pa * b:
-                tie = True
-        # identity entries of column 0 after the pivot, times d / sign(P)
-        z = primitive([x * pa - pb * y for x, y in zip(colr[n:], col0[n:])])
-        yield tuple(z), None if tie else (enter, r)
-
-
-def _subset_steps(rows, up, y, vals, known):
-    """(z, None) per edge at a degenerate vertex y with ``vals`` = rows @ y,
-    z as in :func:`_pivot_steps`, by one :func:`_ray` per (dim - 2)-subset
-    of the tight rows whose edge is not in ``known``."""
-    dim = len(y)
-    tight = [i for i, v in enumerate(vals) if v == 0]
-    tight_rows = [rows[i] for i in tight]
-    slack = [(-v, row) for row, v in zip(rows, vals) if v]
-    for subset in combinations(tight, dim - 2) if dim > 1 else ():
-        # a subset inside the zeros of a known edge has its line as kernel
-        if any(zeros.issuperset(subset) for zeros in known):
-            continue
-        ray = _ray([*(rows[i] for i in subset), up], tight_rows, dim)
-        if ray is None:
-            continue
-        d, along = ray
-        known.append({i for i, v in zip(tight, along) if not v})
-        # the step y -> y + (num / den) d stops at the first row to vanish
-        num, den = 0, 0
-        for v, row in slack:
-            s = dot(row, d)
-            if s > 0 and (not den or v * den < num * s):
-                num, den = v, s
-        if not den:
-            yield None, None
-        else:
-            yield tuple(primitive([den * a + num * b for a, b in zip(y, d)])), None
+                ties.append(i)
+    if len(ties) > 1:
+        position = {row: q for q, row in enumerate(basis, 1)}
+        for k in rank_order:
+            q = position.get(k)
+            if q is None:
+                if k in ties:  # its own eps term: the others reach 0 first
+                    ties.remove(k)
+            elif q != r:
+                ratio = {i: Fraction(cols[q][i], colr[i]) for i in ties}
+                low = min(ratio.values())
+                ties = [i for i in ties if ratio[i] == low]
+            if len(ties) == 1:
+                break
+    return ties[0] if ties else None
 
 
 def sliced_cone_points(a_rows, height):
@@ -248,42 +201,65 @@ def sliced_cone_points(a_rows, height):
     The points are the rays of K at positive height, rescaled to height 1,
     in lexicographic order: the vertices of the slice.  Each comes as a
     pair (point, tight) with ``tight`` the indices of the rows of A that
-    vanish on the primitive integer ray.  Lineality makes the slice
-    unbounded with no vertex to report; it is found first, and K is cut
-    down to its orthogonal complement, where an exact phase 1
+    vanish on the primitive integer ray.  Each row is first divided by the
+    gcd of its integer form, which cuts the same half-space.  Lineality
+    makes the slice unbounded with no vertex to report; it is found first,
+    and K is cut down to its orthogonal complement, where an exact phase 1
     (:func:`_first_ray`) finds a first vertex or proves the slice empty.
 
-    From that vertex the slice is walked along its edges.  The bounded
-    edges of a pointed polyhedron connect all its vertices (the walk is
-    the idea behind Avis and Fukuda's reverse search, Discrete Comput.
-    Geom. 1992), so every vertex of an unbounded slice is reported too.
+    From there the slice is walked basis by basis on the integer simplex
+    dictionary B = d [rows; I] M^-1, M = [up; A_T] for a basis T of
+    dim - 1 rows, as in Avis's lrs: column 0 is d <row, y> per row and
+    then d y for the basis point y, and dropping the row in position r
+    moves y along the edge y - t M^-1 e_r, on which the rows with
+    B[i][r] < 0 rise.  The ratio test, a cross-multiplied min of
+    B[i][0] / B[i][r] over those rows, finds the row i that stops it, and
+    the basis with i in position r is one :func:`_pivot` away; with no
+    such row the edge is unbounded.  A tie means the vertex at the other
+    end is tight on more than dim - 1 rows, and is broken
+    lexicographically (Dantzig, Orden and Wolfe, Pacific J. Math. 1955).
 
-    A simple vertex y, tight on exactly dim - 1 rows T, is walked on its
-    integer simplex dictionary B = d [rows; I] M^-1, M = [up; A_T], as in
-    Avis's lrs: column 0 is d <row, y> per row, zero exactly on T, and
-    then d y.  Dropping the row in position r moves y along the edge
-    y - t M^-1 e_r, on which the rows with B[i][r] < 0 rise.  The ratio
-    test, a cross-multiplied min of B[i][0] / B[i][r] over those rows,
-    finds the row i that stops it; with no such row the edge is unbounded.
-    The neighbour's ray is column 0 of the dictionary after i replaces r
-    (:func:`_pivot`), whose identity entries cost dim products, and only a
-    neighbour not seen before pays the full pivot.  A tie in the ratio
-    test means the neighbour is tight on more than dim - 1 rows: it is a
-    degenerate vertex.
-
-    A degenerate vertex, reached by a tie or by phase 1, is walked by
-    subsets instead: its edge directions are the extreme rays of the
-    tangent cone {d : A_T d <= 0, <d, height> = 0}, each the kernel of a
-    (dim - 2)-subset of T plus the height row, and an integer ratio test
-    over the other rows gives the next vertex.  A simple vertex found
-    that way gets its dictionary from one elimination and is walked by
-    pivots again.  At either kind of vertex, an edge already walked from
-    its other end is skipped.
+    Lemma.  Perturb row k to <row_k, y> <= eps^rank(k), ranking the rows
+    outside phase 1's final basis first, in index order, and that basis's
+    rows last.  For all small eps > 0:
+    (1) The perturbed slice P_eps is simple.  A point on it tight on rows
+        S, |S| > dim - 1, would give a dependency sum_S lambda_k row_k =
+        mu up, lambda != 0, and then sum_S lambda_k eps^rank(k) = mu,
+        which holds for finitely many eps only, the ranks being distinct
+        and positive.  So its vertices are the bases whose point is
+        feasible, and each edge of a vertex drops one basis row.
+    (2) It has the recession cone {y : A y <= 0, <y, up> = 0} of the
+        slice, so it is pointed, it is unbounded exactly when the slice
+        is, and its bounded edges connect all its vertices.
+    (3) The basis point of T is y + sum_q eps^rank(T_q) M^-1 e_q, so row
+        i's slack d (eps^rank(i) - <row_i, y_eps>) is -B[i][0] +
+        d eps^rank(i) [i not in T] - sum_q B[i][q] eps^rank(T_q).  T is a
+        vertex of P_eps iff each slack is lexicographically positive in
+        rank order, which holds for phase 1's basis: it is feasible, and
+        a row outside it meets its own term d eps^rank(i) before any
+        other.  Along the edge dropping position r, a row i with
+        B[i][r] < 0 runs out of slack at t = slack / -B[i][r], so the
+        edge ends at the row with the lexicographically smallest ratio:
+        B[i][0] / B[i][r] first, then, rank by rank, d [k = i] for a row
+        k outside T and -B[i][q] for the basis row at position q, each
+        over -B[i][r].  Two rows never tie, each having its own eps term,
+        and the new basis is lexicographically feasible again.
+    (4) Every vertex v of the slice is the limit of one of them: with c
+        maximal on the slice at v alone, the lexicographic simplex method
+        for c ends at a vertex of P_eps whose limit maximizes c.
+    So the walk from phase 1's basis along the edges of (3), one pivot
+    per basis, reaches every vertex of P_eps by (2) and so every vertex
+    of the slice by (4), and it meets an unbounded edge exactly when the
+    slice is unbounded.  A basis already reached is not pivoted to again,
+    and an edge known to lead back to one is not tested again.  Each
+    vertex is reported once, at its first basis, with the zeros of
+    column 0 over the rows of A as its tight set.
     """
     dim = len(height)
     m = len(a_rows)
     den, up = over_common_denominator([Fraction(x) for x in height])
-    rows = [*(_integral(row) for row in a_rows), [-x for x in up]]
+    rows = [primitive(row) if any(row) else row for row in map(_integral, a_rows)]
+    rows.append([-x for x in up])
     lineality = [_integral(y) for y in null_space(rows, dim)]
     rows += lineality + [[-x for x in y] for y in lineality]
     first = _first_ray(rows, up) if any(up) else None
@@ -292,44 +268,41 @@ def sliced_cone_points(a_rows, height):
     if lineality:
         return "unbounded", []
     status = "bounded"
-    col0 = first[0][0]  # tight on dim - 1 rows at a simple vertex
-    y = tuple(primitive(col0[m + 1 :]))
-    queue = [(y, first if col0[: m + 1].count(0) == dim - 1 else None)]
-    seen = {y}
-    # per vertex not yet walked from, the tight sets of the vertices that
-    # reached it: rows tight at both ends of an edge vanish on it
-    arrived = {}
-    found = []
-    for y, dictionary in queue:
-        known = arrived.pop(y, [])
-        if dictionary is None:
-            vals = [dot(row, y) for row in rows]
-            tight = [i for i, v in enumerate(vals) if v == 0]
-            if len(tight) == dim - 1:
-                dictionary = _dictionary(rows, up, tight)
-        if dictionary is None:
-            active = frozenset(tight)
-            steps = _subset_steps(rows, up, y, vals, known)
-        else:
-            active = frozenset(sorted(dictionary[2]))
-            steps = _pivot_steps(dictionary, m + 1, active, known)
-        found.append((y, active))
-        for z, pivot in steps:
-            if z is None:
+    n = m + 1
+    rank_order = [i for i in range(n) if i not in first[2]] + first[2]
+    # per basis reached, the rows whose drop leads back to a basis reached before
+    back = {frozenset(first[2]): set()}
+    queue = deque([first])
+    found = {}
+    while queue:
+        dictionary = queue.popleft()
+        cols, _, basis = dictionary
+        col0 = cols[0]
+        y = tuple(primitive(col0[n:]))
+        if y not in found:
+            found[y] = frozenset(i for i in range(m) if not col0[i])
+        here = frozenset(basis)
+        skip = back[here]
+        for r, row in enumerate(basis, 1):
+            if row in skip:
+                continue
+            enter = _entering(dictionary, r, n, rank_order)
+            if enter is None:
                 status = "unbounded"
-            elif z not in seen:
-                seen.add(z)
-                queue.append((z, pivot and _pivot(dictionary, *pivot)))
-                arrived[z] = [active]
-            elif z in arrived:
-                arrived[z].append(active)
+                continue
+            there = here - {row} | {enter}
+            if there in back:
+                back[there].add(enter)
+            else:
+                back[there] = {enter}
+                queue.append(_pivot(dictionary, enter, r))
     # y / <y, up> in lexicographic order is y L / <y, up> in integers, with
     # L the lcm of the heights; distinct rays give distinct points
-    heights = [dot(y, up) for y, _ in found]
-    big = lcm(*heights)
-    order = sorted(range(len(found)), key=lambda v: [x * (big // heights[v]) for x in found[v][0]])
+    heights = {y: dot(y, up) for y in found}
+    big = lcm(*heights.values())
     return status, [
-        (tuple(Fraction(x * den, heights[v]) for x in found[v][0]), found[v][1]) for v in order
+        (tuple(Fraction(x * den, heights[y]) for x in y), found[y])
+        for y in sorted(found, key=lambda y: [x * (big // heights[y]) for x in y])
     ]
 
 

@@ -49,14 +49,14 @@ class LabeledFacet(FrozenValue):
         offset = Fraction(offset)
         if not any(normal):
             raise ValueError("normal is zero")
+        if label < 1:
+            raise ValueError("label must be a positive integer")
         g = gcd(*normal)
         if g != 1:
             reduced = ", ".join(str(x // g) for x in normal)
             raise ValueError(
                 f"normal not primitive; write label {label * g}, normal ({reduced})"
             )
-        if label < 1:
-            raise ValueError("label must be a positive integer")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "offset", offset)
@@ -210,6 +210,8 @@ def is_rational(poly: LabeledPolytope, reeb) -> bool:
 
 
 def contains(poly: LabeledPolytope, reeb, point) -> bool:
+    if len(reeb) != poly.ambient_dim:
+        raise ValueError("characteristic vector has wrong dimension")
     if len(point) != poly.ambient_dim:
         raise ValueError("point has wrong dimension")
     p = [Fraction(x) for x in point]

@@ -316,10 +316,10 @@ class TestErrors:
         assert not out.stdout
         assert "empty polytope" in out.stderr
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_cross_polytope_not_simple_exit_two(self, capsys, monkeypatch, n):
         # +-x_1 +- ... +- x_n <= 1 at reeb e_(n+1): every vertex is tight on
-        # 2^(n-1) facets, so the whole walk goes by subsets
+        # 2^(n-1) facets, and the walk pivots among its bases
         facets = [
             {"normal": [*signs, -1], "label": 1, "offset": "0"}
             for signs in product((-1, 1), repeat=n)

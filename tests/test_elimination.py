@@ -332,9 +332,8 @@ def _fractional_reeb(rng, d):
 
 
 class TestPivotWalkOnSimpleData:
-    """On a simple polytope every vertex is walked by pivots: no subset is
-    tried, and the null space and the first dictionary are the only
-    eliminations."""
+    """On a simple polytope every vertex is one basis, reached by one pivot:
+    the null space and the first dictionary are the only eliminations."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -352,7 +351,7 @@ class TestPivotWalkOnSimpleData:
             r = d.reeb
         a_rows = [[-x for x in u] for u in cone_normals(d.polytope, r)]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _traced(monkeypatch, "echelon", "_ray")
+            calls = _traced(monkeypatch, "echelon")
             got = sliced_cone_points(a_rows, list(r))
         assert got == scan_sliced_cone_points(a_rows, list(r))
         assert got[0] == "bounded" and len(got[1]) == len(d.vertices)
@@ -375,36 +374,46 @@ def _prism(a_rows, b):
 
 
 class TestPivotsAndSubsets:
-    """A degenerate vertex is walked by subsets, and a simple vertex found
-    there gets one elimination and is walked by pivots again."""
+    """A degenerate vertex is walked by pivots among its bases, the
+    (dim - 1)-subsets of its tight rows that the lexicographic ratio test
+    reaches, as a simple vertex is: every walk takes the null space and the
+    first dictionary as its only eliminations."""
 
     BASE_FIRST = TestEdgeWalkAgainstScan.SYSTEMS["square pyramid"]
     SIDES_FIRST = (BASE_FIRST[0][1:] + BASE_FIRST[0][:1], BASE_FIRST[1][1:] + BASE_FIRST[1][:1])
 
-    def _walk(self, monkeypatch, system):
-        calls = _traced(monkeypatch, "_pivot", "_ray", "_dictionary")
-        a_rows, height = _homogenized(*system)
-        got = sliced_cone_points(a_rows, height)
-        assert got == scan_sliced_cone_points(a_rows, height)
-        return calls
+    def _walk(self, a_rows, height):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _traced(monkeypatch, "echelon")
+            got = sliced_cone_points(a_rows, height)
+        assert Counter(calls) == {"echelon": 2}
+        return got
 
-    def test_pivots_to_the_apex_and_back(self, monkeypatch):
-        # phase 1 stops at a base vertex; pivots reach the apex by a tie,
-        # its subsets find the rest, and the prism's far side is pivoted to
-        calls = self._walk(monkeypatch, self.BASE_FIRST)
-        assert calls[:3] == ["_dictionary", "_pivot", "_pivot"] and "_ray" in calls
-        calls = self._walk(monkeypatch, _prism(*self.BASE_FIRST))
-        first_ray = calls.index("_ray")
-        assert "_pivot" in calls[:first_ray] and "_pivot" in calls[first_ray:]
+    def test_pivots_to_the_apex_and_back(self):
+        # phase 1 stops at a base vertex, and the walk pivots to the apex,
+        # then on to the rest and, in the prism, to its far side
+        for system in (self.BASE_FIRST, _prism(*self.BASE_FIRST)):
+            a_rows, height = _homogenized(*system)
+            assert self._walk(a_rows, height) == scan_sliced_cone_points(a_rows, height)
 
-    def test_phase_one_on_the_apex(self, monkeypatch):
-        # the side facets come first, so phase 1 stops at the apex: subsets
-        # find the four base vertices, each simple with its own dictionary
-        calls = self._walk(monkeypatch, self.SIDES_FIRST)
-        assert calls[:2] == ["_dictionary", "_ray"]
-        assert calls.count("_dictionary") == 5 and "_pivot" not in calls
-        calls = self._walk(monkeypatch, _prism(*self.SIDES_FIRST))
-        assert calls.count("_dictionary") == 9
+    def test_phase_one_on_the_apex(self):
+        # the side facets come first, so phase 1 stops at the apex
+        for system in (self.SIDES_FIRST, _prism(*self.SIDES_FIRST)):
+            a_rows, height = _homogenized(*system)
+            assert self._walk(a_rows, height) == scan_sliced_cone_points(a_rows, height)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cross_polytope(self, n):
+        # every vertex +-e_i is tight on 2^(n-1) of the 2^n facets
+        a_rows, height = _homogenized([list(s) for s in product((-1, 1), repeat=n)], [1] * 2**n)
+        status, points = self._walk(a_rows, height)
+        assert status == "bounded" and len(points) == 2 * n
+        for point, tight in points:
+            i = next(j for j, x in enumerate(point) if x)
+            assert sorted(map(abs, point[:-1])) == [0] * (n - 1) + [1]
+            assert tight == {k for k, row in enumerate(a_rows) if row[i] == point[i]}
+        if n <= 4:
+            assert (status, points) == scan_sliced_cone_points(a_rows, height)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -417,4 +426,22 @@ class TestPivotsAndSubsets:
         a_rows = [[-x for x in u] for u in cone_normals(poly, reeb)]
         # the scan tries every dim - 1 of the rows and the height row
         assume(comb(len(a_rows) + 1, len(reeb) - 1) <= 300)
-        assert sliced_cone_points(a_rows, reeb) == scan_sliced_cone_points(a_rows, reeb)
+        assert self._walk(a_rows, reeb) == scan_sliced_cone_points(a_rows, reeb)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["cube", "simplex", "product"]),
+        st.sampled_from(["free", "pinned", "cut"]),
+    )
+    def test_degenerate_data_takes_two_eliminations(self, rng, kind, how):
+        poly, reeb = degenerate(rng, random_datum(rng, kind), how)
+        self._walk([[-x for x in u] for u in cone_normals(poly, reeb)], reeb)
+
+    @settings(deadline=None, max_examples=200)
+    @given(padded_systems())
+    def test_padded_systems_take_two_eliminations(self, case):
+        # a zero height has no phase 1, and its null space is the only one
+        a_rows, height, _ = case
+        assume(any(height))
+        self._walk(a_rows, height)

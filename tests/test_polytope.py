@@ -84,6 +84,15 @@ class TestFacetValidation:
         with pytest.raises(ValueError, match="label"):
             LabeledFacet((1, 0), 0)
 
+    def test_label_checked_before_primitivity(self):
+        # the fix-it for a non-primitive normal must not suggest a label
+        # that is itself refused
+        with pytest.raises(ValueError, match="^label must be a positive integer$"):
+            LabeledFacet((2, 4), 0)
+        with pytest.raises(ValueError) as err:
+            LabeledFacet((2, 4), 1)
+        assert str(err.value) == "normal not primitive; write label 2, normal (1, 2)"
+
     def test_duplicate_facets_rejected(self):
         # same normal, proportional constraint: (p, m=1, l=1) vs (p, m=2, l=2)
         with pytest.raises(ValueError, match="duplicate"):
@@ -139,6 +148,23 @@ class TestVertices:
             calls.clear()
             assert len(vertices(*box(n, 1, interleaved))) == 2**n
             assert calls == {"echelon": 2, "_pivot": 2**n - 1}
+
+    def test_interleaved_labels_rebuild_no_more_columns(self, monkeypatch):
+        # opposite facets have different labels when interleaved and equal
+        # ones in blocked order; the walk divides each cone normal by its
+        # gcd, so the labels do not change which columns a pivot rebuilds
+        rebuilt = Counter()
+        real = geometry._pivot
+
+        def counted(dictionary, i, r):
+            new = real(dictionary, i, r)
+            rebuilt[interleaved] += sum(a is not b for a, b in zip(new[0], dictionary[0]))
+            return new
+
+        monkeypatch.setattr(geometry, "_pivot", counted)
+        for interleaved in (False, True):
+            assert len(vertices(*box(6, 1, interleaved))) == 2**6
+        assert 0 < rebuilt[True] <= rebuilt[False]
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_empty_cube_costs_a_few_phase_one_pivots(self, monkeypatch, n):
@@ -258,6 +284,17 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             contains(standard_simplex(), (1, 1, 1), (1, 0))
+
+    def test_characteristic_vector_dimension_mismatch(self):
+        # geometry.dot zips, so an unchecked longer vector is truncated and
+        # the square's centre at reeb (0, 0, 1, 99) would read as contained
+        square, _ = box(2, 1)
+        centre = (F(1, 2), F(1, 2), 1)
+        assert contains(square, (0, 0, 1), centre)
+        for reeb in ((0, 0, 1, 99), (0, 1)):
+            for call in (contains, faces_containing):
+                with pytest.raises(ValueError, match="^characteristic vector has wrong dimension$"):
+                    call(square, reeb, centre)
 
 
 class TestConeNormals:
