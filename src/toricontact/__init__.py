@@ -42,23 +42,53 @@ from .polytope import (
     slice_cone,
     vertices,
 )
-from .reduction import (
-    SpherePresentation,
-    VerificationReport,
-    build_beta,
-    deformation_vector,
-    kernel_torus_weights,
-    reduced_polytope,
-    synthesize,
-    verify_presentation,
+
+# ``reduction`` and ``spheres`` load on first use (PEP 562), so that a CLI
+# process whose command needs neither does not compile them.  The three
+# imports above stay eager: every command validates a datum, and importing
+# ``.classify`` first keeps the function ``classify`` bound over the
+# submodule of the same name.
+_LAZY = dict.fromkeys(
+    (
+        "reduction",
+        "SpherePresentation",
+        "VerificationReport",
+        "build_beta",
+        "deformation_vector",
+        "kernel_torus_weights",
+        "reduced_polytope",
+        "synthesize",
+        "verify_presentation",
+    ),
+    "reduction",
+) | dict.fromkeys(
+    (
+        "spheres",
+        "SampleReport",
+        "WeightVector",
+        "convexity_sample_check",
+        "moment_eval",
+        "reeb_orbit_order",
+        "weighted_simplex",
+    ),
+    "spheres",
 )
-from .spheres import (
-    SampleReport,
-    WeightVector,
-    convexity_sample_check,
-    moment_eval,
-    reeb_orbit_order,
-    weighted_simplex,
-)
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -8,19 +8,21 @@ compose in pipelines:
 
 Exit codes: 0 success / property holds, 1 mathematical failure
 (verification mismatch, sampling violations), 2 input error.
+
+Each command is one short process, so a process loads only the code its
+command runs: ``reduction`` and ``spheres`` are imported inside the
+commands that call them, and argv is parsed from the ``COMMANDS`` table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import documents
 from .classify import classify, perturb_reeb
 from .polytope import cone_over
-from .reduction import synthesize, verify_presentation
-from .spheres import convexity_sample_check, weighted_simplex
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -97,6 +99,8 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import synthesize
+
     pres = synthesize(_read_datum(args))
     doc = documents.presentation_to_document(pres)
     lines = [f"sphere presentation: S^{2 * pres.N - 1}, reduction torus rank {len(pres.weights)}"]
@@ -110,6 +114,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reduction import verify_presentation
+
     datum = _read_datum(args)
     with open(args.presentation, "r", encoding="utf-8") as handle:
         pres = documents.parse_presentation(handle.read())
@@ -134,10 +140,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
+    from .spheres import weighted_simplex
+
     return _emit_datum(args, weighted_simplex(args.weights))
 
 
 def _cmd_sample(args) -> int:
+    from .spheres import convexity_sample_check
+
     report = convexity_sample_check(args.weights, args.count, args.seed, args.tol)
     doc = documents.sample_report_to_document(report)
     lines = [
@@ -150,76 +160,136 @@ def _cmd_sample(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricontact",
-        description="Toric contact data: validation, invariants, sphere reductions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# A flag maps to (converter, default, required).  The converter is a
+# callable that raises ValueError on a bad value, a tuple of the values
+# allowed, or None for a switch, which takes no value and sets True.
+_OUTPUT = {"--output": (("json", "text"), None, False)}
+_MODE = {"--mode": (("rational", "irrational"), None, False)}
+_VERTICES = {"--emit-vertices": (None, False, False)}
+_WEIGHTS = {"--weights": (_int_vector, None, True)}
 
-    def common(p, stdin_datum=True, emits_datum=False):
-        p.add_argument(
-            "--output",
-            choices=("json", "text"),
-            default=None,
-            help="default: text on a terminal, json when piped",
-        )
-        if stdin_datum:
-            p.add_argument(
-                "--mode",
-                choices=("rational", "irrational"),
-                default=None,
-                help="override the document's parsing mode",
-            )
-        if emits_datum:
-            p.add_argument("--emit-vertices", action="store_true")
+# command -> (handler, one-line help, flags)
+COMMANDS = {
+    "validate": (
+        _cmd_validate, "parse, validate and echo a datum", {**_OUTPUT, **_MODE, **_VERTICES}
+    ),
+    "classify": (_cmd_classify, "regularity and per-face invariants", {**_OUTPUT, **_MODE}),
+    "cone": (_cmd_cone, "moment cone of a datum", {**_OUTPUT, **_MODE}),
+    "slice": (
+        _cmd_slice,
+        "reslice the moment cone with a new Reeb vector",
+        {"--reeb": (_int_vector, None, True), **_OUTPUT, **_MODE, **_VERTICES},
+    ),
+    "reduce": (_cmd_reduce, "synthesize the sphere presentation", {**_OUTPUT, **_MODE}),
+    "verify": (
+        _cmd_verify,
+        "verify a presentation against a datum",
+        {"--presentation": (str, None, True), **_OUTPUT, **_MODE},
+    ),
+    "sphere": (
+        _cmd_sphere, "weighted sphere datum from weights", {**_WEIGHTS, **_OUTPUT, **_VERTICES}
+    ),
+    "sample": (
+        _cmd_sample,
+        "Gaussian sampling check of the moment image",
+        {
+            **_WEIGHTS,
+            "--count": (int, 10000, False),
+            "--seed": (int, 0, False),
+            "--tol": (float, 1e-9, False),
+            **_OUTPUT,
+        },
+    ),
+}
 
-    p = sub.add_parser("validate", help="parse, validate and echo a datum")
-    common(p, emits_datum=True)
-    p.set_defaults(func=_cmd_validate)
+_NOTES = """\
+Commands other than sphere and sample read a datum document on stdin.
+--output defaults to text on a terminal and json when piped; --mode
+overrides the document's parsing mode.  Flags take --flag VALUE or
+--flag=VALUE and are not abbreviated; toricontact COMMAND --help lists
+a command's flags."""
 
-    p = sub.add_parser("classify", help="regularity and per-face invariants")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("cone", help="moment cone of a datum")
-    common(p)
-    p.set_defaults(func=_cmd_cone)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: toricontact COMMAND [FLAGS]"
+    words = ["usage: toricontact", command]
+    for flag, (convert, _, required) in COMMANDS[command][2].items():
+        if isinstance(convert, tuple):
+            flag += " " + "|".join(convert)
+        elif convert is not None:
+            flag += " " + flag[2:].upper()
+        words.append(flag if required else f"[{flag}]")
+    return " ".join(words)
 
-    p = sub.add_parser("slice", help="reslice the moment cone with a new Reeb vector")
-    common(p, emits_datum=True)
-    p.add_argument("--reeb", type=_int_vector, required=True)
-    p.set_defaults(func=_cmd_slice)
 
-    p = sub.add_parser("reduce", help="synthesize the sphere presentation")
-    common(p)
-    p.set_defaults(func=_cmd_reduce)
+def _help(command: str | None):
+    if command is None:
+        lines = [_usage(None), "", "Toric contact data: validation, invariants, sphere reductions.",
+                 "", "commands:", *(f"  {name:<9} {entry[1]}" for name, entry in COMMANDS.items())]
+    else:
+        lines = [_usage(command), "", COMMANDS[command][1]]
+    print("\n".join([*lines, "", _NOTES]))
+    raise SystemExit(0)
 
-    p = sub.add_parser("verify", help="verify a presentation against a datum")
-    common(p)
-    p.add_argument("--presentation", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sphere", help="weighted sphere datum from weights")
-    common(p, stdin_datum=False, emits_datum=True)
-    p.add_argument("--weights", type=_int_vector, required=True)
-    p.set_defaults(func=_cmd_sphere)
+def _fail(command: str | None, message: str):
+    print(_usage(command), file=sys.stderr)
+    print(f"toricontact: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("sample", help="Gaussian sampling check of the moment image")
-    common(p, stdin_datum=False)
-    p.add_argument("--weights", type=_int_vector, required=True)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_sample)
-    return parser
+
+def _parse_args(argv: list[str]):
+    """(handler, args) for one command line.  ``--help`` raises
+    SystemExit(0) after printing usage, a usage error SystemExit(2)."""
+    if not argv:
+        _fail(None, "missing command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        _fail(None, f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    handler, _, flags = COMMANDS[command]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            if not flag.startswith("-"):
+                _fail(command, f"unexpected argument {token!r}")
+            _fail(command, f"unknown flag {flag}")
+        convert = flags[flag][0]
+        if convert is None:
+            if eq:
+                _fail(command, f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _fail(command, f"{flag} needs a value")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                _fail(command, f"{flag} must be one of {', '.join(convert)}, got {value!r}")
+            values[flag] = value
+        else:
+            try:
+                values[flag] = convert(value)
+            except ValueError as exc:
+                _fail(command, f"{flag}: {exc}")
+    for flag, (_, _, required) in flags.items():
+        if required and values[flag] is None:
+            _fail(command, f"missing required flag {flag}")
+    args = SimpleNamespace(**{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+    return handler, args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

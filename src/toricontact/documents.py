@@ -11,10 +11,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .classify import ClassificationReport, ToricContactDatum, validate_datum
-from .polytope import LabeledFacet, LabeledPolytope, MomentCone
-from .reduction import SpherePresentation, VerificationReport
-from .spheres import SampleReport
+from .classify import validate_datum
+from .polytope import LabeledFacet, LabeledPolytope
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only, so that no command loads a module it does not run
+    from .classify import ClassificationReport, ToricContactDatum
+    from .polytope import MomentCone
+    from .reduction import SpherePresentation, VerificationReport
+    from .spheres import SampleReport
 
 __all__ = [
     "classification_to_document",
@@ -128,6 +133,8 @@ def presentation_to_document(pres: SpherePresentation) -> dict:
 
 
 def presentation_from_document(doc) -> SpherePresentation:
+    from .reduction import SpherePresentation
+
     if not isinstance(doc, dict):
         raise ValueError("presentation document must be a JSON object")
     for key in ("N", "beta", "weights", "deformation"):

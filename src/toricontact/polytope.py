@@ -49,7 +49,7 @@ class LabeledFacet(FrozenValue):
         offset = Fraction(offset)
         if not any(normal):
             raise ValueError("normal is zero")
-        if label < 1:
+        if isinstance(label, bool) or not isinstance(label, int) or label < 1:
             raise ValueError("label must be a positive integer")
         g = gcd(*normal)
         if g != 1:

@@ -12,7 +12,7 @@ oracle for the holonomy groups computed combinatorially in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .classify import ToricContactDatum, validate_datum
 from .lattice import FrozenValue
@@ -123,6 +123,8 @@ def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> Sampl
     w = _as_weights(a)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not 0 <= tol < inf:  # also refuses NaN, which every comparison fails
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     datum = weighted_simplex(w)
     labels = np.array([f.label for f in datum.facets], dtype=float)
     weights = np.array(w.entries, dtype=float)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from toricontact.cli import main
+from toricontact.cli import COMMANDS, main
 from toricontact.documents import (
     parse_datum,
     parse_presentation,
@@ -416,6 +420,14 @@ class TestErrors:
         assert "label 2" in text_out
         assert json.loads(json_out)["facets"][0]["label"] == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_sample_tol_exit_two(self, capsys, tol):
+        # --tol nan reported ok and printed "tol": NaN, which is not JSON;
+        # --tol -1 failed every sample and exited 1
+        code, out, err = run_cli(capsys, ["sample", "--weights", "1,2,3", "--tol", tol])
+        assert code == 2 and not out
+        assert "tol must be a finite nonnegative number" in err
+
     def test_piped_default_is_machine_readable(self, capsys):
         # stdout is not a tty under pytest: the document comes out as JSON
         code, out, _ = run_cli(capsys, ["sphere", "--weights", "1,2"])
@@ -446,3 +458,152 @@ def test_cli_import_leaves_numpy_out():
     added = set(out.stdout.split())
     assert "toricontact.cli" in added
     assert not added & {"numpy", "dataclasses", "inspect"}
+
+
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ([], "missing command"),
+            (["frobnicate"], "'frobnicate'"),
+            (["verify", "--pres", "p.json"], "--pres"),  # no prefix abbreviations
+            (["sphere", "--weights", "1,2", "--reeb", "1,2"], "--reeb"),
+            (["sphere", "--weights", "1,2", "extra"], "'extra'"),
+            (["sphere"], "--weights"),
+            (["sphere", "--weights"], "--weights"),
+            (["sphere", "--weights", "1,2", "--output", "xml"], "--output"),
+            (["classify", "--mode=exact"], "--mode"),
+            (["sphere", "--weights", "1,a"], "--weights"),
+            (["sample", "--weights", "1,2", "--count", "ten"], "--count"),
+            (["sample", "--weights", "1,2", "--tol", "small"], "--tol"),
+            (["sphere", "--weights", "1,2", "--emit-vertices=yes"], "--emit-vertices"),
+        ],
+    )
+    def test_usage_error_exits_two(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert not captured.out
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: toricontact")
+        assert error.startswith("toricontact: error: ") and named in error
+
+    def test_equals_form(self, capsys):
+        spaced = run_cli(capsys, ["sphere", "--weights", "1,2", "--output", "text"])
+        joined = run_cli(capsys, ["sphere", "--weights=1,2", "--output=text"])
+        assert joined == spaced
+        assert spaced[0] == 0 and "label 2" in spaced[1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["slice", "--help"], ["sample", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: toricontact") and not captured.err
+        if len(argv) == 1:
+            assert all(f"  {name} " in captured.out for name in COMMANDS)
+        else:
+            assert all(flag in captured.out for flag in COMMANDS[argv[0]][2])
+
+    def test_readme_commands_line_names_the_table(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        line = readme.split("\nCommands: ", 1)[1].split(". ", 1)[0]
+        named = [item.split()[0] for item in line.split("`")[1::2]]
+        assert named == list(COMMANDS)
+
+
+def _src_env():
+    import toricontact
+
+    src = os.path.dirname(os.path.dirname(toricontact.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def _readme_example(command, tmp_path):
+    """argv and stdin of the README example of ``command``."""
+    datum = serialize_datum(weighted_simplex((1, 2)))
+    if command == "sphere":
+        return ["sphere", "--weights", "1,2"], ""
+    if command == "sample":
+        return ["sample", "--weights", "1,2,3", "--count", "10000", "--seed", "1999",
+                "--tol", "1e-9"], ""
+    if command == "reduce":
+        return ["reduce"], serialize_datum(weighted_simplex((1, 1, 1)))
+    if command == "slice":
+        return ["slice", "--reeb", "1,1,2"], serialize_datum(weighted_simplex((1, 1, 1)))
+    if command == "verify":
+        pres_file = tmp_path / "presentation.json"
+        pres_file.write_text(serialize_presentation(synthesize(weighted_simplex((1, 2)))))
+        return ["verify", "--presentation", str(pres_file)], datum
+    return [command], datum
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    # a CLI process compiles the package from source when no bytecode is
+    # cached, so a command should import only the code it runs.  ``runpy``
+    # is what ``python -m`` runs the module with; only what it adds counts
+    argv, stdin = _readme_example(command, tmp_path)
+    probe = (
+        "import runpy, sys; bare = set(sys.modules); sys.argv[0] = 'toricontact'\n"
+        "try:\n    runpy.run_module('toricontact.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n    print(' '.join(sorted(set(sys.modules) - bare)), file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], input=stdin, env=_src_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    added = set(out.stderr.splitlines()[-1].split())
+    assert "toricontact.documents" in added
+    assert not added & {"argparse", "gettext", "locale"}
+    assert ("toricontact.reduction" in added) == (command in ("reduce", "verify"))
+    assert ("toricontact.spheres" in added) == (command in ("sphere", "sample"))
+    assert ("numpy" in added) == (command == "sample")
+
+
+# every public name of ``toricontact`` when ``__init__`` imported every module
+PACKAGE_EXPORTS = (
+    "ClassificationReport FaceInvariants ToricContactDatum classify holonomy "
+    "isotropy_algebra perturb_reeb rescale validate_datum FiniteAbelianGroup det hnf "
+    "kernel_lattice_basis primitive quotient_group saturate snf LabeledFacet "
+    "LabeledPolytope MomentCone Vertex cone_over contains faces_containing is_rational "
+    "is_simple slice_cone vertices SpherePresentation VerificationReport build_beta "
+    "deformation_vector kernel_torus_weights reduced_polytope synthesize "
+    "verify_presentation SampleReport WeightVector convexity_sample_check moment_eval "
+    "reeb_orbit_order weighted_simplex __version__ geometry lattice polytope reduction spheres"
+).split()
+
+
+def test_package_surface_after_a_bare_import():
+    probe = (
+        "import sys, types, toricontact\n"
+        "lazy = {'toricontact.reduction', 'toricontact.spheres'}\n"
+        "assert not lazy & set(sys.modules), 'loaded eagerly'\n"
+        f"names = {PACKAGE_EXPORTS!r}\n"
+        "missing = [n for n in names if not hasattr(toricontact, n)]\n"
+        "assert not missing, missing\n"
+        "assert not set(names) - set(dir(toricontact))\n"
+        "from toricontact.reduction import synthesize\n"
+        "assert toricontact.synthesize is synthesize\n"
+        "assert isinstance(toricontact.spheres, types.ModuleType)\n"
+        "assert not hasattr(toricontact, 'no_such_name')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_classify_stays_the_function_after_importing_reduction():
+    probe = (
+        "import toricontact, toricontact.reduction, toricontact.spheres\n"
+        "from toricontact.classify import classify\n"
+        "assert toricontact.classify is classify\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr

@@ -84,6 +84,13 @@ class TestFacetValidation:
         with pytest.raises(ValueError, match="label"):
             LabeledFacet((1, 0), 0)
 
+    @pytest.mark.parametrize("label", [1.5, True, "2"])
+    def test_label_must_be_an_int(self, label):
+        # a float label used to build float functionals, True to write
+        # "label": true, and "2" to raise TypeError from the comparison
+        with pytest.raises(ValueError, match="^label must be a positive integer$"):
+            LabeledFacet((1, 0), label)
+
     def test_label_checked_before_primitivity(self):
         # the fix-it for a non-primitive normal must not suggest a label
         # that is itself refused

@@ -87,6 +87,12 @@ class TestConvexitySampleCheck:
         report = convexity_sample_check((1, 2), 0, seed=0)
         assert report == SampleReport(0, 1e-9, 0.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # NaN passed every sample, and -1 failed every one
+        with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+            convexity_sample_check((1, 2, 3), 100, seed=0, tol=tol)
+
     def test_deterministic_in_seed(self):
         r1 = convexity_sample_check((1, 2), 500, seed=9)
         r2 = convexity_sample_check((1, 2), 500, seed=9)
