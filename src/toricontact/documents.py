@@ -232,3 +232,5 @@ def _loads(text: str):
         raise ValueError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None

@@ -7,6 +7,10 @@ row-major: ``mat[i][j]`` is the entry in row ``i``, column ``j``.
 
 ``echelon`` is the one elimination over Q: rank, determinant and every
 rational solve in :mod:`toricontact.geometry` read their answer off it.
+``_hermite`` is the one elimination over Z, an extended-gcd column
+Hermite loop: ``hnf`` runs it with its witness, the Smith forms alternate
+it on a matrix and its transpose, and the saturated kernel basis is one
+Hermite form of the matrix stacked over the identity.
 """
 
 from __future__ import annotations
@@ -139,6 +143,44 @@ def det(mat: IntMat) -> int:
     return sign * d if len(pivots) == rows else 0
 
 
+def _hermite(h: IntMat, mats: tuple = ()) -> None:
+    """Bring ``h`` to column Hermite normal form in place (see :func:`hnf`),
+    applying every column operation to each matrix of ``mats`` as well."""
+    ms = (h, *mats)
+    cols = len(h[0])
+    pivot_col = 0
+    for prow in h:
+        if pivot_col == cols:
+            break
+        for j in range(pivot_col + 1, cols):
+            b = prow[j]
+            if b == 0:
+                continue
+            g, s, t = _xgcd(prow[pivot_col], b)
+            a, b = prow[pivot_col] // g, b // g
+            # (col_pivot, col_j) <- (s*col_pivot + t*col_j, a*col_j - b*col_pivot)
+            for m in ms:
+                for r in m:
+                    x, y = r[pivot_col], r[j]
+                    r[pivot_col] = s * x + t * y
+                    r[j] = a * y - b * x
+        p = prow[pivot_col]
+        if p == 0:
+            continue
+        if p < 0:
+            p = -p
+            for m in ms:
+                for r in m:
+                    r[pivot_col] = -r[pivot_col]
+        for j in range(pivot_col):
+            q = prow[j] // p  # floor division leaves a remainder in [0, p)
+            if q:
+                for m in ms:
+                    for r in m:
+                        r[j] -= q * r[pivot_col]
+        pivot_col += 1
+
+
 def hnf(mat: IntMat) -> tuple[IntMat, IntMat]:
     """Column-style Hermite normal form.
 
@@ -147,42 +189,9 @@ def hnf(mat: IntMat) -> tuple[IntMat, IntMat]:
     entries to the left of a pivot (in its row) are reduced into
     [0, pivot), and all columns beyond the last pivot are zero.
     """
-    rows, cols = _shape(mat)
-    h = [list(row) for row in mat]
-    u = identity(cols)
-
-    def col_combine(j1, j2, a11, a21, a12, a22):
-        # (col_j1, col_j2) <- (a11*col_j1 + a21*col_j2, a12*col_j1 + a22*col_j2)
-        for m in (h, u):
-            for row in m:
-                x, y = row[j1], row[j2]
-                row[j1] = a11 * x + a21 * y
-                row[j2] = a12 * x + a22 * y
-
-    pivot_col = 0
-    for row in range(rows):
-        if pivot_col == cols:
-            break
-        for j in range(pivot_col + 1, cols):
-            if h[row][j] == 0:
-                continue
-            a, b = h[row][pivot_col], h[row][j]
-            g, s, t = _xgcd(a, b)
-            col_combine(pivot_col, j, s, t, -(b // g), a // g)
-        if h[row][pivot_col] == 0:
-            continue
-        if h[row][pivot_col] < 0:
-            for m in (h, u):
-                for r in m:
-                    r[pivot_col] = -r[pivot_col]
-        p = h[row][pivot_col]
-        for j in range(pivot_col):
-            q = h[row][j] // p  # floor division leaves a remainder in [0, p)
-            if q:
-                for m in (h, u):
-                    for r in m:
-                        r[j] -= q * r[pivot_col]
-        pivot_col += 1
+    _, cols = _shape(mat)
+    h, u = [list(row) for row in mat], identity(cols)
+    _hermite(h, (u,))
     return h, u
 
 
@@ -195,63 +204,34 @@ def rank(mat: IntMat) -> int:
 def _smith(row_mats: tuple, col_mats: tuple) -> None:
     """Bring ``s = row_mats[0]`` (also ``col_mats[0]``) to Smith normal form
     in place, applying every row operation to each matrix of ``row_mats``
-    and every column operation to each matrix of ``col_mats``."""
+    and every column operation to each matrix of ``col_mats``.
+
+    Column and row Hermite forms alternate until ``s`` is diagonal (Kannan
+    and Bachem, SIAM J. Comput. 8(4), 1979).  The corner entry either
+    divides its row and column, and then stays while both clear, or drops
+    to a proper divisor; as the Hermite form of a lattice is unique, a
+    cleared corner splits off and the same holds for the block below it.
+    The row Hermite form leaves zero rows and columns last with positive
+    pivots.  Where d_t does not divide a later d_u, row u is added to
+    row t, whose corner then drops to gcd(d_t, d_u).
+    """
     s = row_mats[0]
-    rows, cols = len(s), len(s[0])
-
-    def row_combine(i1, i2, a11, a12, a21, a22):
+    k = min(len(s), len(s[0]))
+    while True:
+        _hermite(s, col_mats[1:])
+        ts = [transpose(m) for m in row_mats]
+        _hermite(ts[0], ts[1:])
+        for m, mt in zip(row_mats, ts):
+            m[:] = transpose(mt)
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            continue
+        d = [s[i][i] for i in range(k)]
+        offenders = [(t, u) for t in range(k) for u in range(t + 1, k) if d[t] and d[u] % d[t]]
+        if not offenders:
+            return
+        t, u = offenders[0]
         for m in row_mats:
-            r1, r2 = m[i1], m[i2]
-            m[i1] = [a11 * x + a12 * y for x, y in zip(r1, r2)]
-            m[i2] = [a21 * x + a22 * y for x, y in zip(r1, r2)]
-
-    def col_combine(j1, j2, a11, a21, a12, a22):
-        for m in col_mats:
-            for row in m:
-                x, y = row[j1], row[j2]
-                row[j1] = a11 * x + a21 * y
-                row[j2] = a12 * x + a22 * y
-
-    for t in range(min(rows, cols)):
-        # Move the smallest nonzero entry of the trailing block to (t, t),
-        # the first in row-major order on a tie.
-        entries = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(s[i][t:], t) if x]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        for m in row_mats:
-            m[t], m[pi] = m[pi], m[t]
-        for m in col_mats:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    a, b = s[t][t], s[i][t]
-                    if b % a == 0:
-                        row_combine(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        row_combine(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    a, b = s[t][t], s[t][j]
-                    if b % a == 0:
-                        col_combine(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_combine(t, j, x, y, -(b // g), a // g)
-            if any(s[i][t] for i in range(t + 1, rows)):
-                continue  # column ops disturbed the pivot column
-            # add to row t a lower row (0 up to column t) with an entry d_t does not divide
-            p = s[t][t]
-            offender = next((i for i in range(t + 1, rows) if any(x % p for x in s[i])), None)
-            if offender is None:
-                break
-            row_combine(t, offender, 1, 1, 0, 1)
-        if s[t][t] < 0:
-            for m in row_mats:
-                m[t] = [-x for x in m[t]]
+            m[t] = [x + y for x, y in zip(m[t], m[u])]
 
 
 def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -276,36 +256,35 @@ def smith_diagonal(mat: IntMat) -> list[int]:
     return [s[k][k] for k in range(min(rows, cols))]
 
 
-def _row_hnf_basis(mat: IntMat) -> IntMat:
-    """Canonical basis (row HNF, zero rows dropped) of the row lattice."""
-    h, _ = hnf(transpose(mat))
-    return [list(row) for row in zip(*h) if any(row)]
-
-
 def kernel_lattice_basis(mat: IntMat) -> IntMat:
-    """Basis of the saturated integer kernel lattice of ``mat``.
+    """Basis of the saturated integer kernel lattice of ``mat``, in row
+    Hermite normal form.
 
     The rows of the result form a basis of ker(mat over Q) intersected
     with Z^cols; the quotient of Z^cols by their span is torsion free.
     Returns an empty list when the kernel is trivial.
+
+    One Hermite form of ``mat`` stacked over the identity (Cohen, *A Course
+    in Computational Algebraic Number Theory*, 1993, section 2.4): once the
+    rows of ``mat`` are done, the columns past its rank vanish on ``mat``
+    and, the transform being unimodular, their lower block is a basis of
+    the saturated kernel.  The identity rows then only mix those columns
+    among themselves, into their unique Hermite form.
     """
     rows, cols = _shape(mat)
-    h, u = hnf(mat)
-    rk = sum(1 for j in range(cols) if any(row[j] for row in h))
-    basis = [[u[i][j] for i in range(cols)] for j in range(rk, cols)]
-    if not basis:
-        return []
-    return _row_hnf_basis(basis)
+    h = [list(row) for row in mat] + identity(cols)
+    _hermite(h)
+    rk = sum(1 for j in range(cols) if any(row[j] for row in h[:rows]))
+    return [[h[rows + i][j] for i in range(cols)] for j in range(rk, cols)]
 
 
 def saturate(generators: IntMat) -> IntMat:
     """Basis of (rational span of the generator rows) intersected with Z^cols."""
-    rows, cols = _shape(generators)
+    _, cols = _shape(generators)
     annihilator = kernel_lattice_basis(generators)
     if not annihilator:
         return identity(cols)
-    result = kernel_lattice_basis(annihilator)
-    return result if result else []
+    return kernel_lattice_basis(annihilator)
 
 
 class FrozenValue:
@@ -357,6 +336,9 @@ class FiniteAbelianGroup(FrozenValue):
     __slots__ = ("invariant_factors", "free_rank")
 
     def __init__(self, invariant_factors: tuple[int, ...] = (), free_rank: int = 0):
+        invariant_factors = tuple(invariant_factors)
+        if not all(type(x) is int for x in (*invariant_factors, free_rank)):
+            raise ValueError("invariant factors and free rank must be integers")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in invariant_factors:

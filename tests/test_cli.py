@@ -403,6 +403,29 @@ class TestErrors:
         assert not out
         assert "weight row count must be N minus the ambient dimension" in err
 
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    def test_deeply_nested_stdin_exit_two(self, capsys, monkeypatch):
+        # json.loads used to raise RecursionError, which exited 1
+        code, out, err = run_cli(capsys, ["validate"], stdin=self.NESTED, monkeypatch=monkeypatch)
+        assert code == 2
+        assert not out
+        assert "nested too deeply" in err
+
+    def test_deeply_nested_presentation_exit_two(self, capsys, monkeypatch, tmp_path):
+        d = weighted_simplex((1, 2))
+        pres_file = tmp_path / "nested.json"
+        pres_file.write_text(self.NESTED)
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--presentation", str(pres_file)],
+            stdin=serialize_datum(d),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert not out
+        assert "nested too deeply" in err
+
     def test_bad_slice_reeb_exit_two(self, capsys, monkeypatch):
         _, datum_doc, _ = run_cli(capsys, ["sphere", "--weights", "1,1", "--output", "json"])
         code, _, err = run_cli(

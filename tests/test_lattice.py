@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricontact import lattice
 from toricontact.lattice import (
     FiniteAbelianGroup,
     det,
@@ -34,6 +35,25 @@ def small_matrices(max_dim=4, max_entry=9):
             )
         )
     )
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small matrices, many of them a single row or column, with zero rows,
+    or rank deficient (a row a combination of two earlier ones)."""
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    rows = 1 if shape == "row" else draw(st.integers(1, 4))
+    cols = 1 if shape == "column" else draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(rows):
+        how = draw(st.sampled_from(["keep", "zero", "combine"]))
+        if how == "zero":
+            m[i] = [0] * cols
+        elif how == "combine" and i >= 2:
+            a, b = draw(entry), draw(entry)
+            m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
 
 
 def diag_of(mat):
@@ -104,7 +124,7 @@ class TestSnf:
         assert s == [[2]]
 
     @settings(deadline=None, max_examples=150)
-    @given(small_matrices())
+    @given(st.one_of(small_matrices(), degenerate_matrices()))
     def test_properties(self, m):
         s, u, v = snf(m)
         assert matmul(matmul(u, m), v) == s
@@ -129,25 +149,6 @@ class TestSnf:
         s, _, _ = snf(m)
         d = [x for x in diag_of(s) if x]
         assert d == minor_gcd_invariant_factors(m)
-
-
-@st.composite
-def degenerate_matrices(draw):
-    """Small matrices, many of them a single row or column, with zero rows,
-    or rank deficient (a row a combination of two earlier ones)."""
-    shape = draw(st.sampled_from(["any", "row", "column"]))
-    rows = 1 if shape == "row" else draw(st.integers(1, 4))
-    cols = 1 if shape == "column" else draw(st.integers(1, 4))
-    entry = st.integers(-9, 9)
-    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    for i in range(rows):
-        how = draw(st.sampled_from(["keep", "zero", "combine"]))
-        if how == "zero":
-            m[i] = [0] * cols
-        elif how == "combine" and i >= 2:
-            a, b = draw(entry), draw(entry)
-            m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
-    return m
 
 
 class TestSmithDiagonal:
@@ -204,6 +205,47 @@ class TestKernel:
             assert all(sum(a * b for a, b in zip(mr, row)) == 0 for mr in m)
         s, _, _ = snf(basis)
         assert all(x == 1 for x in diag_of(s) if x is not None)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_row_lattice_invariant_and_in_row_hnf(self, data):
+        # ker(X @ m) = ker(m) and the rational row spans agree for any
+        # nonsingular X, so the canonical forms must agree exactly
+        m = data.draw(st.one_of(small_matrices(), degenerate_matrices()))
+        rows = len(m)
+        x = data.draw(
+            st.lists(
+                st.lists(st.integers(-4, 4), min_size=rows, max_size=rows),
+                min_size=rows,
+                max_size=rows,
+            ).filter(lambda x: det(x) != 0)
+        )
+        basis = kernel_lattice_basis(m)
+        assert kernel_lattice_basis(matmul(x, m)) == basis
+        assert saturate(matmul(x, m)) == saturate(m)
+        # row HNF: pivots move right, are positive, and reduce the entries above
+        pivot_cols = [next(j for j, v in enumerate(row) if v) for row in basis]
+        assert pivot_cols == sorted(set(pivot_cols))
+        for r, c in enumerate(pivot_cols):
+            p = basis[r][c]
+            assert p > 0
+            assert all(0 <= basis[i][c] < p for i in range(r))
+
+    def test_one_hermite_form_and_no_hnf(self, monkeypatch):
+        calls = []
+        hermite = lattice._hermite
+
+        def counted(h, mats=()):
+            calls.append(len(mats))
+            return hermite(h, mats)
+
+        def refused(mat):
+            raise AssertionError("hnf ran")
+
+        monkeypatch.setattr(lattice, "_hermite", counted)
+        monkeypatch.setattr(lattice, "hnf", refused)
+        assert kernel_lattice_basis([[1, 2, 3], [2, 4, 7]]) == [[2, -1, 0]]
+        assert calls == [0]
 
 
 class TestSaturate:
@@ -329,6 +371,15 @@ class TestFiniteAbelianGroup:
     def test_str(self):
         assert str(FiniteAbelianGroup()) == "trivial"
         assert str(FiniteAbelianGroup((2, 4), 1)) == "C2 x C4 x Z"
+
+    def test_factors_stored_as_a_tuple_of_ints(self):
+        g = FiniteAbelianGroup([2, 4])
+        assert g.invariant_factors == (2, 4)
+        assert g == FiniteAbelianGroup((2, 4))
+        assert hash(g) == hash(FiniteAbelianGroup((2, 4)))
+        for factors, free_rank in [((2.0,), 0), ((2,), True), ((True, 2), 0), ((2,), 1.0)]:
+            with pytest.raises(ValueError, match="integers"):
+                FiniteAbelianGroup(factors, free_rank)
 
 
 def test_snf_matches_sympy_on_random_matrices():
