@@ -7,16 +7,21 @@ compose in pipelines:
     toricontact sphere --weights 1,2 | toricontact classify
 
 Exit codes: 0 success / property holds, 1 mathematical failure
-(verification mismatch, sampling violations), 2 input error.
+(verification mismatch, sampling violations), 2 input error, 141
+(128 + SIGPIPE, nothing on stderr) when the reader closes stdout early,
+as ``| head`` does.
 
 Each command is one short process, so a process loads only the code its
 command runs: ``reduction`` and ``spheres`` are imported inside the
 commands that call them, and argv is parsed from the ``COMMANDS`` table.
+The package needs nothing beyond the standard library: ``sample`` draws
+its points from ``random``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -230,6 +235,7 @@ def _help(command: str | None):
     else:
         lines = [_usage(command), "", COMMANDS[command][1]]
     print("\n".join([*lines, "", _NOTES]))
+    sys.stdout.flush()
     raise SystemExit(0)
 
 
@@ -287,9 +293,18 @@ def _parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return handler(args)
+        handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone, as in ``... | head``: exit as a SIGPIPE death
+        # does, and give the interpreter's last flush somewhere to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

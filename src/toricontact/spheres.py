@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf
+from operator import add, truediv
 
 from .classify import ToricContactDatum, validate_datum
 from .lattice import FrozenValue
@@ -110,45 +111,65 @@ class SampleReport(FrozenValue):
         return not self.failures
 
 
+# points drawn and checked together: memory does not grow with ``count``
+_BATCH = 4096
+
+
+def _weighted_sum(weights, cols) -> list[float]:
+    """Row sums sum_j weights[j] * cols[j][i], one column at a time."""
+    total = list(map(weights[0].__mul__, cols[0]))
+    for a, col in zip(weights[1:], cols[1:]):
+        total = list(map(add, total, map(a.__mul__, col)))
+    return total
+
+
 def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> SampleReport:
     """Sample the moment image and check it against the weighted simplex.
 
-    Draws ``count`` standard Gaussian points (deterministic in ``seed``;
-    the map is scale invariant so no normalization is needed) and verifies
-    every moment value satisfies each facet inequality up to ``tol`` and
-    the hyperplane equation within ``tol``.
+    For each of ``count`` points the squared moduli |z_j|^2 are drawn as
+    standard exponential variates from ``random.Random(seed)``: for a
+    standard Gaussian pair x^2 + y^2 is exponential with mean 2 and the
+    moment map is scale invariant, so the moment values have the law they
+    have at Gaussian points.  Points are drawn one after another in batches
+    of ``_BATCH``, so sample i does not depend on ``count``.  Every moment
+    value is checked against each facet inequality up to ``tol`` and the
+    hyperplane equation within ``tol``; failures are listed in sample order.
     """
-    import numpy as np  # only sampling needs it; keeps CLI start-up light
+    import random  # only sampling needs it; keeps ``sphere`` start-up light
 
     w = _as_weights(a)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        # Random(-s) would seed the same stream as Random(s)
+        raise ValueError("seed must be a nonnegative integer")
     if not 0 <= tol < inf:  # also refuses NaN, which every comparison fails
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     datum = weighted_simplex(w)
-    labels = np.array([f.label for f in datum.facets], dtype=float)
-    weights = np.array(w.entries, dtype=float)
-    rng = np.random.default_rng(seed)
+    # facet inequality <mu, m_j * (-e_j)> <= 0, violation = -m_j * mu_j
+    neg_labels = [-float(f.label) for f in datum.facets]
+    weights = [float(x) for x in w.entries]
+    n1 = len(weights)
+    draw = random.Random(seed).expovariate
     failures = []
     max_facet = 0.0
     max_plane = 0.0
-    done = 0
-    while done < count:
-        batch = min(count - done, 4096)
-        z = rng.standard_normal((batch, 2 * len(w)))
-        sq = z[:, 0::2] ** 2 + z[:, 1::2] ** 2
-        mu = sq / (sq @ weights)[:, None]
-        # facet inequality <mu, m_i * (-e_i)> <= 0, violation = m_i * (-mu_i)
-        facet_violation = (-mu * labels[None, :]).max(axis=1)
-        plane_dev = np.abs(mu @ weights - 1.0)
-        max_facet = max(max_facet, float(facet_violation.max(initial=0.0)))
-        max_plane = max(max_plane, float(plane_dev.max(initial=0.0)))
-        bad = np.nonzero((facet_violation > tol) | (plane_dev > tol))[0]
-        for idx in bad:
-            failures.append(
-                (done + int(idx), float(facet_violation[idx]), float(plane_dev[idx]))
-            )
-        done += batch
+    for start in range(0, count, _BATCH):
+        sq = [draw(1.0) for _ in range(min(_BATCH, count - start) * n1)]  # row-major
+        cols = [sq[j::n1] for j in range(n1)]
+        denom = _weighted_sum(weights, cols)
+        mu = [list(map(truediv, col, denom)) for col in cols]
+        facet_violation = list(
+            map(max, *(map(m.__mul__, col) for m, col in zip(neg_labels, mu)))
+        )
+        plane_dev = [abs(s - 1.0) for s in _weighted_sum(weights, mu)]
+        max_facet = max(max_facet, max(facet_violation))
+        max_plane = max(max_plane, max(plane_dev))
+        failures.extend(
+            (start + i, f, p)
+            for i, (f, p) in enumerate(zip(facet_violation, plane_dev))
+            if f > tol or p > tol
+        )
     return SampleReport(
         samples=count,
         tol=tol,

@@ -443,6 +443,12 @@ class TestErrors:
         assert "label 2" in text_out
         assert json.loads(json_out)["facets"][0]["label"] == 2
 
+    def test_negative_sample_seed_exit_two(self, capsys):
+        # Random(-1) would seed the stream of Random(1)
+        code, out, err = run_cli(capsys, ["sample", "--weights", "1,2,3", "--seed", "-1"])
+        assert code == 2 and not out
+        assert "seed must be a nonnegative integer" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_sample_tol_exit_two(self, capsys, tol):
         # --tol nan reported ok and printed "tol": NaN, which is not JSON;
@@ -459,7 +465,7 @@ class TestErrors:
 
 
 def test_cli_import_leaves_numpy_out():
-    # only ``sample`` needs numpy, so no other command should pay its import;
+    # the package has no third-party dependency, so no command pays for one;
     # ``dataclasses`` and the ``inspect`` it pulls in would cost every command.
     # Only what the import adds counts: whatever the interpreter holds before
     # it (a site ``.pth`` may import anything) is not the package's doing
@@ -584,7 +590,41 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     assert not added & {"argparse", "gettext", "locale"}
     assert ("toricontact.reduction" in added) == (command in ("reduce", "verify"))
     assert ("toricontact.spheres" in added) == (command in ("sphere", "sample"))
-    assert ("numpy" in added) == (command == "sample")
+    assert "numpy" not in added
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_readme_example_runs_on_the_standard_library_alone(tmp_path, command):
+    # ``-S`` leaves site-packages off the path: a missing third-party module
+    # would exit 1 with a traceback, which reads as a sampling violation
+    argv, stdin = _readme_example(command, tmp_path)
+    out = subprocess.run(
+        [sys.executable, "-S", "-m", "toricontact.cli", *argv], input=stdin, env=_src_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert not out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sphere", "--weights", "1,2"], ["classify"], ["sample", "--weights", "1,2,3"],
+     ["--help"], ["sample", "--help"]],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader is gone before the child writes, as in ``... | head``:
+    # exit 128 + SIGPIPE with nothing on stderr, not an input error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "toricontact.cli", *argv],
+            input=serialize_datum(weighted_simplex((1, 2))), stdout=write_end,
+            stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 # every public name of ``toricontact`` when ``__init__`` imported every module

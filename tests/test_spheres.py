@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricontact import spheres
 from toricontact.spheres import (
     SampleReport,
     WeightVector,
@@ -86,6 +87,39 @@ class TestConvexitySampleCheck:
     def test_empty(self):
         report = convexity_sample_check((1, 2), 0, seed=0)
         assert report == SampleReport(0, 1e-9, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            convexity_sample_check((1, 2, 3), 10, seed=seed)
+
+    def test_prefix_stable_across_batches(self):
+        # at tol=0 rounding in the hyperplane sum fails many samples, so the
+        # failure lists show where each run's samples come from
+        batch = spheres._BATCH
+        whole = convexity_sample_check((1, 2, 3), 3 * batch, seed=5, tol=0.0).failures
+        assert whole
+        for m in (batch - 1, batch, batch + 1):
+            prefix = convexity_sample_check((1, 2, 3), m, seed=5, tol=0.0).failures
+            assert prefix == tuple(f for f in whole if f[0] < m)
+
+    @pytest.mark.parametrize(
+        "weights, count", [((1, 2, 3), 5000), ((2, 3), 300), ((1, 1, 4, 5), 999)]
+    )
+    def test_failures_well_formed(self, weights, count):
+        report = convexity_sample_check(weights, count, seed=17, tol=0.0)
+        indices = [f[0] for f in report.failures]
+        assert indices and indices == sorted(set(indices))
+        assert all(0 <= i < count for i in indices)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_max_fields_bound_every_failure(self, tol):
+        report = convexity_sample_check((1, 2, 3), 5000, seed=29, tol=tol)
+        assert report.max_facet_violation >= 0.0
+        assert report.max_hyperplane_deviation >= 0.0
+        for _, facet, plane in report.failures:
+            assert report.max_facet_violation >= facet
+            assert report.max_hyperplane_deviation >= plane
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
