@@ -14,9 +14,7 @@ from .classify import (
     ToricContactDatum,
     classify,
     holonomy,
-    isotropy_algebra,
     perturb_reeb,
-    rescale,
     validate_datum,
 )
 from .lattice import (
@@ -35,10 +33,6 @@ from .polytope import (
     MomentCone,
     Vertex,
     cone_over,
-    contains,
-    faces_containing,
-    is_rational,
-    is_simple,
     slice_cone,
     vertices,
 )
@@ -65,10 +59,7 @@ _LAZY = dict.fromkeys(
     (
         "spheres",
         "SampleReport",
-        "WeightVector",
         "convexity_sample_check",
-        "moment_eval",
-        "reeb_orbit_order",
         "weighted_simplex",
     ),
     "spheres",

@@ -3,8 +3,9 @@
 A datum is a labeled rational polytope together with the characteristic
 (Reeb) vector whose hyperplane slice it lives in.  From it we read off,
 per face of the polytope: the isotropy algebra (spanned by the primitive
-facet normals through the face) and the leaf holonomy of the Reeb
-foliation, a finite abelian group.
+facet normals through the face, reported as its ``isotropy_basis``) and
+the leaf holonomy of the Reeb foliation, a finite abelian group.  A datum
+can also be resliced by a new Reeb vector through its moment cone.
 
 Holonomy is an invariant of the quotient by the Reeb circle, so it is
 computed in the quotient lattice Z^n = Z^{n+1} / Z*primitive(reeb): each
@@ -15,7 +16,7 @@ divided by L, since Z^n/L splits as sat(L)/L plus the free Z^n/sat(L).
 Computing the same quotient upstairs in Z^{n+1} would miss contributions
 at faces whose normal span is entangled with the Reeb direction (already
 visible for weighted spheres), and would contradict the Reeb orbit-period
-oracle; see the tests.
+oracle of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .lattice import FiniteAbelianGroup, FrozenValue, det, kernel_lattice_basis,
 from .lattice import primitive, smith_diagonal
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
 from .polytope import integral_cone_normals, resliced_vertices
-from .polytope import faces_containing as _poly_faces_containing
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
     "ToricContactDatum",
     "classify",
     "holonomy",
-    "isotropy_algebra",
     "perturb_reeb",
-    "rescale",
     "validate_datum",
 ]
 
@@ -150,12 +148,6 @@ def validate_datum(
         if any(g % f.offset.denominator for f in poly.facets):
             integral_cone_normals(cone_normals(poly, stored))
     return ToricContactDatum(poly, stored, actual_mode, tuple(verts))
-
-
-def isotropy_algebra(datum: ToricContactDatum, point) -> list[tuple[int, ...]]:
-    """Primitive facet normals through the point; empty for interior points."""
-    active = _poly_faces_containing(datum.polytope, datum.reeb, point)
-    return [datum.facets[i].normal for i in sorted(active)]
 
 
 def _require_rational(datum: ToricContactDatum):
@@ -292,22 +284,3 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
     facets = tuple(LabeledFacet(tuple(-x for x in q), m) for q, m in cone.normals)
     poly = LabeledPolytope(cone.ambient_dim, facets)
     return ToricContactDatum(poly, tuple(map(int, r)), "rational", tuple(verts))
-
-
-def rescale(datum: ToricContactDatum, c) -> ToricContactDatum:
-    """Scale the polytope by c > 0 and the characteristic vector by 1/c.
-
-    The hyperplane identity <v, reeb> = 1 is preserved.  When reeb/c is no
-    longer integral the result comes back in irrational mode (its ``mode``
-    field is the warning flag) and supports vertex geometry only.
-    """
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    facets = tuple(
-        LabeledFacet(f.normal, f.label, c * f.offset) for f in datum.polytope.facets
-    )
-    new_reeb = tuple(Fraction(x) / c for x in datum.reeb)
-    return validate_datum(
-        LabeledPolytope(datum.polytope.ambient_dim, facets), new_reeb, mode="irrational"
-    )

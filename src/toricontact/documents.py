@@ -1,14 +1,15 @@
 """JSON documents for data, presentations, cones, and reports.
 
-Rationals travel as strings "p/q" (or "p") so every value round-trips
-bit-exactly; integers are accepted wherever a rational is expected and
-non-reduced fractions are normalized on parse.  Field names follow the
-document formats described in the README.
+Rationals travel as strings "p/q" (or "p", and no other string form) so
+every value round-trips bit-exactly; integers are accepted wherever a
+rational is expected and non-reduced fractions are normalized on parse.
+Field names follow the document formats described in the README.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .classify import validate_datum
@@ -31,10 +32,11 @@ __all__ = [
     "presentation_from_document",
     "presentation_to_document",
     "sample_report_to_document",
-    "serialize_datum",
-    "serialize_presentation",
     "verification_to_document",
 ]
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _fraction_from(value, what: str) -> Fraction:
@@ -43,6 +45,10 @@ def _fraction_from(value, what: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction(str) also reads decimals, exponents, "_" and spaces, and
+        # "1e3000000" alone makes it build a 3-million-digit integer
+        if _RATIONAL.fullmatch(value) is None:
+            raise ValueError(f"bad rational {value!r} for {what}: not of the form p/q or p")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -119,10 +125,6 @@ def parse_datum(text: str, mode: str | None = None) -> ToricContactDatum:
     return datum_from_document(_loads(text), mode)
 
 
-def serialize_datum(datum: ToricContactDatum, emit_vertices: bool = False) -> str:
-    return json.dumps(datum_to_document(datum, emit_vertices), indent=2)
-
-
 def presentation_to_document(pres: SpherePresentation) -> dict:
     return {
         "N": pres.N,
@@ -152,10 +154,6 @@ def presentation_from_document(doc) -> SpherePresentation:
 
 def parse_presentation(text: str) -> SpherePresentation:
     return presentation_from_document(_loads(text))
-
-
-def serialize_presentation(pres: SpherePresentation) -> str:
-    return json.dumps(presentation_to_document(pres), indent=2)
 
 
 def cone_to_document(cone: MomentCone) -> dict:

@@ -26,7 +26,6 @@ from operator import mul
 from .lattice import echelon, identity, over_common_denominator, primitive
 
 __all__ = [
-    "dot",
     "enumerate_hpoly",
     "null_space",
     "rank_q",
@@ -34,10 +33,6 @@ __all__ = [
     "solve_general",
     "solve_square",
 ]
-
-
-def dot(u, v):
-    return sum(map(mul, u, v))
 
 
 def _integral(row) -> list[int]:
@@ -298,7 +293,7 @@ def sliced_cone_points(a_rows, height):
                 queue.append(_pivot(dictionary, enter, r))
     # y / <y, up> in lexicographic order is y L / <y, up> in integers, with
     # L the lcm of the heights; distinct rays give distinct points
-    heights = {y: dot(y, up) for y in found}
+    heights = {y: sum(map(mul, y, up)) for y in found}
     big = lcm(*heights.values())
     return status, [
         (tuple(Fraction(x * den, heights[y]) for x in y), found[y])

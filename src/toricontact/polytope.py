@@ -7,7 +7,8 @@ label.  The geometry of interest always lives in the slice
 characteristic (Reeb) vector alongside the facet data.  The moment cone
 is the homogenization of the same data, cut out by the cone normals of
 :func:`cone_normals`; ``cone_over`` and ``slice_cone`` translate between
-the two pictures.
+the two pictures.  Whether a polytope is simple, irredundant and
+rational is checked once, by :func:`toricontact.classify.validate_datum`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ __all__ = [
     "Vertex",
     "cone_normals",
     "cone_over",
-    "contains",
-    "faces_containing",
     "integral_cone_normals",
-    "is_rational",
-    "is_simple",
     "resliced_vertices",
     "slice_cone",
     "vertices",
@@ -197,39 +194,6 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
         v if s == one else Vertex(tuple(Fraction(x * den, s) for x in vs), v.active)
         for v, (s, one, vs) in zip(verts, heights)
     ]
-
-
-def is_simple(poly: LabeledPolytope, reeb) -> bool:
-    """True when exactly dim facets meet at every vertex."""
-    return all(len(v.active) == poly.dim for v in vertices(poly, reeb))
-
-
-def is_rational(poly: LabeledPolytope, reeb) -> bool:
-    """Facet data is integral by construction; this checks the Reeb vector."""
-    return all(Fraction(x).denominator == 1 for x in reeb)
-
-
-def contains(poly: LabeledPolytope, reeb, point) -> bool:
-    if len(reeb) != poly.ambient_dim:
-        raise ValueError("characteristic vector has wrong dimension")
-    if len(point) != poly.ambient_dim:
-        raise ValueError("point has wrong dimension")
-    p = [Fraction(x) for x in point]
-    if geometry.dot(p, _exact(reeb)) != 1:
-        return False
-    return all(geometry.dot(p, f.functional) <= f.offset for f in poly.facets)
-
-
-def faces_containing(poly: LabeledPolytope, reeb, point) -> frozenset[int]:
-    """Indices of the facets through a point of the polytope."""
-    if not contains(poly, reeb, point):
-        raise ValueError("point not in polytope")
-    p = [Fraction(x) for x in point]
-    return frozenset(
-        i
-        for i, f in enumerate(poly.facets)
-        if geometry.dot(p, f.functional) == f.offset
-    )
 
 
 def integral_cone_normals(normals) -> list[list[int]]:

@@ -1,17 +1,17 @@
-"""Weighted odd spheres: explicit data, moment map, and the orbit oracle.
+"""Weighted odd spheres: explicit data and a sampling check of the moment map.
 
 The deformed sphere with weight vector a = (a_0, ..., a_n) carries the
 Reeb field sum_i a_i (x_i d/dy_i - y_i d/dx_i).  Its moment image is the
 weighted simplex {r >= 0, sum a_i r_i = 1} and the closing time of the
 Reeb orbit through a point is controlled by the gcd of the weights on the
-point's coordinate support.  That closing-time ratio is an independent
+point's coordinate support.  That closing-time ratio, an independent
 oracle for the holonomy groups computed combinatorially in
-:mod:`toricontact.classify`.
+:mod:`toricontact.classify`, lives with the other references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf
 from operator import add, truediv
 
@@ -21,70 +21,37 @@ from .polytope import LabeledFacet, LabeledPolytope
 
 __all__ = [
     "SampleReport",
-    "WeightVector",
     "convexity_sample_check",
-    "moment_eval",
-    "reeb_orbit_order",
     "weighted_simplex",
 ]
 
 
-class WeightVector(FrozenValue):
-    """Positive integer weights; normalized presentations have gcd 1."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        entries = tuple(int(x) for x in entries)
-        if len(entries) < 2:
-            raise ValueError("need at least two weights")
-        if any(a <= 0 for a in entries):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def content(self) -> int:
-        return gcd(*self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def _as_weights(a) -> WeightVector:
-    return a if isinstance(a, WeightVector) else WeightVector(tuple(a))
+def _weights(a) -> tuple[int, ...]:
+    """The weights as ints: at least two, all positive, with gcd 1."""
+    w = tuple(a)
+    if any(type(x) is not int for x in w):
+        raise ValueError(f"weights must be integers, got {a!r}")
+    if len(w) < 2:
+        raise ValueError("need at least two weights")
+    if any(x <= 0 for x in w):
+        raise ValueError("weights must be positive")
+    if gcd(*w) != 1:
+        raise ValueError(f"weights have gcd {gcd(*w)}; normalize first")
+    return w
 
 
 def weighted_simplex(a) -> ToricContactDatum:
     """Datum of the weighted sphere: facets r_i >= 0, label gcd of the
     complementary weights, characteristic vector a."""
-    w = _as_weights(a)
-    if w.content != 1:
-        raise ValueError(f"weights have gcd {w.content}; normalize first")
+    w = _weights(a)
     n1 = len(w)
     facets = []
     for i in range(n1):
-        others = [w.entries[j] for j in range(n1) if j != i]
+        others = [w[j] for j in range(n1) if j != i]
         facets.append(
             LabeledFacet(tuple(-int(i == j) for j in range(n1)), gcd(*others))
         )
-    return validate_datum(LabeledPolytope(n1, tuple(facets)), w.entries)
-
-
-def moment_eval(a, z) -> list[float]:
-    """Moment map at z = (x_0, y_0, ..., x_n, y_n), in floating point.
-
-    mu_i = (x_i^2 + y_i^2) / sum_j a_j (x_j^2 + y_j^2); the weighted sum
-    of the components is 1 by construction, and the value only depends on
-    the ray through z.
-    """
-    w = _as_weights(a)
-    if len(z) != 2 * len(w):
-        raise ValueError("point has wrong dimension")
-    sq = [float(z[2 * i]) ** 2 + float(z[2 * i + 1]) ** 2 for i in range(len(w))]
-    denom = sum(ai * si for ai, si in zip(w.entries, sq))
-    if denom == 0.0:
-        raise ValueError("moment map undefined at the origin")
-    return [si / denom for si in sq]
+    return validate_datum(LabeledPolytope(n1, tuple(facets)), w)
 
 
 class SampleReport(FrozenValue):
@@ -137,7 +104,7 @@ def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> Sampl
     """
     import random  # only sampling needs it; keeps ``sphere`` start-up light
 
-    w = _as_weights(a)
+    datum = weighted_simplex(a)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -145,10 +112,9 @@ def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> Sampl
         raise ValueError("seed must be a nonnegative integer")
     if not 0 <= tol < inf:  # also refuses NaN, which every comparison fails
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
-    datum = weighted_simplex(w)
     # facet inequality <mu, m_j * (-e_j)> <= 0, violation = -m_j * mu_j
     neg_labels = [-float(f.label) for f in datum.facets]
-    weights = [float(x) for x in w.entries]
+    weights = [float(x) for x in datum.reeb]
     n1 = len(weights)
     draw = random.Random(seed).expovariate
     failures = []
@@ -178,18 +144,3 @@ def convexity_sample_check(a, count: int, seed: int, tol: float = 1e-9) -> Sampl
         failures=tuple(failures),
     )
 
-
-def reeb_orbit_order(a, support) -> int:
-    """Holonomy order at points whose coordinate support is ``support``.
-
-    The orbit through such a point closes when t * a_j hits a full turn for
-    every j in the support, so the generic period divided by the orbit's
-    period is gcd of the supported weights (weights normalized to gcd 1).
-    """
-    w = _as_weights(a)
-    support = sorted(set(support))
-    if not support:
-        raise ValueError("support must be nonempty")
-    if support[0] < 0 or support[-1] >= len(w):
-        raise ValueError("support index out of range")
-    return gcd(*(w.entries[j] for j in support))

@@ -321,3 +321,56 @@ def classify(datum):
         f.label == 1 for f in datum.facets
     )
     return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
+
+
+def contains(poly, reeb, point) -> bool:
+    """Whether a point lies in the polytope sliced at <alpha, reeb> = 1."""
+    if len(reeb) != poly.ambient_dim:
+        raise ValueError("characteristic vector has wrong dimension")
+    if len(point) != poly.ambient_dim:
+        raise ValueError("point has wrong dimension")
+    p = [Fraction(x) for x in point]
+    if _dot(p, [Fraction(x) for x in reeb]) != 1:
+        return False
+    return all(_dot(p, f.functional) <= f.offset for f in poly.facets)
+
+
+def faces_containing(poly, reeb, point) -> frozenset[int]:
+    """Indices of the facets through a point of the polytope."""
+    if not contains(poly, reeb, point):
+        raise ValueError("point not in polytope")
+    p = [Fraction(x) for x in point]
+    return frozenset(i for i, f in enumerate(poly.facets) if _dot(p, f.functional) == f.offset)
+
+
+def moment_eval(a, z) -> list[float]:
+    """Moment map of the weighted sphere at z = (x_0, y_0, ..., x_n, y_n),
+    in floating point.
+
+    mu_i = (x_i^2 + y_i^2) / sum_j a_j (x_j^2 + y_j^2); the weighted sum
+    of the components is 1 by construction, and the value only depends on
+    the ray through z.
+    """
+    if len(z) != 2 * len(a):
+        raise ValueError("point has wrong dimension")
+    sq = [float(z[2 * i]) ** 2 + float(z[2 * i + 1]) ** 2 for i in range(len(a))]
+    denom = sum(ai * si for ai, si in zip(a, sq))
+    if denom == 0.0:
+        raise ValueError("moment map undefined at the origin")
+    return [si / denom for si in sq]
+
+
+def reeb_orbit_order(a, support) -> int:
+    """Holonomy order at points of the weighted sphere whose coordinate
+    support is ``support``.
+
+    The orbit through such a point closes when t * a_j hits a full turn for
+    every j in the support, so the generic period divided by the orbit's
+    period is gcd of the supported weights (weights normalized to gcd 1).
+    """
+    support = sorted(set(support))
+    if not support:
+        raise ValueError("support must be nonempty")
+    if support[0] < 0 or support[-1] >= len(a):
+        raise ValueError("support index out of range")
+    return math.gcd(*(a[j] for j in support))

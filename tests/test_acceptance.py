@@ -29,12 +29,9 @@ from toricontact.reduction import (
     synthesize,
     verify_presentation,
 )
-from toricontact.spheres import (
-    convexity_sample_check,
-    moment_eval,
-    reeb_orbit_order,
-    weighted_simplex,
-)
+from toricontact.spheres import convexity_sample_check, weighted_simplex
+
+from oracles import moment_eval, reeb_orbit_order
 
 F = Fraction
 

@@ -2,23 +2,33 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from toricontact.classify import validate_datum
 from toricontact.cli import COMMANDS, main
 from toricontact.documents import (
+    datum_from_document,
+    datum_to_document,
     parse_datum,
     parse_presentation,
-    serialize_datum,
-    serialize_presentation,
+    presentation_to_document,
 )
-from toricontact.reduction import synthesize
+from toricontact.reduction import SpherePresentation, synthesize
 from toricontact.spheres import weighted_simplex
 
 F = Fraction
+
+
+def serialize(value) -> str:
+    """The JSON document the CLI writes for a datum or a presentation."""
+    if isinstance(value, SpherePresentation):
+        return json.dumps(presentation_to_document(value), indent=2)
+    return json.dumps(datum_to_document(value), indent=2)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -36,18 +46,16 @@ class TestDocuments:
     def test_datum_round_trip(self):
         for weights in [(1, 1, 1), (1, 2), (2, 3, 5)]:
             d = weighted_simplex(weights)
-            assert parse_datum(serialize_datum(d)) == d
+            assert parse_datum(serialize(d)) == d
 
     def test_irrational_datum_round_trip(self):
-        from toricontact.classify import rescale
-
-        d = rescale(weighted_simplex((1, 2)), 2)
+        d = validate_datum(weighted_simplex((1, 2)).polytope, (F(1, 2), 1), mode="irrational")
         assert d.mode == "irrational"
-        assert parse_datum(serialize_datum(d)) == d
+        assert parse_datum(serialize(d)) == d
 
     def test_presentation_round_trip(self):
         pres = synthesize(weighted_simplex((1, 2)))
-        assert parse_presentation(serialize_presentation(pres)) == pres
+        assert parse_presentation(serialize(pres)) == pres
 
     def test_syntax_error_position(self):
         with pytest.raises(ValueError, match="syntax error at line"):
@@ -105,6 +113,31 @@ class TestDocuments:
         }
         d = parse_datum(json.dumps(doc))
         assert d.polytope.facets[0].offset == F(1, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["1e3", "1E-2", "0.5", ".5", "1_0", " 1", "1 ", " 1_0 ", "+1", "\u0661"]
+    )
+    def test_rational_outside_the_grammar_refused(self, text):
+        # Fraction(str) reads each of these ("\u0661" is an Arabic-Indic 1)
+        doc = json.loads(serialize(weighted_simplex((1, 2))))
+        doc["facets"][1]["offset"] = text
+        with pytest.raises(ValueError) as exc:
+            datum_from_document(doc)
+        assert str(exc.value) == (
+            f"bad rational {text!r} for facet 1 offset: not of the form p/q or p"
+        )
+        doc["facets"][1]["offset"] = "0"
+        doc["reeb"][0] = text
+        with pytest.raises(ValueError, match="^bad rational .* for reeb component 0: "):
+            datum_from_document(doc)
+
+    @pytest.mark.parametrize("text, value", [("-3/6", F(-1, 2)), ("007", F(7)), ("-0", F(0))])
+    def test_rational_in_the_grammar_read(self, text, value):
+        doc = json.loads(serialize(weighted_simplex((1, 1))))
+        doc["facets"][0]["offset"] = text
+        doc["reeb"][1] = "3/2"
+        doc["mode"] = "irrational"
+        assert datum_from_document(doc).facets[0].offset == value
 
 
 class TestPipelines:
@@ -174,18 +207,17 @@ class TestVerifyCommand:
     def test_good_presentation(self, capsys, monkeypatch, tmp_path):
         d = weighted_simplex((1, 2))
         pres_file = tmp_path / "pres.json"
-        pres_file.write_text(serialize_presentation(synthesize(d)))
+        pres_file.write_text(serialize(synthesize(d)))
         code, out, _ = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file), "--output", "json"],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
 
     def test_tampered_presentation_exits_one(self, capsys, monkeypatch, tmp_path):
-        from toricontact.classify import validate_datum
         from toricontact.polytope import LabeledFacet, LabeledPolytope
 
         facets = (
@@ -198,14 +230,14 @@ class TestVerifyCommand:
         )
         d = validate_datum(LabeledPolytope(4, facets), (0, 0, 0, 1))
         pres = synthesize(d)
-        doc = json.loads(serialize_presentation(pres))
+        doc = json.loads(serialize(pres))
         doc["weights"][0][0] += 1
         pres_file = tmp_path / "tampered.json"
         pres_file.write_text(json.dumps(doc))
         code, out, _ = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file), "--output", "json"],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 1
@@ -215,14 +247,14 @@ class TestVerifyCommand:
     def test_tampered_deformation_vertex_diff(self, capsys, monkeypatch, tmp_path):
         d = weighted_simplex((1, 2))
         pres = synthesize(d)
-        doc = json.loads(serialize_presentation(pres))
+        doc = json.loads(serialize(pres))
         doc["deformation"][0] = "3/2"
         pres_file = tmp_path / "tampered.json"
         pres_file.write_text(json.dumps(doc))
         code, out, _ = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file), "--output", "json"],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 1
@@ -269,6 +301,19 @@ class TestErrors:
         )
         assert code == 2
         assert "not integral" in err
+
+    def test_exponent_offset_exits_two_at_once(self, capsys, monkeypatch):
+        # Fraction("1e3000000") builds a 3-million-digit integer first
+        doc = json.loads(serialize(weighted_simplex((1, 2))))
+        doc["facets"][0]["offset"] = "1e3000000"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad rational '1e3000000' for facet 0 offset")
+        assert elapsed < 1.0, f"refusal took {elapsed:.2f}s"
 
     def test_redundant_facet_exit_two(self, capsys, monkeypatch):
         doc = {
@@ -357,7 +402,7 @@ class TestErrors:
     @pytest.mark.parametrize("value", ["12", 5])
     def test_reeb_not_a_list_exit_two(self, capsys, monkeypatch, value):
         # the string "12" used to read as reeb (1, 2); 5 raised TypeError
-        doc = json.loads(serialize_datum(weighted_simplex((1, 2))))
+        doc = json.loads(serialize(weighted_simplex((1, 2))))
         doc["reeb"] = value
         code, out, err = run_cli(
             capsys, ["validate"], stdin=json.dumps(doc), monkeypatch=monkeypatch
@@ -373,14 +418,14 @@ class TestErrors:
         self, capsys, monkeypatch, tmp_path, field, value
     ):
         d = weighted_simplex((1, 2))
-        doc = json.loads(serialize_presentation(synthesize(d)))
+        doc = json.loads(serialize(synthesize(d)))
         doc[field] = value
         pres_file = tmp_path / "malformed.json"
         pres_file.write_text(json.dumps(doc))
         code, out, err = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file)],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 2
@@ -389,14 +434,14 @@ class TestErrors:
 
     def test_presentation_weight_row_count_exit_two(self, capsys, monkeypatch, tmp_path):
         d = weighted_simplex((1, 2))
-        doc = json.loads(serialize_presentation(synthesize(d)))
+        doc = json.loads(serialize(synthesize(d)))
         doc["weights"] = [[1, 1]]
         pres_file = tmp_path / "malformed.json"
         pres_file.write_text(json.dumps(doc))
         code, out, err = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file)],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 2
@@ -419,7 +464,7 @@ class TestErrors:
         code, out, err = run_cli(
             capsys,
             ["verify", "--presentation", str(pres_file)],
-            stdin=serialize_datum(d),
+            stdin=serialize(d),
             monkeypatch=monkeypatch,
         )
         assert code == 2
@@ -552,19 +597,19 @@ def _src_env():
 
 def _readme_example(command, tmp_path):
     """argv and stdin of the README example of ``command``."""
-    datum = serialize_datum(weighted_simplex((1, 2)))
+    datum = serialize(weighted_simplex((1, 2)))
     if command == "sphere":
         return ["sphere", "--weights", "1,2"], ""
     if command == "sample":
         return ["sample", "--weights", "1,2,3", "--count", "10000", "--seed", "1999",
                 "--tol", "1e-9"], ""
     if command == "reduce":
-        return ["reduce"], serialize_datum(weighted_simplex((1, 1, 1)))
+        return ["reduce"], serialize(weighted_simplex((1, 1, 1)))
     if command == "slice":
-        return ["slice", "--reeb", "1,1,2"], serialize_datum(weighted_simplex((1, 1, 1)))
+        return ["slice", "--reeb", "1,1,2"], serialize(weighted_simplex((1, 1, 1)))
     if command == "verify":
         pres_file = tmp_path / "presentation.json"
-        pres_file.write_text(serialize_presentation(synthesize(weighted_simplex((1, 2)))))
+        pres_file.write_text(serialize(synthesize(weighted_simplex((1, 2)))))
         return ["verify", "--presentation", str(pres_file)], datum
     return [command], datum
 
@@ -619,7 +664,7 @@ def test_closed_stdout_exits_quietly(argv):
     try:
         out = subprocess.run(
             [sys.executable, "-m", "toricontact.cli", *argv],
-            input=serialize_datum(weighted_simplex((1, 2))), stdout=write_end,
+            input=serialize(weighted_simplex((1, 2))), stdout=write_end,
             stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=120,
         )
     finally:
@@ -630,13 +675,12 @@ def test_closed_stdout_exits_quietly(argv):
 # every public name of ``toricontact`` when ``__init__`` imported every module
 PACKAGE_EXPORTS = (
     "ClassificationReport FaceInvariants ToricContactDatum classify holonomy "
-    "isotropy_algebra perturb_reeb rescale validate_datum FiniteAbelianGroup det hnf "
+    "perturb_reeb validate_datum FiniteAbelianGroup det hnf "
     "kernel_lattice_basis primitive quotient_group saturate snf LabeledFacet "
-    "LabeledPolytope MomentCone Vertex cone_over contains faces_containing is_rational "
-    "is_simple slice_cone vertices SpherePresentation VerificationReport build_beta "
-    "deformation_vector kernel_torus_weights reduced_polytope synthesize "
-    "verify_presentation SampleReport WeightVector convexity_sample_check moment_eval "
-    "reeb_orbit_order weighted_simplex __version__ geometry lattice polytope reduction spheres"
+    "LabeledPolytope MomentCone Vertex cone_over slice_cone vertices SpherePresentation "
+    "VerificationReport build_beta deformation_vector kernel_torus_weights reduced_polytope "
+    "synthesize verify_presentation SampleReport convexity_sample_check weighted_simplex "
+    "__version__ geometry lattice polytope reduction spheres"
 ).split()
 
 

@@ -8,22 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricontact import geometry
+from toricontact.classify import validate_datum
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
     MomentCone,
     cone_normals,
     cone_over,
-    contains,
-    faces_containing,
     integral_cone_normals,
-    is_rational,
-    is_simple,
     slice_cone,
     vertices,
 )
 
-from oracles import in_plane_vertices, pointed_cone_rays
+from oracles import contains, faces_containing, in_plane_vertices, pointed_cone_rays
 
 F = Fraction
 
@@ -229,11 +226,14 @@ class TestVerticesAgainstInPlaneOracle:
 
 
 class TestIsSimple:
+    # validate_datum refuses a polytope with a vertex on more than dim facets
     def test_simplex(self):
-        assert is_simple(standard_simplex(), (1, 1, 1))
+        d = validate_datum(standard_simplex(), (1, 1, 1))
+        assert [len(v.active) for v in d.vertices] == [2, 2, 2]
 
     def test_segment(self):
-        assert is_simple(weighted_segment(), (1, 2))
+        d = validate_datum(weighted_segment(), (1, 2))
+        assert [len(v.active) for v in d.vertices] == [1, 1]
 
     def test_pyramid_apex_not_simple(self):
         # square pyramid sliced in ambient 4: apex has 4 active facets, n = 3
@@ -248,16 +248,21 @@ class TestIsSimple:
         verts = vertices(poly, (0, 0, 0, 1))
         apex = [v for v in verts if len(v.active) == 4]
         assert apex and apex[0].coords == (0, 0, 1, 1)
-        assert not is_simple(poly, (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="^polytope not simple$"):
+            validate_datum(poly, (0, 0, 0, 1))
 
 
 class TestIsRational:
+    # rational mode needs an integral characteristic vector
     def test_integer_reeb(self):
-        assert is_rational(standard_simplex(), (1, 1, 1))
-        assert is_rational(weighted_segment(), (2, 4))
+        assert validate_datum(standard_simplex(), (1, 1, 1)).mode == "rational"
+        assert validate_datum(weighted_segment(), (2, 4)).mode == "rational"
 
     def test_fractional_reeb(self):
-        assert not is_rational(weighted_segment(), (1, F(3, 2)))
+        with pytest.raises(ValueError, match="^characteristic vector not integral$"):
+            validate_datum(weighted_segment(), (1, F(3, 2)))
+        d = validate_datum(weighted_segment(), (1, F(3, 2)), mode="irrational")
+        assert d.mode == "irrational"
 
 
 class TestFacesContaining:
@@ -293,7 +298,7 @@ class TestContains:
             contains(standard_simplex(), (1, 1, 1), (1, 0))
 
     def test_characteristic_vector_dimension_mismatch(self):
-        # geometry.dot zips, so an unchecked longer vector is truncated and
+        # the dot product zips, so an unchecked longer vector is truncated and
         # the square's centre at reeb (0, 0, 1, 99) would read as contained
         square, _ = box(2, 1)
         centre = (F(1, 2), F(1, 2), 1)

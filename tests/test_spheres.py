@@ -4,25 +4,33 @@ from fractions import Fraction
 import pytest
 
 from toricontact import spheres
-from toricontact.spheres import (
-    SampleReport,
-    WeightVector,
-    convexity_sample_check,
-    moment_eval,
-    reeb_orbit_order,
-    weighted_simplex,
-)
+from toricontact.spheres import SampleReport, convexity_sample_check, weighted_simplex
+
+from oracles import moment_eval, reeb_orbit_order
 
 F = Fraction
 
 
 class TestWeightVector:
     def test_positive_required(self):
-        with pytest.raises(ValueError, match="positive"):
-            WeightVector((1, 0))
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            weighted_simplex((1, 0))
 
     def test_content(self):
-        assert WeightVector((2, 4)).content == 2
+        with pytest.raises(ValueError, match="^weights have gcd 2; normalize first$"):
+            weighted_simplex((2, 4))
+
+    def test_at_least_two(self):
+        with pytest.raises(ValueError, match="^need at least two weights$"):
+            weighted_simplex((1,))
+
+    @pytest.mark.parametrize("weights", [(2.7, 3), (2.0, 3), (True, 2), (1, F(2))])
+    def test_integers_required(self, weights):
+        # int() would read (2.7, 3) as (2, 3) and (True, 2) as (1, 2)
+        with pytest.raises(ValueError, match="^weights must be integers"):
+            weighted_simplex(weights)
+        with pytest.raises(ValueError, match="^weights must be integers"):
+            convexity_sample_check(weights, 10, seed=0)
 
 
 class TestWeightedSimplex:

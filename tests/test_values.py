@@ -15,7 +15,7 @@ from toricontact.classify import (
 from toricontact.lattice import FiniteAbelianGroup
 from toricontact.polytope import LabeledFacet, LabeledPolytope, MomentCone, Vertex
 from toricontact.reduction import SpherePresentation, VerificationReport
-from toricontact.spheres import SampleReport, WeightVector, weighted_simplex
+from toricontact.spheres import SampleReport, weighted_simplex
 
 F = Fraction
 
@@ -72,10 +72,6 @@ VALUES = {
     VerificationReport: (
         lambda: VerificationReport(True, (), (((F(1), F(0)), 1),), True),
         lambda r: r.problems == () and r.ok,
-    ),
-    WeightVector: (
-        lambda: WeightVector([F(2), 3]),
-        lambda w: w.entries == (2, 3) and _ints((w.entries,)) and w.content == 1,
     ),
     SampleReport: (
         lambda: SampleReport(10, 1e-9, 0.0, 1e-16),
