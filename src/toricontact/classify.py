@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 from operator import add
 
 from .lattice import FiniteAbelianGroup, FrozenValue, det, kernel_lattice_basis, matvec
-from .lattice import primitive, smith_diagonal
+from .lattice import over_common_denominator, primitive, smith_diagonal
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
 from .polytope import integral_cone_normals, resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -70,7 +70,17 @@ class ToricContactDatum(FrozenValue):
 
 
 class FaceInvariants(FrozenValue):
-    __slots__ = ("face", "isotropy_basis", "holonomy", "sample_point")
+    """One face's active facets, isotropy basis, holonomy and sample point.
+
+    The sample point, the barycentre of the face's vertices, is kept as
+    integers: ``point_sums`` over the one positive ``point_den``.
+    ``sample_point`` builds its tuple of Fractions on each read, and
+    equality, hashing and repr go through it, so a face built from
+    Fractions equals the same face built by :func:`classify`.
+    """
+
+    __slots__ = ("face", "isotropy_basis", "holonomy", "point_sums", "point_den")
+    _fields = ("face", "isotropy_basis", "holonomy", "sample_point")
 
     def __init__(
         self,
@@ -79,10 +89,26 @@ class FaceInvariants(FrozenValue):
         holonomy: FiniteAbelianGroup,
         sample_point: tuple[Fraction, ...],
     ):
+        den, sums = over_common_denominator(sample_point)
+        self._fill(face, isotropy_basis, holonomy, tuple(sums), den)
+
+    @classmethod
+    def _from_sums(cls, face, isotropy_basis, holonomy, point_sums, point_den):
+        self = object.__new__(cls)
+        self._fill(face, isotropy_basis, holonomy, point_sums, point_den)
+        return self
+
+    def _fill(self, face, isotropy_basis, holonomy, point_sums, point_den):
         object.__setattr__(self, "face", face)
         object.__setattr__(self, "isotropy_basis", isotropy_basis)
         object.__setattr__(self, "holonomy", holonomy)
-        object.__setattr__(self, "sample_point", sample_point)
+        object.__setattr__(self, "point_sums", point_sums)
+        object.__setattr__(self, "point_den", point_den)
+
+    @property
+    def sample_point(self) -> tuple[Fraction, ...]:
+        den = self.point_den
+        return tuple([Fraction(s, den) for s in self.point_sums])
 
 
 class ClassificationReport(FrozenValue):
@@ -214,7 +240,11 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     ``sub = (sub - 1) & full``.  Per face the walk sums its vertex count
     and its vertices' numerators over D, the lcm of all vertex
     denominators, so its sample point, the barycentre of its vertices, is
-    sum / (D * count).  The facet normals are projected once per datum.
+    sum / (D * count).  The face keeps those integers as its
+    ``point_sums`` over ``point_den = D * count``: no Fraction is built
+    until a caller reads ``sample_point``, and the document writes each
+    coordinate from them with one gcd.  The facet normals are projected
+    once per datum.
 
     Holonomy: at a vertex v whose n generator rows have |det| equal to the
     product of their labels, the projected primitive normals of A(v) are a
@@ -222,13 +252,17 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     Z/m_i + ... (i in F), put in invariant-factor form by gcd and lcm with
     no Smith normal form, once per multiset of labels; with all labels 1
     it is trivial.  Every other nonempty face costs the Smith diagonal of
-    its generator rows, whose entries above 1 are its holonomy.
+    its generator rows, whose entries above 1 are its holonomy.  Faces
+    with equal groups share one group object, so the document names each
+    group once.
 
     Regular means every leaf holonomy group is trivial and every label is 1.
     """
     _require_rational(datum)
     generators = _facet_generators(datum)
-    labels = [f.label for f in datum.facets]
+    facets = datum.facets
+    labels = [f.label for f in facets]
+    normals = [f.normal for f in facets]
     den = lcm(*(x.denominator for v in datum.vertices for x in v.coords))
     sums = {}  # face mask -> [vertices, unimodular vertices, numerator sums over den]
     zero = [0] * (datum.polytope.ambient_dim + 2)
@@ -243,20 +277,24 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
                 break
             sub = (sub - 1) & full
     groups = {}  # sorted labels -> holonomy of a face inside a unimodular vertex
-    faces = {m: [i for i in range(len(labels)) if m >> i & 1] for m in sums}
+    shared = {}  # invariant factors -> the one group object every face with them gets
+    facet_range = range(len(facets))
+    faces = {m: [i for i in facet_range if m >> i & 1] for m in sums}
     per_face = []
+    new_face = FaceInvariants._from_sums
     for mask, idx in sorted(faces.items(), key=lambda face: (len(face[1]), face[1])):
         count, diagonal, *nums = sums[mask]
         if diagonal:  # the face lies in a unimodular vertex's active set
             key = tuple(sorted([labels[i] for i in idx]))
             if key not in groups:
-                groups[key] = _diagonal_holonomy(key)
+                group = _diagonal_holonomy(key)
+                groups[key] = shared.setdefault(group.invariant_factors, group)
             group = groups[key]
         else:
             group = _face_holonomy(generators, idx)
-        normals = tuple([datum.facets[i].normal for i in idx])
-        point = tuple([Fraction(s, den * count) for s in nums])
-        per_face.append(FaceInvariants(frozenset(idx), normals, group, point))
+            group = shared.setdefault(group.invariant_factors, group)
+        basis = tuple([normals[i] for i in idx])
+        per_face.append(new_face(frozenset(idx), basis, group, tuple(nums), den * count))
     regular = all(f.holonomy.is_trivial for f in per_face) and set(labels) == {1}
     return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
 

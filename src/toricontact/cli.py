@@ -78,11 +78,11 @@ def _cmd_classify(args) -> int:
     report = classify(_read_datum(args))
     doc = documents.classification_to_document(report)
     lines = [f"regularity: {report.regularity}"]
-    for f in report.per_face:
-        face = "interior" if not f.face else f"facets {sorted(f.face)}"
+    for f in doc["per_face"]:
+        face = f"facets {f['face']}" if f["face"] else "interior"
         lines.append(
-            f"  face ({face}): holonomy {f.holonomy}, sample point "
-            f"({', '.join(str(x) for x in f.sample_point)})"
+            f"  face ({face}): holonomy {f['holonomy']['name']}, sample point "
+            f"({', '.join(f['sample_point'])})"
         )
     _emit(args, doc, lines)
     return 0

@@ -3,7 +3,10 @@
 Rationals travel as strings "p/q" (or "p", and no other string form) so
 every value round-trips bit-exactly; integers are accepted wherever a
 rational is expected and non-reduced fractions are normalized on parse.
-Field names follow the document formats described in the README.
+A classification's sample points are written from the faces' integer
+sums, each coordinate with one gcd and no Fraction, as the same text
+``str(Fraction)`` gives.  Field names follow the document formats
+described in the README.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .classify import validate_datum
 from .polytope import LabeledFacet, LabeledPolytope
@@ -165,28 +169,43 @@ def cone_to_document(cone: MomentCone) -> dict:
     }
 
 
-def _group_to_document(group) -> dict:
-    return {
-        "invariant_factors": list(group.invariant_factors),
-        "free_rank": group.free_rank,
-        "order": group.order(),
-        "name": str(group),
-    }
+def _rationals_text(nums, den: int) -> list[str]:
+    """``[str(Fraction(x, den)) for x in nums]`` for den > 0, each entry
+    from one gcd and no Fraction: "p" or "p/q" in lowest terms."""
+    text = []
+    for x in nums:
+        g = gcd(x, den)
+        text.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return text
 
 
 def classification_to_document(report: ClassificationReport) -> dict:
-    return {
-        "regularity": report.regularity,
-        "per_face": [
+    """The report as a document.  Each sample point is written from its
+    integer sums with :func:`_rationals_text`, and each holonomy group's
+    order and name are computed once per group object, which ``classify``
+    shares among faces with the same group."""
+    named = {}  # id(group) -> (order, name); the report keeps each group alive
+    per_face = []
+    for f in report.per_face:
+        group = f.holonomy
+        key = id(group)
+        if key not in named:
+            named[key] = (group.order(), str(group))
+        order, name = named[key]
+        per_face.append(
             {
                 "face": sorted(f.face),
                 "isotropy_basis": [list(p) for p in f.isotropy_basis],
-                "holonomy": _group_to_document(f.holonomy),
-                "sample_point": [str(x) for x in f.sample_point],
+                "holonomy": {
+                    "invariant_factors": list(group.invariant_factors),
+                    "free_rank": group.free_rank,
+                    "order": order,
+                    "name": name,
+                },
+                "sample_point": _rationals_text(f.point_sums, f.point_den),
             }
-            for f in report.per_face
-        ],
-    }
+        )
+    return {"regularity": report.regularity, "per_face": per_face}
 
 
 def verification_to_document(report: VerificationReport) -> dict:

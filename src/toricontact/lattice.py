@@ -16,10 +16,12 @@ Hermite form of the matrix stacked over the identity.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import mul
 
 __all__ = [
     "FiniteAbelianGroup",
+    "as_integers",
     "det",
     "echelon",
     "hnf",
@@ -93,6 +95,21 @@ def primitive(vec) -> list[int]:
         raise ValueError("zero vector has no primitive representative")
     g = math.gcd(*vec)
     return [x // g for x in vec]
+
+
+def as_integers(values, what: str) -> tuple[int, ...]:
+    """The entries as ints.  An int that is not a bool is kept, and a
+    Fraction with denominator 1 becomes its numerator; anything else is
+    refused with a ValueError naming ``what``, never truncated.
+    """
+    ints = []
+    for x in values:
+        if type(x) is not int:
+            if not (isinstance(x, Fraction) and x.denominator == 1):
+                raise ValueError(f"{what} entries must be integers, got {x!r}")
+            x = x.numerator
+        ints.append(x)
+    return tuple(ints)
 
 
 def over_common_denominator(vec) -> tuple[int, list[int]]:
@@ -292,17 +309,20 @@ class FrozenValue:
 
     A subclass names its fields in ``__slots__`` (a name starting with
     ``_`` is a private cache, not a field) and sets them in ``__init__``
-    with ``object.__setattr__``.  Instances of one class are equal when
-    their fields are, hash by their fields, and refuse assignment and
-    deletion.  This stands in for ``dataclasses``, whose import and
-    per-class code generation every CLI process would pay at start-up.
+    with ``object.__setattr__``; one that stores a field in another form
+    lists its fields, slots or properties, in ``_fields`` itself.
+    Instances of one class are equal when their fields are, hash by their
+    fields, and refuse assignment and deletion.  This stands in for
+    ``dataclasses``, whose import and per-class code generation every CLI
+    process would pay at start-up.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._fields])

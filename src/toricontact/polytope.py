@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import geometry
-from .lattice import FrozenValue, over_common_denominator
+from .lattice import FrozenValue, as_integers, over_common_denominator
 
 __all__ = [
     "LabeledFacet",
@@ -42,7 +42,7 @@ class LabeledFacet(FrozenValue):
     __slots__ = ("normal", "label", "offset")
 
     def __init__(self, normal: tuple[int, ...], label: int = 1, offset: Fraction = 0):
-        normal = tuple(int(x) for x in normal)
+        normal = as_integers(normal, "normal")
         offset = Fraction(offset)
         if not any(normal):
             raise ValueError("normal is zero")

@@ -16,7 +16,7 @@ from math import gcd
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
-from .lattice import over_common_denominator, rank, smith_diagonal, transpose
+from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
@@ -45,8 +45,8 @@ class SpherePresentation(FrozenValue):
     __slots__ = ("N", "beta", "weights", "deformation", "_reeb_image")
 
     def __init__(self, N: int, beta: tuple, weights: tuple, deformation: tuple[Fraction, ...]):
-        beta = tuple(tuple(int(x) for x in r) for r in beta)
-        weights = tuple(tuple(int(x) for x in r) for r in weights)
+        beta = tuple(as_integers(r, "beta") for r in beta)
+        weights = tuple(as_integers(r, "weights") for r in weights)
         deformation = tuple(Fraction(x) for x in deformation)
         if not beta or any(len(row) != N for row in beta):
             raise ValueError("beta rows must all have length N")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from generators import change_basis
 from toricontact.classify import validate_datum
 from toricontact.cli import COMMANDS, main
 from toricontact.documents import (
@@ -165,6 +167,26 @@ class TestPipelines:
         nontrivial = [f for f in doc["per_face"] if f["holonomy"]["order"] != 1]
         assert len(nontrivial) == 1
         assert nontrivial[0]["holonomy"]["name"] == "C2"
+
+    def test_classify_text_writes_each_sample_point_as_fractions(self, capsys, monkeypatch):
+        # the weighted sphere (1, 2, 3) in another lattice basis has negative
+        # and non-integral sample points; each printed point is the text of
+        # the Fraction face loop's point
+        d = change_basis(weighted_simplex((1, 2, 3)), [[1, 0, 0], [-2, 1, 0], [1, 1, 1]])
+        expected = oracles.classify(d).per_face
+        coords = [x for f in expected for x in f.sample_point]
+        assert any(x < 0 for x in coords) and any(x.denominator > 1 for x in coords)
+        code, out, _ = run_cli(
+            capsys, ["classify", "--output", "text"], stdin=serialize(d), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "regularity: quasi-regular"
+        assert len(lines) == 1 + len(expected)
+        for line, f in zip(lines[1:], expected):
+            face = f"facets {sorted(f.face)}" if f.face else "interior"
+            point = ", ".join(str(x) for x in f.sample_point)
+            assert line == f"  face ({face}): holonomy {f.holonomy}, sample point ({point})"
 
     def test_slice_matches_weighted_sphere(self, capsys, monkeypatch):
         _, simplex_doc, _ = run_cli(

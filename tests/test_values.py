@@ -2,6 +2,7 @@
 by fields, no assignment or deletion, defaults and normalisations."""
 
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,25 @@ def test_value_semantics(cls):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b
+
+
+# a non-integral Fraction, a float (integral or not) and a bool are refused,
+# not truncated by int(); an integral Fraction still becomes its numerator
+NOT_INTEGERS = [F(5, 2), 2.7, 2.0, True]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_labeled_facet_refuses_a_non_integer_normal_entry(bad):
+    message = f"^normal entries must be integers, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        LabeledFacet((bad, 1))
+
+
+@pytest.mark.parametrize("field", ["beta", "weights"])
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_sphere_presentation_refuses_a_non_integer_entry(field, bad):
+    rows = {"beta": [[1, 0, 1], [0, 1, 1]], "weights": [[1, 1, -1]]}
+    rows[field][0][1] = bad
+    message = f"^{field} entries must be integers, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        SpherePresentation(3, rows["beta"], rows["weights"], [1, 1, 1])
