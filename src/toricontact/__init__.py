@@ -19,7 +19,6 @@ from .classify import (
 )
 from .lattice import (
     FiniteAbelianGroup,
-    det,
     hnf,
     kernel_lattice_basis,
     primitive,

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
 
-from .lattice import FiniteAbelianGroup, FrozenValue, det, kernel_lattice_basis, matvec
+from .lattice import FiniteAbelianGroup, FrozenValue, kernel_lattice_basis, matvec
 from .lattice import over_common_denominator, primitive, smith_diagonal
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
 from .polytope import integral_cone_normals, resliced_vertices
@@ -123,9 +122,7 @@ class ClassificationReport(FrozenValue):
         return tuple(f for f in self.per_face if not f.holonomy.is_trivial)
 
 
-def validate_datum(
-    poly: LabeledPolytope, reeb, mode: str = "rational"
-) -> ToricContactDatum:
+def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> ToricContactDatum:
     """Check all datum invariants and return the validated datum.
 
     In rational mode the characteristic vector must be integral, and so
@@ -178,9 +175,7 @@ def validate_datum(
 
 def _require_rational(datum: ToricContactDatum):
     if datum.mode != "rational":
-        raise ValueError(
-            "holonomy and classification need an integral characteristic vector"
-        )
+        raise ValueError("holonomy and classification need an integral characteristic vector")
 
 
 def _reeb_projection(datum: ToricContactDatum):
@@ -190,13 +185,13 @@ def _reeb_projection(datum: ToricContactDatum):
     return kernel_lattice_basis([list(datum.reeb)])
 
 
-def _facet_generators(datum: ToricContactDatum) -> list[list[int]]:
-    """Per facet, label * primitive(image of its normal) in Z^{n+1}/Z*reeb."""
+def _facet_generators(datum: ToricContactDatum):
+    """Per facet, label * primitive(image of its normal) in Z^{n+1}/Z*reeb,
+    and the content (gcd) of that image, which ``primitive`` divides out."""
     proj = _reeb_projection(datum)
-    return [
-        [f.label * x for x in primitive(matvec(proj, f.normal))]
-        for f in datum.facets
-    ]
+    images = [matvec(proj, f.normal) for f in datum.facets]
+    generators = [[f.label * x for x in primitive(p)] for f, p in zip(datum.facets, images)]
+    return generators, [gcd(*p) for p in images]
 
 
 def _face_holonomy(generators, face) -> FiniteAbelianGroup:
@@ -228,7 +223,7 @@ def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     # the faces of a simple polytope are the subsets of vertex active sets
     if not any(face <= v.active for v in datum.vertices):
         raise ValueError("not a face")
-    return _face_holonomy(_facet_generators(datum), face)
+    return _face_holonomy(_facet_generators(datum)[0], face)
 
 
 def classify(datum: ToricContactDatum) -> ClassificationReport:
@@ -237,53 +232,72 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     The face lattice of a simple polytope is exactly the family of subsets
     of vertex active sets; the whole polytope appears as the empty face.
     Each active set is a bitmask ``full`` whose subsets are the masks
-    ``sub = (sub - 1) & full``.  Per face the walk sums its vertex count
-    and its vertices' numerators over D, the lcm of all vertex
-    denominators, so its sample point, the barycentre of its vertices, is
-    sum / (D * count).  The face keeps those integers as its
-    ``point_sums`` over ``point_den = D * count``: no Fraction is built
-    until a caller reads ``sample_point``, and the document writes each
-    coordinate from them with one gcd.  The facet normals are projected
-    once per datum.
+    ``sub = (sub - 1) & full``; a face's facets are its mask's set bits.
+    Each mask collects its vertices' numerators over D, the lcm of all
+    vertex denominators, and each face sums them once: its sample point,
+    the barycentre of its vertices, is sum / (D * count).  The face keeps
+    those integers as ``point_sums`` over ``point_den = D * count``, so no
+    Fraction is built until a caller reads ``sample_point``.  The facet
+    normals are projected once per datum.
 
-    Holonomy: at a vertex v whose n generator rows have |det| equal to the
-    product of their labels, the projected primitive normals of A(v) are a
-    basis of Z^n.  Every face F inside A(v) then has the holonomy
-    Z/m_i + ... (i in F), put in invariant-factor form by gcd and lcm with
-    no Smith normal form, once per multiset of labels; with all labels 1
-    it is trivial.  Every other nonempty face costs the Smith diagonal of
-    its generator rows, whose entries above 1 are its holonomy.  Faces
-    with equal groups share one group object, so the document names each
-    group once.
+    Holonomy: at a unimodular vertex v, whose n generator rows G_A have
+    |det| equal to the product of their labels, the projected primitive
+    normals of A(v) are a basis of Z^n.  Every face F inside A(v) then has
+    the holonomy Z/m_i + ... (i in F), put in invariant-factor form by gcd
+    and lcm with no Smith normal form, once per multiset of labels.  Every
+    other nonempty face costs the Smith diagonal of its generator rows,
+    whose entries above 1 are its holonomy.  Faces with equal groups share
+    one group object, so the document names each group once.
+
+    No determinant finds the unimodular vertices.  Let t_v be the cone
+    index the walk hands v (:func:`toricontact.polytope.vertices`), y its
+    primitive ray and h = <reeb, y>, the common denominator of v = y / h;
+    g = gcd(reeb), l_i = gcd(u_i) the label of the cone normal u_i = l_i
+    q_i and c_i the content of P p_i that ``primitive`` divides out.  Then
+    |det G_A| g prod c_i = t_v h prod l_i (i in A), so v is unimodular
+    exactly when t_v h = g prod k_i, with k_i = m_i c_i / l_i the content
+    of P q_i.  Proof: P kills reeb, so l_i P q_i = P u_i = -m_i P p_i =
+    -c_i G_i.  In a basis [reeb / g, B] of Z^{n+1}, where P B is a basis of
+    Z^n, reeb = (g, 0) and q_i = (a_i, b_i) with P q_i = P B b_i, so
+    |det [reeb; q_A]| = g |det P q_A|; and expanded along reeb it is t_v h
+    (:func:`toricontact.geometry.sliced_cone_points`).
 
     Regular means every leaf holonomy group is trivial and every label is 1.
     """
     _require_rational(datum)
-    generators = _facet_generators(datum)
+    generators, contents = _facet_generators(datum)
     facets = datum.facets
     labels = [f.label for f in facets]
     normals = [f.normal for f in facets]
-    den = lcm(*(x.denominator for v in datum.vertices for x in v.coords))
-    sums = {}  # face mask -> [vertices, unimodular vertices, numerator sums over den]
-    zero = [0] * (datum.polytope.ambient_dim + 2)
-    for v in datum.vertices:
-        active = sorted(v.active)
-        unimodular = abs(det([generators[i] for i in active])) == prod(labels[i] for i in active)
-        row = [1, unimodular, *(x.numerator * (den // x.denominator) for x in v.coords)]
-        full = sub = sum(1 << i for i in active)
+    cone_labels = [gcd(*u) for u in cone_normals(datum.polytope, datum.reeb)]
+    ks = [m * c // l for m, c, l in zip(labels, contents, cone_labels)]
+    g = gcd(*datum.reeb)
+    heights = [lcm(*(x.denominator for x in v.coords)) for v in datum.vertices]
+    den = lcm(*heights)
+    rows = {}  # face mask -> its vertices' rows: unimodular, numerators over den
+    for v, h in zip(datum.vertices, heights):
+        unimodular = v.cone_index * h == g * prod([ks[i] for i in v.active])
+        row = (unimodular, *(x.numerator * (den // x.denominator) for x in v.coords))
+        full = sub = sum(1 << i for i in v.active)
         while True:
-            sums[sub] = list(map(add, sums.get(sub, zero), row))
+            rows.setdefault(sub, []).append(row)
             if not sub:
                 break
             sub = (sub - 1) & full
+    faces = []
+    for mask in rows:
+        idx, bits = [], mask
+        while bits:
+            idx.append((bits & -bits).bit_length() - 1)
+            bits &= bits - 1
+        faces.append((len(idx), idx, mask))
     groups = {}  # sorted labels -> holonomy of a face inside a unimodular vertex
     shared = {}  # invariant factors -> the one group object every face with them gets
-    facet_range = range(len(facets))
-    faces = {m: [i for i in facet_range if m >> i & 1] for m in sums}
     per_face = []
     new_face = FaceInvariants._from_sums
-    for mask, idx in sorted(faces.items(), key=lambda face: (len(face[1]), face[1])):
-        count, diagonal, *nums = sums[mask]
+    for _, idx, mask in sorted(faces):
+        face_rows = rows[mask]
+        diagonal, *nums = map(sum, zip(*face_rows))
         if diagonal:  # the face lies in a unimodular vertex's active set
             key = tuple(sorted([labels[i] for i in idx]))
             if key not in groups:
@@ -294,7 +308,8 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
             group = _face_holonomy(generators, idx)
             group = shared.setdefault(group.invariant_factors, group)
         basis = tuple([normals[i] for i in idx])
-        per_face.append(new_face(frozenset(idx), basis, group, tuple(nums), den * count))
+        point_den = den * len(face_rows)
+        per_face.append(new_face(frozenset(idx), basis, group, tuple(nums), point_den))
     regular = all(f.holonomy.is_trivial for f in per_face) and set(labels) == {1}
     return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
 

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _fraction_from(value, what: str) -> Fraction:
@@ -51,10 +51,12 @@ def _fraction_from(value, what: str) -> Fraction:
     if isinstance(value, str):
         # Fraction(str) also reads decimals, exponents, "_" and spaces, and
         # "1e3000000" alone makes it build a 3-million-digit integer
-        if _RATIONAL.fullmatch(value) is None:
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
             raise ValueError(f"bad rational {value!r} for {what}: not of the form p/q or p")
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {value!r} for {what}: {exc}") from None
     raise ValueError(f"{what} must be an integer or a rational string, got {value!r}")
@@ -82,20 +84,14 @@ def datum_to_document(datum: ToricContactDatum, emit_vertices: bool = False) -> 
     doc = {
         "ambient_dim": datum.polytope.ambient_dim,
         "facets": [
-            {
-                "normal": list(f.normal),
-                "label": f.label,
-                "offset": str(f.offset),
-            }
+            {"normal": list(f.normal), "label": f.label, "offset": str(f.offset)}
             for f in datum.polytope.facets
         ],
         "reeb": [str(x) for x in datum.reeb],
         "mode": datum.mode,
     }
     if emit_vertices:
-        doc["vertices"] = [
-            [str(x) for x in v.coords] for v in datum.vertices
-        ]
+        doc["vertices"] = [[str(x) for x in v.coords] for v in datum.vertices]
     return doc
 
 
@@ -163,9 +159,7 @@ def parse_presentation(text: str) -> SpherePresentation:
 def cone_to_document(cone: MomentCone) -> dict:
     return {
         "ambient_dim": cone.ambient_dim,
-        "normals": [
-            {"normal": list(q), "label": label} for q, label in cone.normals
-        ],
+        "normals": [{"normal": list(q), "label": label} for q, label in cone.normals],
     }
 
 
@@ -217,10 +211,7 @@ def verification_to_document(report: VerificationReport) -> dict:
             for kind, coords in report.vertex_diff
         ],
         "local_freeness": [
-            {
-                "vertex": [str(x) for x in coords],
-                "stabilizer_order": order,
-            }
+            {"vertex": [str(x) for x in coords], "stabilizer_order": order}
             for coords, order in report.local_freeness
         ],
         "smooth": report.smooth,

@@ -194,13 +194,15 @@ def sliced_cone_points(a_rows, height):
     <y, height> >= 0}; status is "empty", "bounded" or "unbounded".
 
     The points are the rays of K at positive height, rescaled to height 1,
-    in lexicographic order: the vertices of the slice.  Each comes as a
-    pair (point, tight) with ``tight`` the indices of the rows of A that
-    vanish on the primitive integer ray.  Each row is first divided by the
-    gcd of its integer form, which cuts the same half-space.  Lineality
-    makes the slice unbounded with no vertex to report; it is found first,
-    and K is cut down to its orthogonal complement, where an exact phase 1
-    (:func:`_first_ray`) finds a first vertex or proves the slice empty.
+    in lexicographic order: the vertices of the slice.  Each row is first
+    divided by the gcd of its integer form, which cuts the same half-space,
+    and each point comes as (point, tight, index): ``tight`` the indices of
+    the rows of A that vanish on the primitive integer ray y and, if there
+    are dim - 1 of them (else None), ``index`` the gcd t of their maximal
+    minors.  Lineality makes the slice unbounded with no vertex to report;
+    it is found first, and K is cut down to its orthogonal complement,
+    where an exact phase 1 (:func:`_first_ray`) finds a first vertex or
+    proves the slice empty.
 
     From there the slice is walked basis by basis on the integer simplex
     dictionary B = d [rows; I] M^-1, M = [up; A_T] for a basis T of
@@ -248,7 +250,10 @@ def sliced_cone_points(a_rows, height):
     slice is unbounded.  A basis already reached is not pivoted to again,
     and an edge known to lead back to one is not tested again.  Each
     vertex is reported once, at its first basis, with the zeros of
-    column 0 over the rows of A as its tight set.
+    column 0 over the rows of A as its tight set, and d / <up, y> as its
+    index: dim - 1 rows tight at y are the basis T, det M expands along
+    up into <up, c> with c the signed maximal minors of A_T, and c = +-t y
+    as A_T c = 0 and y is the primitive kernel vector.
     """
     dim = len(height)
     m = len(a_rows)
@@ -268,14 +273,16 @@ def sliced_cone_points(a_rows, height):
     # per basis reached, the rows whose drop leads back to a basis reached before
     back = {frozenset(first[2]): set()}
     queue = deque([first])
-    found = {}
+    found, heights = {}, {}  # per ray y: (tight, index) and <y, up>
     while queue:
         dictionary = queue.popleft()
-        cols, _, basis = dictionary
+        cols, d, basis = dictionary
         col0 = cols[0]
         y = tuple(primitive(col0[n:]))
         if y not in found:
-            found[y] = frozenset(i for i in range(m) if not col0[i])
+            tight = frozenset(i for i in range(m) if not col0[i])
+            heights[y] = h = sum(map(mul, y, up))
+            found[y] = tight, d // h if len(tight) == dim - 1 else None
         here = frozenset(basis)
         skip = back[here]
         for r, row in enumerate(basis, 1):
@@ -293,10 +300,9 @@ def sliced_cone_points(a_rows, height):
                 queue.append(_pivot(dictionary, enter, r))
     # y / <y, up> in lexicographic order is y L / <y, up> in integers, with
     # L the lcm of the heights; distinct rays give distinct points
-    heights = {y: sum(map(mul, y, up)) for y in found}
     big = lcm(*heights.values())
     return status, [
-        (tuple(Fraction(x * den, heights[y]) for x in y), found[y])
+        (tuple(Fraction(x * den, heights[y]) for x in y), *found[y])
         for y in sorted(found, key=lambda y: [x * (big // heights[y]) for x in y])
     ]
 
@@ -314,4 +320,4 @@ def enumerate_hpoly(a_rows, b):
     status, points = sliced_cone_points(
         [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
     )
-    return status, [p[:-1] for p, _ in points]
+    return status, [p[:-1] for p, _, _ in points]

@@ -22,7 +22,6 @@ from operator import mul
 __all__ = [
     "FiniteAbelianGroup",
     "as_integers",
-    "det",
     "echelon",
     "hnf",
     "identity",
@@ -149,15 +148,6 @@ def echelon(mat: IntMat) -> tuple[IntMat, list[int], int, int]:
         d = p
         pivots.append(c)
     return e[: len(pivots)], pivots, d, sign
-
-
-def det(mat: IntMat) -> int:
-    """Exact determinant, read off the fraction-free elimination."""
-    rows, cols = _shape(mat)
-    if rows != cols:
-        raise ValueError("determinant requires a square matrix")
-    _, pivots, d, sign = echelon(mat)
-    return sign * d if len(pivots) == rows else 0
 
 
 def _hermite(h: IntMat, mats: tuple = ()) -> None:
@@ -412,6 +402,4 @@ def quotient_group(ambient_basis: IntMat, sub_generators: IntMat) -> FiniteAbeli
             raise ValueError("subgroup not contained in ambient lattice")
         coords.append([x // d for x, d in zip(gv, pivots)])
     nonzero = [d for d in smith_diagonal(coords) if d]
-    return FiniteAbelianGroup(
-        tuple(d for d in nonzero if d > 1), a_rows - len(nonzero)
-    )
+    return FiniteAbelianGroup(tuple(d for d in nonzero if d > 1), a_rows - len(nonzero))

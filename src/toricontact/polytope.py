@@ -51,9 +51,7 @@ class LabeledFacet(FrozenValue):
         g = gcd(*normal)
         if g != 1:
             reduced = ", ".join(str(x // g) for x in normal)
-            raise ValueError(
-                f"normal not primitive; write label {label * g}, normal ({reduced})"
-            )
+            raise ValueError(f"normal not primitive; write label {label * g}, normal ({reduced})")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "offset", offset)
@@ -92,11 +90,12 @@ class LabeledPolytope(FrozenValue):
 
 
 class Vertex(FrozenValue):
-    __slots__ = ("coords", "active")
+    __slots__ = ("coords", "active", "cone_index")
 
-    def __init__(self, coords: tuple[Fraction, ...], active: frozenset[int]):
+    def __init__(self, coords: tuple[Fraction, ...], active: frozenset[int], cone_index=None):
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "active", active)
+        object.__setattr__(self, "cone_index", cone_index)
 
 
 class MomentCone(FrozenValue):
@@ -111,7 +110,8 @@ class MomentCone(FrozenValue):
 
 def _exact(reeb) -> list:
     """The characteristic vector as ints where integral, else Fractions."""
-    return [x.numerator if x.denominator == 1 else x for x in map(Fraction, reeb)]
+    exact = [x if type(x) is int else Fraction(x) for x in reeb]
+    return [x.numerator if x.denominator == 1 else x for x in exact]
 
 
 def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
@@ -143,7 +143,10 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     <y, reeb>, rescaled to height 1, found by walking the edges of the
     slice (:func:`toricontact.geometry.sliced_cone_points`); a facet is
     active exactly when its cone normal vanishes on the integer ray.
-    Raises if the slice is empty or unbounded.
+    A simple vertex also gets its ``cone_index`` off the walk (else None):
+    the gcd t_v of the maximal minors of its active primitive cone normals,
+    which depends on the cone alone, not on reeb.  Raises if the slice is
+    empty or unbounded.
     """
     r = _exact(reeb)
     if len(r) != poly.ambient_dim:
@@ -156,7 +159,7 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
         raise ValueError("empty polytope")
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
-    return [Vertex(p, active) for p, active in points]
+    return [Vertex(p, active, index) for p, active, index in points]
 
 
 def resliced_vertices(verts, reeb) -> list[Vertex]:
@@ -169,7 +172,7 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
     rays are exactly the vertices v, each with <v, reeb> = 1.  For any
     reeb', with h_v = <v, reeb'>, the slice C cap {<y, reeb'> = 1} is empty
     iff no h_v is positive and bounded iff every h_v is; its vertices are
-    then v / h_v, with the same tight facets.
+    then v / h_v, with the same tight facets and the same cone index.
 
     Returns the vertices in the order of ``verts``, each one the same
     object when h_v = 1, and raises as :func:`vertices` does on the same
@@ -191,7 +194,7 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
     if any(s <= 0 for s, _, _ in heights):
         raise ValueError("polytope unbounded in characteristic hyperplane")
     return [
-        v if s == one else Vertex(tuple(Fraction(x * den, s) for x in vs), v.active)
+        v if s == one else Vertex(tuple(Fraction(x * den, s) for x in vs), v.active, v.cone_index)
         for v, (s, one, vs) in zip(verts, heights)
     ]
 
@@ -240,10 +243,7 @@ def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
         raise ValueError("characteristic vector has wrong dimension")
     a_rows = [[-x for x in q] for q, _ in cone.normals]
     status, points = geometry.sliced_cone_points(a_rows, r)
-    if status != "bounded" or any(len(t) == len(a_rows) for _, t in points):
+    if status != "bounded" or any(len(t) == len(a_rows) for _, t, _ in points):
         raise ValueError("characteristic vector not in interior of dual cone")
-    facets = [
-        LabeledFacet(tuple(-x for x in q), label, Fraction(0))
-        for q, label in cone.normals
-    ]
+    facets = [LabeledFacet(tuple(-x for x in q), label, Fraction(0)) for q, label in cone.normals]
     return LabeledPolytope(cone.ambient_dim, tuple(facets))

@@ -174,7 +174,7 @@ def _presentation_problems(pres: SpherePresentation, reeb, order_gcd: int) -> li
             problems.append("weight matrix is not a saturated kernel basis")
     if any(x <= 0 for x in pres.deformation):
         problems.append("deformation vector not strictly positive")
-    if pres.reeb_image != tuple(Fraction(x) for x in reeb):
+    if pres.reeb_image != tuple(reeb):
         problems.append("beta @ deformation differs from the characteristic vector")
     return problems
 
@@ -315,11 +315,11 @@ def verify_presentation(
                 column = {tuple(c): j for j, c in enumerate(columns)}
                 to_column = [column[tuple(u)] for u in normals]
                 reduced = sorted(
-                    (w.coords, w is not v, frozenset(to_column[i] for i in w.active))
+                    (w.coords, w is not v, frozenset(to_column[i] for i in w.active), w.cone_index)
                     for v, w in zip(datum.vertices, moved)
                 )
-                vertex_diff += [("extra", c) for c, extra, _ in reduced if extra]
-                reduced_verts = [Vertex(c, active) for c, _, active in reduced]
+                vertex_diff += [("extra", c) for c, extra, _, _ in reduced if extra]
+                reduced_verts = [Vertex(c, active, t) for c, _, active, t in reduced]
             polytope_match = not vertex_diff
         else:
             reduced_verts = _poly_vertices(*reduced_polytope(pres))

@@ -196,13 +196,29 @@ def pointed_cone_rays(a_rows, dim):
     return list(rays.items())
 
 
+def cone_index(rows, dim) -> int:
+    """The gcd of the maximal minors of the rows, each made a primitive
+    integer vector, by cofactor expansion over every choice of columns: the
+    index of their integer span in its saturation (1 for no rows)."""
+    prim = [_primitive_ray(row) for row in rows]
+    if not prim:
+        return 1
+    return math.gcd(
+        *(
+            cofactor_det([[row[j] for j in cols] for row in prim])
+            for cols in combinations(range(dim), len(prim))
+        )
+    )
+
+
 def sliced_cone_points(a_rows, height):
     """(status, points) of the slice <y, height> = 1 of K = {y : A y <= 0,
     <y, height> >= 0}, by a scan over every dim-1 rows.
 
     K is cut down to the orthogonal complement of its lineality space and
     all its extreme rays are listed; those at positive height, rescaled to
-    height 1 and paired with the rows of A that vanish on them, are the
+    height 1, each with the rows of A that vanish on them and, when there
+    are dim - 1 of those, their :func:`cone_index` (else None), are the
     points, in lexicographic order.  No ray at positive height means
     "empty"; lineality or a ray at height 0 means "unbounded", and with
     lineality no point is reported.
@@ -223,7 +239,10 @@ def sliced_cone_points(a_rows, height):
         return "empty", []
     if lineality:
         return "unbounded", []
-    return ("unbounded" if 0 in heights else "bounded"), points
+    return ("unbounded" if 0 in heights else "bounded"), [
+        (p, tight, cone_index([a_rows[i] for i in tight], dim) if len(tight) == dim - 1 else None)
+        for p, tight in points
+    ]
 
 
 def enumerate_hpoly(a_rows, b):
@@ -294,7 +313,7 @@ def classify(datum):
     its vertices, and each nonempty face's holonomy the diagonal entries
     above 1 of a Smith normal form with transformations, with no shortcut
     at unimodular vertices."""
-    generators = _facet_generators(datum)
+    generators = _facet_generators(datum)[0]
     face_points = {}
     for v in datum.vertices:
         active = sorted(v.active)

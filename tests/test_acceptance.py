@@ -15,7 +15,6 @@ from math import gcd
 
 from toricontact.classify import classify, perturb_reeb, validate_datum
 from toricontact.lattice import (
-    det,
     hnf,
     kernel_lattice_basis,
     matmul,
@@ -31,7 +30,7 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import convexity_sample_check, weighted_simplex
 
-from oracles import moment_eval, reeb_orbit_order
+from oracles import cofactor_det, moment_eval, reeb_orbit_order
 
 F = Fraction
 
@@ -178,11 +177,11 @@ def test_criterion_6_lattice_property_suite():
             m = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(5)]
             h, u = hnf(m)
             assert matmul(m, u) == h
-            assert abs(det(u)) == 1
+            assert abs(cofactor_det(u)) == 1
             s, su, sv = snf(m)
             assert matmul(matmul(su, m), sv) == s
-            assert abs(det(su)) == 1
-            assert abs(det(sv)) == 1
+            assert abs(cofactor_det(su)) == 1
+            assert abs(cofactor_det(sv)) == 1
             diag = [s[i][i] for i in range(5)]
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0 if a else b == 0

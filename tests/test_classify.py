@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from toricontact import geometry, lattice
 from toricontact.classify import (
+    _facet_generators,
     _reeb_projection,
     classify,
     holonomy,
@@ -19,11 +20,11 @@ from toricontact.classify import (
 )
 from toricontact.lattice import (
     FiniteAbelianGroup,
-    det,
     matvec,
     primitive,
     quotient_group,
     saturate,
+    smith_diagonal,
     transpose,
 )
 from toricontact.polytope import (
@@ -43,14 +44,16 @@ from generators import (
     degenerate,
     labeled_cube,
     parabola,
+    perturbed,
     positive_reeb,
     random_datum,
     random_sphere,
     random_unimodular,
     simplex_product,
+    weighted_simplex_product,
 )
 import oracles
-from oracles import faces_containing, fraction_rref, reeb_orbit_order
+from oracles import cofactor_det, faces_containing, fraction_rref, reeb_orbit_order
 from test_reduction import hexagon_datum
 
 F = Fraction
@@ -405,7 +408,7 @@ class TestUnimodularInvariance:
             n1 = len(weights)
             for _ in range(3):
                 u = random_unimodular(rng, n1)
-                assert abs(det(u)) == 1
+                assert abs(cofactor_det(u)) == 1
                 # transform normals by u and the reeb vector accordingly: the
                 # pairing matrix is conjugated, so use u^{-T} on alpha-space;
                 # equivalently map p -> u p and reeb -> u reeb
@@ -530,25 +533,86 @@ class TestBitmaskFaceWalk:
             d = random_datum(rng, kind)
         assert classify(d) == oracles.classify(d)
 
-    def test_labeled_six_cube_takes_one_determinant_per_vertex(self, monkeypatch):
-        # every vertex of the labeled cube is unimodular, so each face reads
-        # its group off its labels and no Smith normal form is taken
+    def test_labeled_six_cube_takes_no_echelon_and_no_smith_form(self, monkeypatch):
+        # every vertex of the labeled cube is unimodular, which its cone
+        # index shows with no determinant of its generator rows, so each
+        # face reads its group off its labels and no Smith normal form runs
         d = labeled_cube(6, [1 + i % 3 for i in range(12)], lattice.identity(7))
-        calls = []
-        echelon = lattice.echelon
 
-        def counted(mat):
-            calls.append(len(mat))
-            return echelon(mat)
+        def refused(*args):
+            raise AssertionError("an elimination or a Smith normal form ran")
 
-        def refused(row_mats, col_mats):
-            raise AssertionError("a Smith normal form ran")
-
-        monkeypatch.setattr(lattice, "echelon", counted)
+        monkeypatch.setattr(lattice, "echelon", refused)
+        monkeypatch.setattr(geometry, "echelon", refused)
         monkeypatch.setattr(lattice, "_smith", refused)
         report = classify(d)
         assert len(report.per_face) == 3**6
-        assert calls == [6] * 64
+
+
+def _cone_index_case(rng, kind, rebased, resliced):
+    """A datum of the kind, optionally in a random lattice basis and then
+    resliced by a random positive reeb (its vertices carried, not walked)."""
+    if kind == "sphere":
+        d = random_sphere(rng)
+    elif kind == "parabola":
+        d = parabola(2 * rng.randint(2, 8))
+    elif kind == "weighted":  # cone indices up to 9 here; 1 in every other kind
+        d = weighted_simplex_product(rng)
+    else:
+        d = random_datum(rng, kind)
+    if rebased:
+        d = change_basis(d, random_unimodular(rng, d.n + 1))
+    return perturbed(rng, d) if resliced else d
+
+
+CONE_INDEX_CASES = (
+    st.randoms(use_true_random=False),
+    st.sampled_from(["cube", "simplex", "product", "sphere", "parabola", "weighted"]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestConeIndex:
+    """The cone index the vertex walk hands each vertex, and the unimodular
+    vertices ``classify`` reads off it."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(*CONE_INDEX_CASES)
+    def test_index_is_the_smith_product_of_the_active_cone_normals(
+        self, rng, kind, rebased, resliced
+    ):
+        d = _cone_index_case(rng, kind, rebased, resliced)
+        q = [normal for normal, _ in cone_over(d.polytope, d.reeb).normals]
+        for v in d.vertices:
+            assert v.cone_index == prod(smith_diagonal([q[i] for i in sorted(v.active)]))
+        if resliced:  # the carried index is the one a fresh walk finds
+            assert validate_datum(d.polytope, d.reeb).vertices == d.vertices
+
+    @settings(deadline=None, max_examples=80)
+    @given(*CONE_INDEX_CASES)
+    def test_unimodular_vertices_have_det_the_label_product(self, rng, kind, rebased, resliced):
+        # a vertex's own face, its whole active set, lies in no other
+        # vertex's, so it takes a Smith normal form exactly when the vertex
+        # is not unimodular
+        d = _cone_index_case(rng, kind, rebased, resliced)
+        smith = []
+        real = classify_module._face_holonomy
+
+        def recorded(generators, face):
+            smith.append(sorted(face))
+            return real(generators, face)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(classify_module, "_face_holonomy", recorded)
+            classify(d)
+        generators = _facet_generators(d)[0]
+        labels = [f.label for f in d.facets]
+        for v in d.vertices:
+            active = sorted(v.active)
+            g_a = [generators[i] for i in active]
+            unimodular = abs(cofactor_det(g_a)) == prod(labels[i] for i in active)
+            assert (active not in smith) == unimodular
 
 
 def counted(ran, name):

@@ -133,6 +133,24 @@ class TestDocuments:
         with pytest.raises(ValueError, match="^bad rational .* for reeb component 0: "):
             datum_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1/0", "-1/0", "1" * 5000, "1/" + "2" * 5000, "-" + "3" * 4301 + "/7"],
+        ids=["zero", "negative over zero", "long", "long denominator", "long numerator"],
+    )
+    def test_rational_in_the_grammar_refused_as_fraction_refuses_it(self, text):
+        # the value is built from the matched digits, not by Fraction(str),
+        # and the message is the one Fraction(str) gives
+        with pytest.raises((ValueError, ZeroDivisionError)) as reference:
+            F(text)
+        doc = json.loads(serialize(weighted_simplex((1, 2))))
+        doc["facets"][1]["offset"] = text
+        with pytest.raises(ValueError) as exc:
+            datum_from_document(doc)
+        assert str(exc.value) == f"bad rational {text!r} for facet 1 offset: {reference.value}"
+        if text == "1/0":
+            assert str(exc.value) == "bad rational '1/0' for facet 1 offset: Fraction(1, 0)"
+
     @pytest.mark.parametrize("text, value", [("-3/6", F(-1, 2)), ("007", F(7)), ("-0", F(0))])
     def test_rational_in_the_grammar_read(self, text, value):
         doc = json.loads(serialize(weighted_simplex((1, 1))))
@@ -697,7 +715,7 @@ def test_closed_stdout_exits_quietly(argv):
 # every public name of ``toricontact`` when ``__init__`` imported every module
 PACKAGE_EXPORTS = (
     "ClassificationReport FaceInvariants ToricContactDatum classify holonomy "
-    "perturb_reeb validate_datum FiniteAbelianGroup det hnf "
+    "perturb_reeb validate_datum FiniteAbelianGroup hnf "
     "kernel_lattice_basis primitive quotient_group saturate snf LabeledFacet "
     "LabeledPolytope MomentCone Vertex cone_over slice_cone vertices SpherePresentation "
     "VerificationReport build_beta deformation_vector kernel_torus_weights reduced_polytope "

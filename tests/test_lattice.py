@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from toricontact import lattice
 from toricontact.lattice import (
     FiniteAbelianGroup,
-    det,
     hnf,
     identity,
     kernel_lattice_basis,
@@ -22,7 +21,7 @@ from toricontact.lattice import (
     transpose,
 )
 
-from oracles import minor_gcd_invariant_factors, small_kernel_vectors, in_span_over_q
+from oracles import cofactor_det, in_span_over_q, minor_gcd_invariant_factors, small_kernel_vectors
 
 
 def small_matrices(max_dim=4, max_entry=9):
@@ -73,21 +72,21 @@ class TestHnf:
         h, u = hnf(m)
         assert h == [[2, 0]]
         assert matmul(m, u) == h
-        assert abs(det(u)) == 1
+        assert abs(cofactor_det(u)) == 1
 
     def test_tall_matrix_already_reduced(self):
         m = [[1, 0], [0, 1], [1, 1]]
         h, u = hnf(m)
         assert h == m
         assert matmul(m, u) == h
-        assert abs(det(u)) == 1
+        assert abs(cofactor_det(u)) == 1
 
     @settings(deadline=None, max_examples=150)
     @given(small_matrices())
     def test_properties(self, m):
         h, u = hnf(m)
         assert matmul(m, u) == h
-        assert abs(det(u)) == 1
+        assert abs(cofactor_det(u)) == 1
         # pivots positive, entries to their left reduced, echelon structure
         cols = len(m[0])
         pivot_rows = []
@@ -128,8 +127,8 @@ class TestSnf:
     def test_properties(self, m):
         s, u, v = snf(m)
         assert matmul(matmul(u, m), v) == s
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+        assert abs(cofactor_det(u)) == 1
+        assert abs(cofactor_det(v)) == 1
         rows, cols = len(m), len(m[0])
         for i in range(rows):
             for j in range(cols):
@@ -218,7 +217,7 @@ class TestKernel:
                 st.lists(st.integers(-4, 4), min_size=rows, max_size=rows),
                 min_size=rows,
                 max_size=rows,
-            ).filter(lambda x: det(x) != 0)
+            ).filter(lambda x: cofactor_det(x) != 0)
         )
         basis = kernel_lattice_basis(m)
         assert kernel_lattice_basis(matmul(x, m)) == basis
@@ -318,7 +317,7 @@ class TestQuotientGroup:
             n = rng.randrange(1, 4)
             while True:
                 sub = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
-                d = det(sub)
+                d = cofactor_det(sub)
                 if d:
                     break
             g = quotient_group(identity(n), sub)
@@ -336,7 +335,7 @@ class TestQuotientGroup:
                     break
             while True:
                 x = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(k)]
-                if det(x):
+                if cofactor_det(x):
                     break
             g = quotient_group(b, matmul(x, b))
             assert g.free_rank == 0

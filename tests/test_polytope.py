@@ -337,6 +337,23 @@ class TestConeNormals:
             # integral entries stay ints, as beta and the vertex rows need
             assert all(type(x) is int for u in got for x in u if F(x).denominator == 1)
 
+    def test_reeb_entries_read_as_fraction_reads_them(self):
+        # an int is kept as it is, any other entry goes through Fraction,
+        # whose own error names an entry it cannot read
+        poly = LabeledPolytope(
+            3, (LabeledFacet((-1, 0, 0)), LabeledFacet((0, -1, 0)), LabeledFacet((1, 1, -1), 1, 1))
+        )
+        mixed = cone_normals(poly, (True, F(4, 2), "3/2"))
+        assert mixed == cone_normals(poly, (1, 2, F(3, 2)))
+        assert mixed == [[1, 0, 0], [0, 1, 0], [0, 1, F(5, 2)]]
+        assert [type(x) for x in mixed[2]] == [int, int, Fraction]
+        for bad in ("x", None):
+            with pytest.raises((ValueError, TypeError)) as reference:
+                F(bad)
+            with pytest.raises(type(reference.value)) as exc:
+                cone_normals(poly, (1, bad, 1))
+            assert str(exc.value) == str(reference.value)
+
     def test_translated_simplex(self):
         facets = (
             LabeledFacet((-1, 0), 1, F(1, 2)),

@@ -24,7 +24,8 @@ from toricontact.spheres import weighted_simplex
 
 from generators import labeled_cube, parabola, perturbed, random_datum, random_sphere
 from generators import weighted_simplex_product
-from oracles import maximin_deformation, minor_gcd_invariant_factors, small_kernel_vectors
+from oracles import cofactor_det, maximin_deformation, minor_gcd_invariant_factors
+from oracles import small_kernel_vectors
 from oracles import stabilizer_order
 
 F = Fraction
@@ -421,8 +422,6 @@ class TestUnimodularConjugation:
     def test_beta_conjugates_and_verdicts_stable(self):
         import random
 
-        from toricontact.lattice import det as idet
-
         rng = random.Random(4242)
         d = weighted_simplex((1, 2, 3))
         beta = build_beta(d)
@@ -436,7 +435,7 @@ class TestUnimodularConjugation:
             c = rng.randrange(-2, 3)
             for k in range(n1):
                 u[i][k] += c * u[j][k]
-        assert abs(idet(u)) == 1
+        assert abs(cofactor_det(u)) == 1
         facets = tuple(
             LabeledFacet(
                 tuple(sum(u[r][k] * f.normal[k] for k in range(n1)) for r in range(n1)),
@@ -681,7 +680,7 @@ class TestStabilizerOrder:
         assert vertex.coords == (F(12, 37), F(0), F(36, 37)) and support == [0, 1, 5]
         w_support = [[row[j] for j in support] for row in pres.weights]
         report = verify_presentation(mutant, d)
-        assert dict(report.local_freeness)[vertex.coords] == abs(lattice.det(w_support)) == 24
+        assert dict(report.local_freeness)[vertex.coords] == abs(cofactor_det(w_support)) == 24
 
     def test_one_elimination_of_w_per_verification(self, monkeypatch):
         # the 62-gon has k = 59 torus rows; every other elimination verify
