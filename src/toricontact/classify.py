@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 
 from .lattice import FiniteAbelianGroup, FrozenValue, kernel_lattice_basis, matvec
 from .lattice import over_common_denominator, primitive, smith_diagonal
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, cone_over
+from .polytope import LabeledFacet, LabeledPolytope, Vertex, _exact, cone_normals, cone_over
 from .polytope import integral_cone_normals, resliced_vertices
 from .polytope import vertices as _poly_vertices
 
@@ -46,10 +46,11 @@ class ToricContactDatum(FrozenValue):
 
     ``reeb`` holds ints in rational mode, Fractions in irrational mode.
     Construct through :func:`validate_datum`, which checks every invariant
-    and caches the vertex list.
+    and caches the vertex list.  ``cone_normals`` is computed on first read
+    and kept, for every later stage to share: do not change it.
     """
 
-    __slots__ = ("polytope", "reeb", "mode", "vertices")
+    __slots__ = ("polytope", "reeb", "mode", "vertices", "_cone_normals")
 
     def __init__(
         self, polytope: LabeledPolytope, reeb: tuple, mode: str, vertices: tuple[Vertex, ...]
@@ -66,6 +67,15 @@ class ToricContactDatum(FrozenValue):
     @property
     def facets(self) -> tuple[LabeledFacet, ...]:
         return self.polytope.facets
+
+    @property
+    def cone_normals(self) -> list[list]:
+        try:
+            return self._cone_normals
+        except AttributeError:
+            normals = cone_normals(self.polytope, self.reeb)
+            object.__setattr__(self, "_cone_normals", normals)
+            return normals
 
 
 class FaceInvariants(FrozenValue):
@@ -132,14 +142,14 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
     """
     if mode not in ("rational", "irrational"):
         raise ValueError(f"unknown mode {mode!r}")
-    r = [Fraction(x) for x in reeb]
+    r = _exact(reeb)
     # vertices() checks this too, but "not integral" must not win over it
     if len(r) != poly.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
-    integral = all(x.denominator == 1 for x in r)
+    integral = all(type(x) is int for x in r)
     if not integral and mode == "rational":
         raise ValueError("characteristic vector not integral")
-    stored = tuple(int(x) for x in r) if integral else tuple(r)
+    stored = tuple(r) if integral else tuple(map(Fraction, r))
     actual_mode = "rational" if integral else "irrational"
 
     verts = _poly_vertices(poly, stored)
@@ -201,7 +211,8 @@ def _face_holonomy(generators, face) -> FiniteAbelianGroup:
     """
     if not face:
         return FiniteAbelianGroup()
-    diag = smith_diagonal([generators[i] for i in sorted(face)])
+    rows = [generators[i] for i in sorted(face)]
+    diag = smith_diagonal(rows) if len(rows) > 1 else [gcd(*rows[0])]  # one row: its content
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
@@ -233,8 +244,8 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     of vertex active sets; the whole polytope appears as the empty face.
     Each active set is a bitmask ``full`` whose subsets are the masks
     ``sub = (sub - 1) & full``; a face's facets are its mask's set bits.
-    Each mask collects its vertices' numerators over D, the lcm of all
-    vertex denominators, and each face sums them once: its sample point,
+    Each mask collects its vertices' rays over D, the lcm of all vertex
+    heights, and each face sums them once: its sample point,
     the barycentre of its vertices, is sum / (D * count).  The face keeps
     those integers as ``point_sums`` over ``point_den = D * count``, so no
     Fraction is built until a caller reads ``sample_point``.  The facet
@@ -269,15 +280,15 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     facets = datum.facets
     labels = [f.label for f in facets]
     normals = [f.normal for f in facets]
-    cone_labels = [gcd(*u) for u in cone_normals(datum.polytope, datum.reeb)]
+    cone_labels = [gcd(*u) for u in datum.cone_normals]
     ks = [m * c // l for m, c, l in zip(labels, contents, cone_labels)]
     g = gcd(*datum.reeb)
-    heights = [lcm(*(x.denominator for x in v.coords)) for v in datum.vertices]
-    den = lcm(*heights)
+    den = lcm(*[v.height for v in datum.vertices])
     rows = {}  # face mask -> its vertices' rows: unimodular, numerators over den
-    for v, h in zip(datum.vertices, heights):
-        unimodular = v.cone_index * h == g * prod([ks[i] for i in v.active])
-        row = (unimodular, *(x.numerator * (den // x.denominator) for x in v.coords))
+    for v in datum.vertices:
+        unimodular = v.cone_index * v.height == g * prod([ks[i] for i in v.active])
+        scale = den // v.height
+        row = (unimodular, *(x * scale for x in v.ray))
         full = sub = sum(1 << i for i in v.active)
         while True:
             rows.setdefault(sub, []).append(row)
@@ -324,16 +335,19 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
     sets, and the rest of :func:`validate_datum` holds with no slice walked.
     """
     _require_rational(datum)
-    r = [Fraction(x) for x in new_reeb]
+    r = _exact(new_reeb)
     if len(r) != datum.polytope.ambient_dim:
         raise ValueError("characteristic vector has wrong dimension")
     try:
-        verts = sorted(resliced_vertices(datum.vertices, r), key=lambda v: v.coords)
+        moved = resliced_vertices(datum.vertices, r)
     except ValueError:  # empty, unbounded or zero: not positive on the cone
         raise ValueError("characteristic vector not in interior of dual cone") from None
-    if any(x.denominator != 1 for x in r):
+    if any(type(x) is not int for x in r):
         raise ValueError("characteristic vector not integral")
+    # in the walk's order: y / h sorts as y (L / h), L the lcm of the heights
+    big = lcm(*[v.height for v in moved])
+    verts = sorted(moved, key=lambda v: [x * (big // v.height) for x in v.ray])
     cone = cone_over(datum.polytope, datum.reeb)
     facets = tuple(LabeledFacet(tuple(-x for x in q), m) for q, m in cone.normals)
     poly = LabeledPolytope(cone.ambient_dim, facets)
-    return ToricContactDatum(poly, tuple(map(int, r)), "rational", tuple(verts))
+    return ToricContactDatum(poly, tuple(r), "rational", tuple(verts))

@@ -4,7 +4,7 @@ Rationals travel as strings "p/q" (or "p", and no other string form) so
 every value round-trips bit-exactly; integers are accepted wherever a
 rational is expected and non-reduced fractions are normalized on parse.
 A classification's sample points are written from the faces' integer
-sums, each coordinate with one gcd and no Fraction, as the same text
+sums, each distinct value with one gcd and no Fraction, as the same text
 ``str(Fraction)`` gives.  Field names follow the document formats
 described in the README.
 """
@@ -163,22 +163,26 @@ def cone_to_document(cone: MomentCone) -> dict:
     }
 
 
-def _rationals_text(nums, den: int) -> list[str]:
+def _rationals_text(nums, den: int, cache: dict) -> list[str]:
     """``[str(Fraction(x, den)) for x in nums]`` for den > 0, each entry
-    from one gcd and no Fraction: "p" or "p/q" in lowest terms."""
-    text = []
+    from one gcd and no Fraction: "p" or "p/q" in lowest terms.  ``cache``
+    keeps the texts by den and numerator, for calls to share."""
+    memo = cache.setdefault(den, {})
     for x in nums:
-        g = gcd(x, den)
-        text.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return text
+        if x not in memo:
+            g = gcd(x, den)
+            memo[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [memo[x] for x in nums]
 
 
 def classification_to_document(report: ClassificationReport) -> dict:
     """The report as a document.  Each sample point is written from its
-    integer sums with :func:`_rationals_text`, and each holonomy group's
-    order and name are computed once per group object, which ``classify``
-    shares among faces with the same group."""
+    integer sums with :func:`_rationals_text`, each distinct value once per
+    call, and each holonomy group's order and name are computed once per
+    group object, which ``classify`` shares among faces with the same
+    group.  Faces share strings only: every list and dict is new."""
     named = {}  # id(group) -> (order, name); the report keeps each group alive
+    texts = {}  # point_den -> numerator -> text
     per_face = []
     for f in report.per_face:
         group = f.holonomy
@@ -196,7 +200,7 @@ def classification_to_document(report: ClassificationReport) -> dict:
                     "order": order,
                     "name": name,
                 },
-                "sample_point": _rationals_text(f.point_sums, f.point_den),
+                "sample_point": _rationals_text(f.point_sums, f.point_den, texts),
             }
         )
     return {"regularity": report.regularity, "per_face": per_face}

@@ -193,16 +193,16 @@ def sliced_cone_points(a_rows, height):
     """(status, points) of the slice <y, height> = 1 of K = {y : A y <= 0,
     <y, height> >= 0}; status is "empty", "bounded" or "unbounded".
 
-    The points are the rays of K at positive height, rescaled to height 1,
-    in lexicographic order: the vertices of the slice.  Each row is first
-    divided by the gcd of its integer form, which cuts the same half-space,
-    and each point comes as (point, tight, index): ``tight`` the indices of
-    the rows of A that vanish on the primitive integer ray y and, if there
-    are dim - 1 of them (else None), ``index`` the gcd t of their maximal
-    minors.  Lineality makes the slice unbounded with no vertex to report;
-    it is found first, and K is cut down to its orthogonal complement,
-    where an exact phase 1 (:func:`_first_ray`) finds a first vertex or
-    proves the slice empty.
+    The points are the rays y of K at positive height h = <y, height>,
+    one per vertex y / h of the slice, in lexicographic order of the
+    vertices.  Each row is first divided by the gcd of its integer form,
+    which cuts the same half-space, and each point comes as (y, h, tight,
+    index): y primitive, h an int for integral height, ``tight`` the rows
+    of A that vanish on y and, if there are dim - 1 of them (else None),
+    ``index`` the gcd t of their maximal minors.  Lineality makes the
+    slice unbounded with no vertex to report; it is found first, and K is
+    cut down to its orthogonal complement, where an exact phase 1
+    (:func:`_first_ray`) finds a first vertex or proves the slice empty.
 
     From there the slice is walked basis by basis on the integer simplex
     dictionary B = d [rows; I] M^-1, M = [up; A_T] for a basis T of
@@ -302,7 +302,7 @@ def sliced_cone_points(a_rows, height):
     # L the lcm of the heights; distinct rays give distinct points
     big = lcm(*heights.values())
     return status, [
-        (tuple(Fraction(x * den, heights[y]) for x in y), *found[y])
+        (y, heights[y] if den == 1 else Fraction(heights[y], den), *found[y])
         for y in sorted(found, key=lambda y: [x * (big // heights[y]) for x in y])
     ]
 
@@ -320,4 +320,4 @@ def enumerate_hpoly(a_rows, b):
     status, points = sliced_cone_points(
         [[*row, -bi] for row, bi in zip(a_rows, b)], [0] * dim + [1]
     )
-    return status, [p[:-1] for p, _, _ in points]
+    return status, [tuple([Fraction(x, h) for x in y[:-1]]) for y, h, _, _ in points]

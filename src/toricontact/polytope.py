@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import geometry
 from .lattice import FrozenValue, as_integers, over_common_denominator
@@ -90,12 +91,38 @@ class LabeledPolytope(FrozenValue):
 
 
 class Vertex(FrozenValue):
-    __slots__ = ("coords", "active", "cone_index")
+    """A vertex y / height: ``ray`` the primitive integer ray y, ``height``
+    <y, reeb> (an int for integral reeb).  ``coords`` is built on first
+    read and kept; equality, hashing and repr go through it."""
+
+    __slots__ = ("ray", "height", "active", "cone_index", "_coords")
+    _fields = ("coords", "active", "cone_index")
 
     def __init__(self, coords: tuple[Fraction, ...], active: frozenset[int], cone_index=None):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "cone_index", cone_index)
+        den, nums = over_common_denominator(coords)
+        g = gcd(*nums) or 1
+        height = den // g if den % g == 0 else Fraction(den, g)
+        self._fill(tuple(x // g for x in nums), height, active, cone_index, tuple(coords))
+
+    @classmethod
+    def from_ray(cls, ray: tuple[int, ...], height, active: frozenset[int], cone_index=None):
+        self = object.__new__(cls)
+        self._fill(ray, height, active, cone_index)
+        return self
+
+    def _fill(self, *values):  # the slots in order, ``_coords`` only when known
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            num, den = self.height.numerator, self.height.denominator
+            coords = tuple([Fraction(x * den, num) for x in self.ray])
+            object.__setattr__(self, "_coords", coords)
+            return coords
 
 
 class MomentCone(FrozenValue):
@@ -159,7 +186,7 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
         raise ValueError("empty polytope")
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
-    return [Vertex(p, active, index) for p, active, index in points]
+    return [Vertex.from_ray(*p) for p in points]
 
 
 def resliced_vertices(verts, reeb) -> list[Vertex]:
@@ -172,30 +199,27 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
     rays are exactly the vertices v, each with <v, reeb> = 1.  For any
     reeb', with h_v = <v, reeb'>, the slice C cap {<y, reeb'> = 1} is empty
     iff no h_v is positive and bounded iff every h_v is; its vertices are
-    then v / h_v, with the same tight facets and the same cone index.
+    then v / h_v = y / <y, reeb'>, y the ray of v, with the same tight
+    facets and the same cone index.
 
     Returns the vertices in the order of ``verts``, each one the same
     object when h_v = 1, and raises as :func:`vertices` does on the same
     cone, with the same messages in the same order.
     """
-    r = [Fraction(x) for x in reeb]
-    if len(r) != len(verts[0].coords):
+    den, rs = over_common_denominator(reeb)
+    if len(rs) != len(verts[0].ray):
         raise ValueError("characteristic vector has wrong dimension")
-    if not any(r):
+    if not any(rs):
         raise ValueError("characteristic vector must be nonzero")
-    # h_v = s / (den * hv), in integers: reeb' = rs / den, v = vs / hv
-    den, rs = over_common_denominator(r)
-    heights = []
-    for v in verts:
-        hv, vs = over_common_denominator(v.coords)
-        heights.append((sum([a * b for a, b in zip(vs, rs)]), den * hv, vs))
-    if all(s <= 0 for s, _, _ in heights):
+    heights = [sum(map(mul, v.ray, rs)) for v in verts]  # den <y, reeb'> per vertex
+    if all(s <= 0 for s in heights):
         raise ValueError("empty polytope")
-    if any(s <= 0 for s, _, _ in heights):
+    if any(s <= 0 for s in heights):
         raise ValueError("polytope unbounded in characteristic hyperplane")
     return [
-        v if s == one else Vertex(tuple(Fraction(x * den, s) for x in vs), v.active, v.cone_index)
-        for v, (s, one, vs) in zip(verts, heights)
+        v if s == v.height * den
+        else Vertex.from_ray(v.ray, s if den == 1 else Fraction(s, den), v.active, v.cone_index)
+        for v, s in zip(verts, heights)
     ]
 
 
@@ -243,7 +267,7 @@ def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
         raise ValueError("characteristic vector has wrong dimension")
     a_rows = [[-x for x in q] for q, _ in cone.normals]
     status, points = geometry.sliced_cone_points(a_rows, r)
-    if status != "bounded" or any(len(t) == len(a_rows) for _, t, _ in points):
+    if status != "bounded" or any(len(t) == len(a_rows) for _, _, t, _ in points):
         raise ValueError("characteristic vector not in interior of dual cone")
     facets = [LabeledFacet(tuple(-x for x in q), label, Fraction(0)) for q, label in cone.normals]
     return LabeledPolytope(cone.ambient_dim, tuple(facets))

@@ -17,7 +17,7 @@ from . import geometry
 from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
 from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, integral_cone_normals
+from .polytope import LabeledFacet, LabeledPolytope, Vertex, integral_cone_normals
 from .polytope import resliced_vertices
 from .polytope import vertices as _poly_vertices
 
@@ -111,7 +111,7 @@ def build_beta(datum: ToricContactDatum) -> list[list[int]]:
     """Matrix whose i-th column is the labeled inward cone normal of facet i."""
     # onto without a rank check: a validated datum's slice is bounded and
     # nonempty, so its moment cone is pointed and the cone normals span
-    return transpose(integral_cone_normals(cone_normals(datum.polytope, datum.reeb)))
+    return transpose(integral_cone_normals(datum.cone_normals))
 
 
 def kernel_torus_weights(beta) -> list[list[int]]:
@@ -138,13 +138,12 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     every valid datum.
     """
     total = [sum(row) for row in beta]
-    # the best vertex so far as num / h = <total, v>, h the lcm of its denominators
+    # the best vertex so far as num / h = <total, v>, v = ray / h
     num, h, best = 0, 1, None
     for v in datum.vertices:
-        hv, vs = over_common_denominator(v.coords)
-        nv = sum([t * x for t, x in zip(total, vs)])
-        if nv * h > num * hv:
-            num, h, best = nv, hv, v
+        nv = sum([t * x for t, x in zip(total, v.ray)])
+        if nv * h > num * v.height:
+            num, h, best = nv, v.height, v
     if num <= 0:
         raise ValueError("no positive solution")
     # y = num * (a - z* * 1) is zero off T, so off A = A(best) as well, and
@@ -290,7 +289,7 @@ def verify_presentation(
     if pres.N != len(datum.facets):
         raise ValueError("presentation and datum facet counts differ")
     columns = transpose(pres.beta)
-    normals = cone_normals(datum.polytope, datum.reeb)
+    normals = datum.cone_normals
     same_cone = sorted(columns) == sorted(normals)
     problems = []
     # on the same cone beta is onto: the datum's cone is pointed
@@ -314,12 +313,14 @@ def verify_presentation(
                 # column j is the datum facet whose cone normal equals it
                 column = {tuple(c): j for j, c in enumerate(columns)}
                 to_column = [column[tuple(u)] for u in normals]
-                reduced = sorted(
-                    (w.coords, w is not v, frozenset(to_column[i] for i in w.active), w.cone_index)
-                    for v, w in zip(datum.vertices, moved)
-                )
-                vertex_diff += [("extra", c) for c, extra, _, _ in reduced if extra]
-                reduced_verts = [Vertex(c, active, t) for c, _, active, t in reduced]
+                reduced = sorted(zip(moved, datum.vertices), key=lambda pair: pair[0].coords)
+                vertex_diff += [("extra", w.coords) for w, v in reduced if w is not v]
+                reduced_verts = [
+                    Vertex.from_ray(
+                        w.ray, w.height, frozenset(to_column[i] for i in w.active), w.cone_index
+                    )
+                    for w, _ in reduced
+                ]
             polytope_match = not vertex_diff
         else:
             reduced_verts = _poly_vertices(*reduced_polytope(pres))

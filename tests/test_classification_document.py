@@ -1,14 +1,16 @@
 """The classification document is written from integers.
 
 ``classify`` keeps each sample point as integer sums over one denominator,
-and ``classification_to_document`` writes each coordinate from those with
-one gcd and each holonomy group's order and name once per group object.
+and ``classification_to_document`` writes each distinct value from those
+with one gcd per call and each holonomy group's order and name once per
+group object.
 These tests hold the text to what ``str(Fraction)`` and the Fraction-based
 face loop of ``tests/oracles.py`` give.
 """
 
 import json
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from generators import labeled_cube, random_datum, random_unimodular
 from toricontact.classify import FaceInvariants, classify
+from toricontact import documents
 from toricontact.documents import _rationals_text, classification_to_document
 from toricontact.lattice import FiniteAbelianGroup
 from toricontact.spheres import weighted_simplex
@@ -38,7 +41,17 @@ def dumped(report) -> str:
 @example([-(10**40) - 1], 10**20)
 @example([2**200], 2**199)
 def test_rationals_text_is_the_fraction_text(nums, den):
-    assert _rationals_text(nums, den) == [str(Fraction(x, den)) for x in nums]
+    assert _rationals_text(nums, den, {}) == [str(Fraction(x, den)) for x in nums]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.lists(st.integers(-30, 30), max_size=4), st.integers(1, 12))))
+@example([([2, 4], 4), ([4, 2], 4), ([4], 8), ([-3, 3], 3)])
+def test_rationals_text_with_a_shared_cache_is_the_fraction_text(calls):
+    # the texts of one den are kept apart from those of another
+    cache = {}
+    for nums, den in calls:
+        assert _rationals_text(nums, den, cache) == [str(Fraction(x, den)) for x in nums]
 
 
 @settings(deadline=None, max_examples=40)
@@ -60,6 +73,21 @@ def test_document_matches_the_fraction_oracle_on_labeled_cubes(n):
     d = labeled_cube(n, labels, random_unimodular(rng, n + 1))
     assert any(x < 0 for v in d.vertices for x in v.coords)
     assert dumped(classify(d)) == dumped(oracles.classify(d))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False), st.integers(1, 4))
+def test_each_distinct_value_is_written_once_and_as_the_oracle_writes_it(rng, n):
+    labels = [rng.randint(1, 3) for _ in range(2 * n)]
+    d = labeled_cube(n, labels, random_unimodular(rng, n + 1))
+    report = classify(d)
+    written = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(documents, "gcd", lambda x, den: written.append((x, den)) or gcd(x, den))
+        doc = classification_to_document(report)
+    assert json.dumps(doc, indent=2) == dumped(oracles.classify(d))
+    distinct = {(x, f.point_den) for f in report.per_face for x in f.point_sums}
+    assert len(written) == len(distinct) and set(written) == distinct
 
 
 def test_faces_and_documents_share_no_mutable_part():

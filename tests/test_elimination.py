@@ -4,7 +4,7 @@ and the vertex walk built on it against a scan over every row subset."""
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,6 +36,22 @@ from oracles import enumerate_hpoly as in_plane_enumerate_hpoly
 from oracles import sliced_cone_points as scan_sliced_cone_points
 
 F = Fraction
+
+
+def walked(a_rows, height):
+    """``sliced_cone_points`` read as the scan reports it: each (y, h, tight,
+    index) as (y / h, tight, index), once y is checked to be a primitive
+    integer ray and h its height <y, height> > 0, an int for an integral
+    height."""
+    status, points = sliced_cone_points(a_rows, height)
+    integral = all(F(x).denominator == 1 for x in height)
+    read = []
+    for y, h, tight, index in points:
+        assert type(y) is tuple and all(type(x) is int for x in y) and gcd(*y) == 1
+        assert h == sum(x * F(c) for x, c in zip(y, height)) > 0
+        assert type(h) is int or not integral
+        read.append((tuple(F(x) / h for x in y), tight, index))
+    return status, read
 
 
 def _product(left, right):
@@ -255,11 +271,11 @@ class TestEdgeWalkAgainstScan:
     def test_named_systems(self):
         for name, system in self.SYSTEMS.items():
             a_rows, height = _homogenized(*system)
-            got = sliced_cone_points(a_rows, height)
+            got = walked(a_rows, height)
             assert got == scan_sliced_cone_points(a_rows, height), name
-        pyramid = sliced_cone_points(*_homogenized(*self.SYSTEMS["square pyramid"]))
+        pyramid = walked(*_homogenized(*self.SYSTEMS["square pyramid"]))
         assert pyramid[0] == "bounded" and max(len(t) for _, t, _ in pyramid[1]) == 4
-        octahedron = sliced_cone_points(*_homogenized(*self.SYSTEMS["octahedron"]))
+        octahedron = walked(*_homogenized(*self.SYSTEMS["octahedron"]))
         assert len(octahedron[1]) == 6 and all(len(t) == 4 for _, t, _ in octahedron[1])
 
     @settings(deadline=None, max_examples=200)
@@ -268,7 +284,7 @@ class TestEdgeWalkAgainstScan:
     @example(([[1, 0], [0, 1]], [1, 1]))
     def test_random_systems(self, system):
         a_rows, height = system
-        assert sliced_cone_points(a_rows, height) == scan_sliced_cone_points(a_rows, height)
+        assert walked(a_rows, height) == scan_sliced_cone_points(a_rows, height)
 
 
 @st.composite
@@ -297,8 +313,8 @@ class TestRowOrder:
     @example(([[1, 0], [-1, 0], [0, 1], [2, 0], [0, 0]], [1, 1], [4, 3, 2, 1, 0]))
     def test_permuted_rows_give_relabelled_active_sets(self, case):
         a_rows, height, perm = case
-        status, points = sliced_cone_points(a_rows, height)
-        got_status, got = sliced_cone_points([a_rows[i] for i in perm], height)
+        status, points = walked(a_rows, height)
+        got_status, got = walked([a_rows[i] for i in perm], height)
         assert got_status == status
         assert [(p, frozenset(perm[j] for j in t), i) for p, t, i in got] == points
 
@@ -359,7 +375,7 @@ class TestPivotWalkOnSimpleData:
         a_rows = [[-x for x in u] for u in cone_normals(d.polytope, r)]
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _traced(monkeypatch, "echelon")
-            got = sliced_cone_points(a_rows, list(r))
+            got = walked(a_rows, list(r))
         assert got == scan_sliced_cone_points(a_rows, list(r))
         assert got[0] == "bounded" and len(got[1]) == len(d.vertices)
         assert Counter(calls) == {"echelon": 2}
@@ -367,7 +383,7 @@ class TestPivotWalkOnSimpleData:
     def test_fractional_heights(self):
         # the orthant simplex at reeb (1, 3/2, 1) has the vertex (0, 2/3, 0)
         a_rows = [[-int(i == j) for j in range(3)] for i in range(3)]
-        status, points = sliced_cone_points(a_rows, [1, F(3, 2), 1])
+        status, points = walked(a_rows, [1, F(3, 2), 1])
         assert status == "bounded"
         assert points == scan_sliced_cone_points(a_rows, [1, F(3, 2), 1])[1]
         assert (F(0), F(2, 3), F(0)) in [p for p, _, _ in points]
@@ -392,7 +408,7 @@ class TestPivotsAndSubsets:
     def _walk(self, a_rows, height):
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _traced(monkeypatch, "echelon")
-            got = sliced_cone_points(a_rows, height)
+            got = walked(a_rows, height)
         assert Counter(calls) == {"echelon": 2}
         return got
 
