@@ -25,9 +25,9 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .lattice import FiniteAbelianGroup, FrozenValue, kernel_lattice_basis, matvec
-from .lattice import over_common_denominator, primitive, smith_diagonal
+from .lattice import primitive, smith_diagonal
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, _exact, cone_normals, cone_over
-from .polytope import integral_cone_normals, resliced_vertices
+from .polytope import integral_cone_normals, resliced_vertices, sort_vertices
 from .polytope import vertices as _poly_vertices
 
 __all__ = [
@@ -44,21 +44,22 @@ __all__ = [
 class ToricContactDatum(FrozenValue):
     """A validated (polytope, characteristic vector) pair.
 
-    ``reeb`` holds ints in rational mode, Fractions in irrational mode.
-    Construct through :func:`validate_datum`, which checks every invariant
-    and caches the vertex list.  ``cone_normals`` is computed on first read
-    and kept, for every later stage to share: do not change it.
+    ``reeb`` holds ints in rational mode, Fractions in irrational mode, and
+    ``mode`` is read off it.  Construct through :func:`validate_datum`, which
+    checks every invariant and caches the vertex list.  ``cone_normals`` is
+    computed on first read and kept for every later stage to share, unchanged.
     """
 
-    __slots__ = ("polytope", "reeb", "mode", "vertices", "_cone_normals")
+    __slots__ = ("polytope", "reeb", "vertices", "_cone_normals")
 
-    def __init__(
-        self, polytope: LabeledPolytope, reeb: tuple, mode: str, vertices: tuple[Vertex, ...]
-    ):
+    def __init__(self, polytope: LabeledPolytope, reeb: tuple, vertices: tuple[Vertex, ...]):
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "reeb", reeb)
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "vertices", vertices)
+
+    @property
+    def mode(self) -> str:
+        return "rational" if all(type(x) is int for x in self.reeb) else "irrational"
 
     @property
     def n(self) -> int:
@@ -84,8 +85,8 @@ class FaceInvariants(FrozenValue):
     The sample point, the barycentre of the face's vertices, is kept as
     integers: ``point_sums`` over the one positive ``point_den``.
     ``sample_point`` builds its tuple of Fractions on each read, and
-    equality, hashing and repr go through it, so a face built from
-    Fractions equals the same face built by :func:`classify`.
+    equality, hashing and repr go through it, for the sums over
+    ``point_den`` need not be in lowest terms.
     """
 
     __slots__ = ("face", "isotropy_basis", "holonomy", "point_sums", "point_den")
@@ -96,18 +97,9 @@ class FaceInvariants(FrozenValue):
         face: frozenset[int],
         isotropy_basis: tuple[tuple[int, ...], ...],
         holonomy: FiniteAbelianGroup,
-        sample_point: tuple[Fraction, ...],
+        point_sums: tuple[int, ...],
+        point_den: int,
     ):
-        den, sums = over_common_denominator(sample_point)
-        self._fill(face, isotropy_basis, holonomy, tuple(sums), den)
-
-    @classmethod
-    def _from_sums(cls, face, isotropy_basis, holonomy, point_sums, point_den):
-        self = object.__new__(cls)
-        self._fill(face, isotropy_basis, holonomy, point_sums, point_den)
-        return self
-
-    def _fill(self, face, isotropy_basis, holonomy, point_sums, point_den):
         object.__setattr__(self, "face", face)
         object.__setattr__(self, "isotropy_basis", isotropy_basis)
         object.__setattr__(self, "holonomy", holonomy)
@@ -150,7 +142,6 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
     if not integral and mode == "rational":
         raise ValueError("characteristic vector not integral")
     stored = tuple(r) if integral else tuple(map(Fraction, r))
-    actual_mode = "rational" if integral else "irrational"
 
     verts = _poly_vertices(poly, stored)
     n = poly.dim
@@ -170,7 +161,7 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
     #   n - k and are positively dependent, so there are at least n - k + 1
     #   of them; a vertex is tight on those and on k more, so on more than
     #   n facets, and the simplicity check raised.
-    if actual_mode == "rational":
+    if integral:
         # reduction needs integral cone normals; none is zero, for a zero
         # one is tight at every vertex and the simplicity check raised.
         # With offset a/b in lowest terms, u_i = (a * reeb - b * m_i p_i) / b
@@ -180,7 +171,7 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
         g = gcd(*stored)
         if any(g % f.offset.denominator for f in poly.facets):
             integral_cone_normals(cone_normals(poly, stored))
-    return ToricContactDatum(poly, stored, actual_mode, tuple(verts))
+    return ToricContactDatum(poly, stored, tuple(verts))
 
 
 def _require_rational(datum: ToricContactDatum):
@@ -305,7 +296,6 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     groups = {}  # sorted labels -> holonomy of a face inside a unimodular vertex
     shared = {}  # invariant factors -> the one group object every face with them gets
     per_face = []
-    new_face = FaceInvariants._from_sums
     for _, idx, mask in sorted(faces):
         face_rows = rows[mask]
         diagonal, *nums = map(sum, zip(*face_rows))
@@ -320,7 +310,7 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
             group = shared.setdefault(group.invariant_factors, group)
         basis = tuple([normals[i] for i in idx])
         point_den = den * len(face_rows)
-        per_face.append(new_face(frozenset(idx), basis, group, tuple(nums), point_den))
+        per_face.append(FaceInvariants(frozenset(idx), basis, group, tuple(nums), point_den))
     regular = all(f.holonomy.is_trivial for f in per_face) and set(labels) == {1}
     return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
 
@@ -344,10 +334,7 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
         raise ValueError("characteristic vector not in interior of dual cone") from None
     if any(type(x) is not int for x in r):
         raise ValueError("characteristic vector not integral")
-    # in the walk's order: y / h sorts as y (L / h), L the lcm of the heights
-    big = lcm(*[v.height for v in moved])
-    verts = sorted(moved, key=lambda v: [x * (big // v.height) for x in v.ray])
     cone = cone_over(datum.polytope, datum.reeb)
     facets = tuple(LabeledFacet(tuple(-x for x in q), m) for q, m in cone.normals)
     poly = LabeledPolytope(cone.ambient_dim, facets)
-    return ToricContactDatum(poly, tuple(r), "rational", tuple(verts))
+    return ToricContactDatum(poly, tuple(r), tuple(sort_vertices(moved)))  # the walk's order

@@ -63,10 +63,9 @@ def _emit_datum(args, datum) -> int:
             f"label {f.label}, offset {f.offset}"
         )
     lines.append(f"  reeb ({', '.join(str(x) for x in datum.reeb)})")
-    if args.emit_vertices:
-        for v in datum.vertices:
-            lines.append(f"  vertex ({', '.join(str(x) for x in v.coords)})")
-    _emit(args, documents.datum_to_document(datum, args.emit_vertices), lines)
+    doc = documents.datum_to_document(datum, args.emit_vertices)
+    lines += [f"  vertex ({', '.join(vertex)})" for vertex in doc.get("vertices", ())]
+    _emit(args, doc, lines)
     return 0
 
 
@@ -131,15 +130,11 @@ def _cmd_verify(args) -> int:
         f"  polytope match: {report.polytope_match}",
         f"  smooth: {report.smooth}",
     ]
-    for kind, coords in report.vertex_diff:
-        lines.append(f"  {kind} vertex ({', '.join(str(x) for x in coords)})")
-    for coords, order in report.local_freeness:
-        shown = "infinite" if order is None else order
-        lines.append(
-            f"  vertex ({', '.join(str(x) for x in coords)}): stabilizer order {shown}"
-        )
-    for problem in report.problems:
-        lines.append(f"  problem: {problem}")
+    lines += [f"  {e['kind']} vertex ({', '.join(e['vertex'])})" for e in doc["vertex_diff"]]
+    for e in doc["local_freeness"]:
+        shown = "infinite" if e["stabilizer_order"] is None else e["stabilizer_order"]
+        lines.append(f"  vertex ({', '.join(e['vertex'])}): stabilizer order {shown}")
+    lines += [f"  problem: {problem}" for problem in report.problems]
     _emit(args, doc, lines)
     return 0 if report.ok else 1
 

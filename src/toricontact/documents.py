@@ -3,8 +3,9 @@
 Rationals travel as strings "p/q" (or "p", and no other string form) so
 every value round-trips bit-exactly; integers are accepted wherever a
 rational is expected and non-reduced fractions are normalized on parse.
-A classification's sample points are written from the faces' integer
-sums, each distinct value with one gcd and no Fraction, as the same text
+A classification's sample points and every vertex are written from
+integers, the faces' sums and the vertices' rays over their heights,
+each distinct value with one gcd and no Fraction, as the same text
 ``str(Fraction)`` gives.  Field names follow the document formats
 described in the README.
 """
@@ -91,7 +92,8 @@ def datum_to_document(datum: ToricContactDatum, emit_vertices: bool = False) -> 
         "mode": datum.mode,
     }
     if emit_vertices:
-        doc["vertices"] = [[str(x) for x in v.coords] for v in datum.vertices]
+        texts = {}
+        doc["vertices"] = [_vertex_text(v, texts) for v in datum.vertices]
     return doc
 
 
@@ -175,6 +177,14 @@ def _rationals_text(nums, den: int, cache: dict) -> list[str]:
     return [memo[x] for x in nums]
 
 
+def _vertex_text(vertex, cache: dict) -> list[str]:
+    """The coordinates y / h of a vertex as :func:`_rationals_text` writes
+    them: y q over p for the height h = p / q."""
+    h = vertex.height
+    ray = vertex.ray if type(h) is int else [x * h.denominator for x in vertex.ray]
+    return _rationals_text(ray, h.numerator, cache)
+
+
 def classification_to_document(report: ClassificationReport) -> dict:
     """The report as a document.  Each sample point is written from its
     integer sums with :func:`_rationals_text`, each distinct value once per
@@ -207,16 +217,16 @@ def classification_to_document(report: ClassificationReport) -> dict:
 
 
 def verification_to_document(report: VerificationReport) -> dict:
+    texts = {}
     return {
         "ok": report.ok,
         "polytope_match": report.polytope_match,
         "vertex_diff": [
-            {"kind": kind, "vertex": [str(x) for x in coords]}
-            for kind, coords in report.vertex_diff
+            {"kind": kind, "vertex": _vertex_text(v, texts)} for kind, v in report.vertex_diff
         ],
         "local_freeness": [
-            {"vertex": [str(x) for x in coords], "stabilizer_order": order}
-            for coords, order in report.local_freeness
+            {"vertex": _vertex_text(v, texts), "stabilizer_order": order}
+            for v, order in report.local_freeness
         ],
         "smooth": report.smooth,
         "problems": list(report.problems),

@@ -37,7 +37,6 @@ __all__ = [
 
 def _integral(row) -> list[int]:
     """A rational row scaled by the lcm of its denominators (same ray)."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     return over_common_denominator(row)[1]
 
 
@@ -257,7 +256,7 @@ def sliced_cone_points(a_rows, height):
     """
     dim = len(height)
     m = len(a_rows)
-    den, up = over_common_denominator([Fraction(x) for x in height])
+    den, up = over_common_denominator(height)
     rows = [primitive(row) if any(row) else row for row in map(_integral, a_rows)]
     rows.append([-x for x in up])
     lineality = [_integral(y) for y in null_space(rows, dim)]

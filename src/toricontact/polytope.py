@@ -14,7 +14,7 @@ rational is checked once, by :func:`toricontact.classify.validate_datum`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import geometry
@@ -30,6 +30,7 @@ __all__ = [
     "integral_cone_normals",
     "resliced_vertices",
     "slice_cone",
+    "sort_vertices",
     "vertices",
 ]
 
@@ -92,37 +93,32 @@ class LabeledPolytope(FrozenValue):
 
 class Vertex(FrozenValue):
     """A vertex y / height: ``ray`` the primitive integer ray y, ``height``
-    <y, reeb> (an int for integral reeb).  ``coords`` is built on first
-    read and kept; equality, hashing and repr go through it."""
+    <y, reeb> > 0 (an int for integral reeb), ``active`` the facets tight
+    at it and ``cone_index`` as :func:`vertices` says.  A primitive ray at
+    positive height is one point, so equal fields are equal points."""
 
-    __slots__ = ("ray", "height", "active", "cone_index", "_coords")
-    _fields = ("coords", "active", "cone_index")
+    __slots__ = ("ray", "height", "active", "cone_index")
 
-    def __init__(self, coords: tuple[Fraction, ...], active: frozenset[int], cone_index=None):
-        den, nums = over_common_denominator(coords)
-        g = gcd(*nums) or 1
-        height = den // g if den % g == 0 else Fraction(den, g)
-        self._fill(tuple(x // g for x in nums), height, active, cone_index, tuple(coords))
-
-    @classmethod
-    def from_ray(cls, ray: tuple[int, ...], height, active: frozenset[int], cone_index=None):
-        self = object.__new__(cls)
-        self._fill(ray, height, active, cone_index)
-        return self
-
-    def _fill(self, *values):  # the slots in order, ``_coords`` only when known
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, ray: tuple[int, ...], height, active: frozenset[int], cone_index=None):
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "cone_index", cone_index)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coords
-        except AttributeError:
-            num, den = self.height.numerator, self.height.denominator
-            coords = tuple([Fraction(x * den, num) for x in self.ray])
-            object.__setattr__(self, "_coords", coords)
-            return coords
+        """The point y / height as Fractions, built on each read."""
+        num, den = self.height.numerator, self.height.denominator
+        return tuple([Fraction(x * den, num) for x in self.ray])
+
+
+def sort_vertices(verts) -> list[Vertex]:
+    """A list of vertices in lexicographic order of their coords, in integers:
+    y / (p / q) sorts as y q (L / p), L the lcm of the numerators p."""
+    big = lcm(*[v.height.numerator for v in verts])
+    scale = [v.height.denominator * (big // v.height.numerator) for v in verts]
+    order = sorted(range(len(verts)), key=lambda i: [x * scale[i] for x in verts[i].ray])
+    return [verts[i] for i in order]
 
 
 class MomentCone(FrozenValue):
@@ -162,12 +158,12 @@ def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
 
 
 def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
-    """All vertices of the polytope sliced by the characteristic hyperplane.
+    """All vertices of the polytope sliced by the characteristic hyperplane,
+    in lexicographic order, each with the set of facets active at it.
 
-    Coordinates are exact rationals; each vertex carries the set of facets
-    active at it.  The vertices are the rays of the cone over the slice
-    (the cone cut out by :func:`cone_normals`) at positive height
-    <y, reeb>, rescaled to height 1, found by walking the edges of the
+    The vertices are the rays of the cone over the slice (the cone cut out
+    by :func:`cone_normals`) at positive height <y, reeb>, each kept as its
+    primitive ray y over that height, found by walking the edges of the
     slice (:func:`toricontact.geometry.sliced_cone_points`); a facet is
     active exactly when its cone normal vanishes on the integer ray.
     A simple vertex also gets its ``cone_index`` off the walk (else None):
@@ -186,7 +182,7 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
         raise ValueError("empty polytope")
     if status == "unbounded":
         raise ValueError("polytope unbounded in characteristic hyperplane")
-    return [Vertex.from_ray(*p) for p in points]
+    return [Vertex(*p) for p in points]
 
 
 def resliced_vertices(verts, reeb) -> list[Vertex]:
@@ -218,7 +214,7 @@ def resliced_vertices(verts, reeb) -> list[Vertex]:
         raise ValueError("polytope unbounded in characteristic hyperplane")
     return [
         v if s == v.height * den
-        else Vertex.from_ray(v.ray, s if den == 1 else Fraction(s, den), v.active, v.cone_index)
+        else Vertex(v.ray, s if den == 1 else Fraction(s, den), v.active, v.cone_index)
         for v, s in zip(verts, heights)
     ]
 

@@ -18,8 +18,7 @@ from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
 from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, integral_cone_normals
-from .polytope import resliced_vertices
-from .polytope import vertices as _poly_vertices
+from .polytope import resliced_vertices, sort_vertices, vertices as _poly_vertices
 
 __all__ = [
     "SpherePresentation",
@@ -82,21 +81,22 @@ class SpherePresentation(FrozenValue):
 
 
 class VerificationReport(FrozenValue):
-    __slots__ = ("polytope_match", "vertex_diff", "local_freeness", "smooth", "problems")
+    """``vertex_diff`` holds ("missing" or "extra", vertex) pairs and
+    ``local_freeness`` (reduced vertex, stabilizer order or None) pairs."""
+
+    __slots__ = ("polytope_match", "vertex_diff", "local_freeness", "problems")
 
     def __init__(
-        self,
-        polytope_match: bool,
-        vertex_diff: tuple,
-        local_freeness: tuple,  # per vertex: (coords, stabilizer order or None)
-        smooth: bool,
-        problems: tuple[str, ...] = (),
+        self, polytope_match: bool, vertex_diff: tuple, local_freeness: tuple, problems: tuple = ()
     ):
         object.__setattr__(self, "polytope_match", polytope_match)
         object.__setattr__(self, "vertex_diff", vertex_diff)
         object.__setattr__(self, "local_freeness", local_freeness)
-        object.__setattr__(self, "smooth", smooth)
         object.__setattr__(self, "problems", problems)
+
+    @property
+    def smooth(self) -> bool:
+        return all(order == 1 for _, order in self.local_freeness)
 
     @property
     def ok(self) -> bool:
@@ -306,29 +306,22 @@ def verify_presentation(
     try:
         if same_cone:
             moved = resliced_vertices(datum.vertices, pres.reeb_image)
-            vertex_diff = [
-                ("missing", v.coords) for v, w in zip(datum.vertices, moved) if w is not v
-            ]
-            if vertex_diff or columns != normals:
+            if columns != normals:
                 # column j is the datum facet whose cone normal equals it
                 column = {tuple(c): j for j, c in enumerate(columns)}
                 to_column = [column[tuple(u)] for u in normals]
-                reduced = sorted(zip(moved, datum.vertices), key=lambda pair: pair[0].coords)
-                vertex_diff += [("extra", w.coords) for w, v in reduced if w is not v]
-                reduced_verts = [
-                    Vertex.from_ray(
-                        w.ray, w.height, frozenset(to_column[i] for i in w.active), w.cone_index
-                    )
-                    for w, _ in reduced
-                ]
-            polytope_match = not vertex_diff
+                active = [frozenset([to_column[i] for i in w.active]) for w in moved]
+                moved = [Vertex(w.ray, w.height, a, w.cone_index) for w, a in zip(moved, active)]
+            reduced_verts = sort_vertices(moved)
         else:
             reduced_verts = _poly_vertices(*reduced_polytope(pres))
-            ours = [v.coords for v in datum.vertices]
-            theirs = [v.coords for v in reduced_verts]
-            ours_set, theirs_set = set(ours), set(theirs)
-            vertex_diff = [("missing", c) for c in ours if c not in theirs_set]
-            vertex_diff += [("extra", c) for c in theirs if c not in ours_set]
+        # a primitive ray and a positive height name one point
+        ours = {(v.ray, v.height) for v in datum.vertices}
+        theirs = {(w.ray, w.height) for w in reduced_verts}
+        vertex_diff = [("missing", v) for v in datum.vertices if (v.ray, v.height) not in theirs]
+        vertex_diff += [("extra", w) for w in reduced_verts if (w.ray, w.height) not in ours]
+        polytope_match = same_cone and not vertex_diff
+        if not same_cone:
             integral_cone_normals(normals)
             late.append("cone normals of presentation and datum differ")
     except ValueError as exc:
@@ -338,11 +331,9 @@ def verify_presentation(
     supports = [[i for i in coords if i not in v.active] for v in reduced_verts]
     orders = _stabilizer_orders(pres.weights, supports)
     problems += _presentation_problems(pres, datum.reeb, gcd(*[o or 0 for o in orders]))
-    local = [(v.coords, order) for v, order in zip(reduced_verts, orders)]
     return VerificationReport(
         polytope_match=polytope_match,
         vertex_diff=tuple(vertex_diff),
-        local_freeness=tuple(local),
-        smooth=all(order == 1 for order in orders),
+        local_freeness=tuple(zip(reduced_verts, orders)),
         problems=tuple(problems + late),
     )

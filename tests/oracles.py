@@ -137,6 +137,54 @@ def _primitive_ray(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def ray_and_height(point) -> tuple[tuple[int, ...], Fraction]:
+    """(y, h) with point = y / h, y primitive and h > 0, for a nonzero
+    rational point."""
+    ray = _primitive_ray(point)
+    i = next(i for i, x in enumerate(ray) if x)
+    return ray, ray[i] / Fraction(point[i])
+
+
+def _texts(point) -> list[str]:
+    return [str(Fraction(x)) for x in point]
+
+
+def datum_document(datum) -> dict:
+    """The datum document with its vertices (``--emit-vertices``), each
+    coordinate written by ``str(Fraction)``; the mode is "rational" exactly
+    when every reeb entry is integral."""
+    return {
+        "ambient_dim": datum.polytope.ambient_dim,
+        "facets": [
+            {"normal": list(f.normal), "label": f.label, "offset": str(f.offset)}
+            for f in datum.facets
+        ],
+        "reeb": _texts(datum.reeb),
+        "mode": "irrational" if any(Fraction(x).denominator > 1 for x in datum.reeb)
+        else "rational",
+        "vertices": [_texts(v.coords) for v in datum.vertices],
+    }
+
+
+def verification_document(report) -> dict:
+    """The verification document, each vertex's coordinates written by
+    ``str(Fraction)``; smooth means every stabilizer order is 1."""
+    orders = [order for _, order in report.local_freeness]
+    return {
+        "ok": report.polytope_match and not report.problems and None not in orders,
+        "polytope_match": report.polytope_match,
+        "vertex_diff": [
+            {"kind": kind, "vertex": _texts(v.coords)} for kind, v in report.vertex_diff
+        ],
+        "local_freeness": [
+            {"vertex": _texts(v.coords), "stabilizer_order": order}
+            for v, order in report.local_freeness
+        ],
+        "smooth": all(order == 1 for order in orders),
+        "problems": list(report.problems),
+    }
+
+
 def basic_feasible_points(a_rows, b):
     """Vertices of {x : A x <= b} by a Fraction solve of every square subsystem."""
     dim = len(a_rows[0])
@@ -328,18 +376,20 @@ def classify(datum):
             diag = [s[k][k] for k in range(min(len(s), len(s[0])))]
             group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
         points = face_points[face]
-        per_face.append(
-            FaceInvariants(
-                face,
-                tuple(datum.facets[i].normal for i in sorted(face)),
-                group,
-                tuple(sum(col, Fraction(0)) / len(points) for col in zip(*points)),
-            )
-        )
+        point = [sum(col, Fraction(0)) / len(points) for col in zip(*points)]
+        normals = tuple(datum.facets[i].normal for i in sorted(face))
+        per_face.append(FaceInvariants(face, normals, group, *sums_over_denominator(point)))
     regular = all(f.holonomy.is_trivial for f in per_face) and all(
         f.label == 1 for f in datum.facets
     )
     return ClassificationReport("regular" if regular else "quasi-regular", tuple(per_face))
+
+
+def sums_over_denominator(point) -> tuple[tuple[int, ...], int]:
+    """(sums, den) with point = sums / den, den the lcm of the denominators
+    of the Fraction entries: the integer form :class:`FaceInvariants` keeps."""
+    den = math.lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
 def contains(poly, reeb, point) -> bool:

@@ -1,15 +1,18 @@
 """A validated datum keeps its integer form, and later stages read it.
 
-Each vertex is its primitive integer ray over its height <ray, reeb>, with
-its Fraction coordinates built only when read; the datum computes its cone
-normals once for classify, synthesize and verify; a face with one facet
-reads its holonomy off the content of its generator row.
+Each vertex is its primitive integer ray over its height <ray, reeb>, and
+no stage, document or command reads its Fraction coordinates; the datum
+computes its cone normals once for classify, synthesize and verify; a face
+with one facet reads its holonomy off the content of its generator row.
 """
 
+import ast
 import importlib
+import io
 import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -28,10 +31,10 @@ from generators import (
     simplex_product,
     weighted_simplex_product,
 )
-from toricontact import documents, geometry, lattice, polytope, reduction
+from toricontact import cli, documents, geometry, lattice, polytope, reduction
 from toricontact.classify import validate_datum
 from toricontact.lattice import FiniteAbelianGroup
-from toricontact.polytope import Vertex
+from toricontact.polytope import Vertex, sort_vertices
 from toricontact.spheres import weighted_simplex
 
 F = Fraction
@@ -85,25 +88,56 @@ class TestVertexRays:
             ray, h = v.ray, v.height
             assert type(ray) is tuple and all(type(x) is int for x in ray) and gcd(*ray) == 1
             assert h == sum(x * r for x, r in zip(ray, d.reeb)) > 0
-            assert type(h) is int or d.mode == "irrational"
+            # an int exactly when reeb is integral
+            assert type(h) is (int if d.mode == "rational" else F)
             assert all(type(x) is F for x in v.coords)
             assert v.coords == tuple(F(x) / h for x in ray)
-            again = Vertex(v.coords, v.active, v.cone_index)
+            # the ray and height read back off the coords give an equal vertex
+            ray_back, h_back = oracles.ray_and_height(v.coords)
+            h_back = int(h_back) if d.mode == "rational" else h_back
+            again = Vertex(ray_back, h_back, v.active, v.cone_index)
             assert again == v and hash(again) == hash(v) and repr(again) == repr(v)
             assert again.ray == ray and again.height == h
 
-    def test_coords_are_built_on_first_read_and_kept(self):
+    def test_coords_are_built_on_each_read(self):
         v = validate_datum(*_orthant_triangle()).vertices[1]
-        with pytest.raises(AttributeError):
-            v._coords
-        assert v.coords is v.coords == (0, F(1, 2), 0)
+        assert v.coords is not v.coords and v.coords == (0, F(1, 2), 0)
         assert (v.ray, v.height) == ((0, 1, 0), 2)
+        assert repr(v) == "Vertex(ray=(0, 1, 0), height=2, active=frozenset({0, 2}), cone_index=1)"
 
-    def test_a_vertex_from_its_coords_keeps_them_as_given(self):
-        v = Vertex((0, F(2, 3)), frozenset({0}))
-        assert v.coords == (0, F(2, 3)) and type(v.coords[0]) is int
-        assert (v.ray, v.height) == ((0, 1), F(3, 2))
-        assert Vertex((F(1, 2), F(1, 4)), frozenset()).height == 4
+    def test_a_vertex_at_a_fraction_height(self):
+        v = Vertex((0, 1), F(3, 2), frozenset({0}))
+        assert v.coords == (0, F(2, 3)) and all(type(x) is F for x in v.coords)
+        assert oracles.ray_and_height(v.coords) == ((0, 1), F(3, 2))
+        assert oracles.ray_and_height((F(1, 2), F(1, 4))) == ((2, 1), 4)
+
+
+HEIGHTS = st.one_of(st.integers(1, 12), st.fractions(min_value=F(1, 12), max_value=12))
+
+
+class TestSortVertices:
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.integers(-6, 6), min_size=3, max_size=3), HEIGHTS),
+            max_size=12,
+        )
+    )
+    def test_equals_sorting_by_coords(self, pairs):
+        # int and Fraction heights, mixed, and points met twice keep their order
+        verts = [Vertex(tuple(ray), h, frozenset()) for ray, h in pairs]
+        assert sort_vertices(verts) == sorted(verts, key=lambda v: v.coords)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS), st.booleans())
+    def test_puts_shuffled_vertices_back_in_the_walk_order(self, rng, kind, fraction_heights):
+        d = generated(rng, kind)
+        if fraction_heights:
+            d = fractional(rng, d)
+        verts = list(d.vertices)
+        rng.shuffle(verts)
+        assert sort_vertices(verts) == list(d.vertices)
+        assert sort_vertices(verts) == sorted(verts, key=lambda v: v.coords)
 
 
 def _orthant_triangle():
@@ -143,6 +177,16 @@ def _permuted(pres):
     return reduction.SpherePresentation(pres.N, beta, weights, a)
 
 
+def _w_mutated(pres):
+    """The presentation with 1 added to W[0][0], or to beta[0][0] when the
+    reduction torus is trivial: another cone, so verify walks it."""
+    beta, weights = [list(r) for r in pres.beta], [list(r) for r in pres.weights]
+    (weights or beta)[0][0] += 1
+    return reduction.SpherePresentation(pres.N, beta, weights, pres.deformation)
+
+
+MUTANTS = {"deformed": _deformed, "permuted": _permuted}
+
 PIPELINE_DATA = {
     "labeled 4-cube": lambda: labeled_cube(
         4, [1 + i % 3 for i in range(8)], random_unimodular(Random(4), 5)
@@ -154,7 +198,16 @@ PIPELINE_DATA = {
 }
 
 
-@pytest.mark.parametrize("mutant", [_deformed, _permuted], ids=["deformed", "permuted"])
+def _no_coords(monkeypatch):
+    """Make every read of ``Vertex.coords`` raise."""
+
+    def refuse(vertex):
+        raise AssertionError("Vertex.coords read")
+
+    monkeypatch.setattr(Vertex, "coords", property(refuse))
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS.values()), ids=list(MUTANTS))
 @pytest.mark.parametrize("make", list(PIPELINE_DATA.values()), ids=list(PIPELINE_DATA))
 class TestStagesReadTheValidatedIntegers:
     """Over parse, classify, synthesize and two verifications, as the
@@ -173,20 +226,115 @@ class TestStagesReadTheValidatedIntegers:
     def test_no_stage_after_validation_rescales_vertex_coordinates(
         self, monkeypatch, make, mutant
     ):
-        datum = documents.parse_datum(json.dumps(documents.datum_to_document(make())))
-        calls = spied(monkeypatch, "over_common_denominator", lattice.over_common_denominator)
-        classify(datum)
+        # no stage and no document reads a vertex's coords, so none can
+        # rescale them: each works on the integer ray and height
+        text = json.dumps(documents.datum_to_document(make()))
+        _no_coords(monkeypatch)
+        datum = documents.parse_datum(text)
+        classification = classify(datum)
         pres = reduction.synthesize(datum)
-        # classify and synthesize read each vertex's ray and height only
-        assert not any(hasattr(v, "_coords") for v in datum.vertices)
-        reports = [reduction.verify_presentation(p, datum) for p in (pres, mutant(pres))]
-        # a vertex keeps its coords tuple once built, and the reports hold
-        # those of the datum's and the reduced vertices: none was rescaled
-        points = [v.coords for v in datum.vertices]
+        mutants = (mutant(pres), _w_mutated(pres))
+        reports = [reduction.verify_presentation(p, datum) for p in (pres, *mutants)]
+        assert reports[0].ok
+        documents.datum_to_document(datum, emit_vertices=True)
+        documents.classification_to_document(classification)
+        documents.presentation_to_document(pres)
         for report in reports:
-            points += [coords for coords, _ in report.local_freeness]
-            points += [coords for _, coords in report.vertex_diff]
-        assert calls and not any(args[0] is p for args in calls for p in points)
+            documents.verification_to_document(report)
+
+
+def _cli_text(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = cli.main([*argv, "--output", "text"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make", list(PIPELINE_DATA.values()), ids=list(PIPELINE_DATA))
+def test_cli_text_reads_no_vertex_coords(capsys, monkeypatch, tmp_path, make):
+    """``validate --emit-vertices`` and ``verify`` print each vertex as the
+    Fraction reference writes it, with ``Vertex.coords`` refusing every read."""
+    datum = make()
+    text = json.dumps(documents.datum_to_document(datum))
+    pres = _w_mutated(reduction.synthesize(datum))
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(documents.presentation_to_document(pres)))
+    reference = oracles.verification_document(reduction.verify_presentation(pres, datum))
+    vertices = oracles.datum_document(datum)["vertices"]
+    _no_coords(monkeypatch)
+
+    code, out = _cli_text(capsys, monkeypatch, ["validate", "--emit-vertices"], text)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  vertex")] == [
+        f"  vertex ({', '.join(v)})" for v in vertices
+    ]
+    code, out = _cli_text(capsys, monkeypatch, ["verify", "--presentation", str(path)], text)
+    assert code == (0 if reference["ok"] else 1)
+    expected = [f"  {e['kind']} vertex ({', '.join(e['vertex'])})" for e in reference["vertex_diff"]]
+    for e in reference["local_freeness"]:
+        order = e["stabilizer_order"]
+        shown = "infinite" if order is None else order
+        expected.append(f"  vertex ({', '.join(e['vertex'])}): stabilizer order {shown}")
+    assert [line for line in out.splitlines() if "vertex" in line] == expected
+
+
+def test_no_module_reads_vertex_coords():
+    """Only the ``Vertex.coords`` property builds a vertex's Fraction
+    coordinates: no module of the package reads ``.coords``."""
+    src = Path(polytope.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "coords"
+    ]
+    assert not readers
+
+
+PRESENTATIONS = {"real": lambda pres: pres, **MUTANTS, "W-mutated": _w_mutated}
+
+
+class TestDocumentsMatchTheFractionWriter:
+    """Vertices written from rays and heights are the documents that
+    ``str(Fraction)`` of their coords gives (``oracles``)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS), st.booleans())
+    def test_datum_document_with_vertices(self, rng, kind, fraction_heights):
+        d = generated(rng, kind)
+        if fraction_heights:
+            d = fractional(rng, d)
+        doc = documents.datum_to_document(d, emit_vertices=True)
+        assert doc == oracles.datum_document(d)
+        assert doc["mode"] == d.mode
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(KINDS),
+        st.sampled_from(list(PRESENTATIONS)),
+    )
+    def test_verification_document(self, rng, kind, which):
+        d = generated(rng, kind)
+        pres = PRESENTATIONS[which](reduction.synthesize(d))
+        report = reduction.verify_presentation(pres, d)
+        assert documents.verification_to_document(report) == oracles.verification_document(report)
+        assert report.ok == (which in ("real", "permuted"))
+        assert all(isinstance(v, Vertex) for v, _ in report.local_freeness)
+        assert all(isinstance(v, Vertex) for _, v in report.vertex_diff)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_verification_document_at_fraction_heights(self, rng, kind):
+        # the datum's own presentation against the datum resliced at a
+        # fractional reeb: the datum's vertices that moved are missing, at
+        # Fraction heights, and the reduced ones extra, at int heights
+        d = generated(rng, kind)
+        other = fractional(rng, d)
+        report = reduction.verify_presentation(reduction.synthesize(d), other)
+        assert documents.verification_to_document(report) == oracles.verification_document(report)
+        kinds = [kind for kind, _ in report.vertex_diff]
+        assert kinds == sorted(kinds, reverse=True)
+        assert other.mode == "rational" or "missing" in kinds
 
 
 class TestOneFacetFaces:

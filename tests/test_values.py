@@ -44,7 +44,7 @@ VALUES = {
         lambda p: type(p.facets) is tuple and p.dim == 1,
     ),
     Vertex: (
-        lambda: Vertex((F(1, 2), F(1, 4)), frozenset({0})),
+        lambda: Vertex((2, 1), 4, frozenset({0})),
         lambda v: v.coords == (F(1, 2), F(1, 4)),
     ),
     MomentCone: (
@@ -56,8 +56,8 @@ VALUES = {
         lambda d: d.mode == "rational" and d.reeb == (1, 2),
     ),
     FaceInvariants: (
-        lambda: FaceInvariants(frozenset({1}), ((0, -1),), FiniteAbelianGroup((2,)), (F(1),)),
-        lambda f: f.holonomy.order() == 2,
+        lambda: FaceInvariants(frozenset({1}), ((0, -1),), FiniteAbelianGroup((2,)), (1,), 1),
+        lambda f: f.holonomy.order() == 2 and f.sample_point == (1,),
     ),
     ClassificationReport: (
         lambda: classify(weighted_simplex((1, 2))),
@@ -71,8 +71,8 @@ VALUES = {
         and p.reeb_image is p.reeb_image == (3, F(5, 2)),
     ),
     VerificationReport: (
-        lambda: VerificationReport(True, (), (((F(1), F(0)), 1),), True),
-        lambda r: r.problems == () and r.ok,
+        lambda: VerificationReport(True, (), ((Vertex((1, 0), 1, frozenset({1})), 1),)),
+        lambda r: r.problems == () and r.ok and r.smooth,
     ),
     SampleReport: (
         lambda: SampleReport(10, 1e-9, 0.0, 1e-16),
