@@ -195,16 +195,20 @@ def _facet_generators(datum: ToricContactDatum):
     return generators, [gcd(*p) for p in images]
 
 
-def _face_holonomy(generators, face) -> FiniteAbelianGroup:
-    """Torsion of Z^n modulo the span L of the face's facet generators: the
-    diagonal entries above 1 of the Smith normal form of the generator rows
-    (Z^n/L is the sum of the Z/d_k and a free part).  The empty face has L = 0.
-    """
-    if not face:
-        return FiniteAbelianGroup()
-    rows = [generators[i] for i in sorted(face)]
-    diag = smith_diagonal(rows) if len(rows) > 1 else [gcd(*rows[0])]  # one row: its content
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+def _face_holonomy(generators, face, shared=None) -> FiniteAbelianGroup:
+    """Torsion of Z^n modulo the span L of the generators of the facets
+    ``face`` lists in increasing order: the diagonal entries above 1 of the
+    Smith normal form of those rows (Z^n/L is the sum of the Z/d_k and a
+    free part).  The empty face has L = 0.  ``shared``, when given, keeps
+    one group per tuple of invariant factors."""
+    diag = []
+    if face:
+        rows = [generators[i] for i in face]
+        diag = smith_diagonal(rows) if len(rows) > 1 else [gcd(*rows[0])]  # one row: its content
+    factors = tuple(d for d in diag if d > 1)
+    if shared is None:
+        return FiniteAbelianGroup(factors)
+    return shared.get(factors) or shared.setdefault(factors, FiniteAbelianGroup(factors))
 
 
 def _diagonal_holonomy(labels) -> FiniteAbelianGroup:
@@ -225,7 +229,7 @@ def holonomy(datum: ToricContactDatum, face) -> FiniteAbelianGroup:
     # the faces of a simple polytope are the subsets of vertex active sets
     if not any(face <= v.active for v in datum.vertices):
         raise ValueError("not a face")
-    return _face_holonomy(_facet_generators(datum)[0], face)
+    return _face_holonomy(_facet_generators(datum)[0], sorted(face))
 
 
 def classify(datum: ToricContactDatum) -> ClassificationReport:
@@ -306,8 +310,7 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
                 groups[key] = shared.setdefault(group.invariant_factors, group)
             group = groups[key]
         else:
-            group = _face_holonomy(generators, idx)
-            group = shared.setdefault(group.invariant_factors, group)
+            group = _face_holonomy(generators, idx, shared)
         basis = tuple([normals[i] for i in idx])
         point_den = den * len(face_rows)
         per_face.append(FaceInvariants(frozenset(idx), basis, group, tuple(nums), point_den))

@@ -12,8 +12,8 @@ slice) and their edges, not with the number of constraint subsets, and
 does not depend on the order of the rows.  Both
 move by fraction-free pivots of one integer simplex dictionary, one pivot
 per basis; a lexicographic ratio test walks degenerate vertices by pivots
-too, so a whole walk takes two eliminations, the lineality check and the
-first dictionary.
+too, so a whole walk takes one elimination, the first dictionary's, which
+also shows any lineality.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def solve_general(rows, rhs):
 
 def _dictionary(rows, up):
     """The simplex dictionary (cols, d, basis) of the basis up, B, with B
-    each row independent of up and the rows before it; the rows span Q^dim
-    and up is nonzero.
+    each row independent of up and the rows before it; up is nonzero.
 
     With M the matrix of rows up, B and d = |det M| > 0, ``cols[r]`` is
     column r of d [rows; I] M^-1, one entry per row and then one per
@@ -94,7 +93,8 @@ def _dictionary(rows, up):
     d <row, y> per row and then d y, for the point y with <up, y> = 1 and
     B y = 0; column r holds d c_r per row, for row = c_0 up + sum_r c_r B_r.
     It is read off one ``echelon`` of the columns up, the rows and the
-    identity, which is d M^-T times them.
+    identity, which is d M^-T times them.  Rows that do not span Q^dim
+    leave positions past them, whose coordinates span the rows' kernel.
     """
     eye = identity(len(up))
     e, pivots, d, _ = echelon([[u, *(row[j] for row in rows), *eye[j]] for j, u in enumerate(up)])
@@ -130,10 +130,10 @@ def _pivot(dictionary, i, r):
     return new, p, basis
 
 
-def _first_ray(rows, up):
-    """The dictionary (:func:`_dictionary`) of a basis whose point spans an
-    extreme ray y of {y : rows @ y <= 0} with <up, y> > 0, or None if there
-    is none; the rows span Q^dim and up is nonzero.
+def _first_ray(dictionary, n):
+    """The dictionary of a basis whose point spans an extreme ray y of
+    {y : rows @ y <= 0} with <up, y> > 0, or None if there is none, from
+    the first ``dictionary`` (:func:`_dictionary`) of n rows that span Q^dim.
 
     Bland's rule (Bland, Math. Oper. Res. 1977).  A basis is up and dim - 1
     rows B, with point y and coefficients c_r per row as in the
@@ -142,13 +142,11 @@ def _first_ray(rows, up):
     none, up = (row - sum_r c_r B_r) / c_0 is a nonnegative combination of
     rows, so no y exists (Farkas).  Each pivot is a degenerate simplex step
     on the dual min {mu : sum_i lambda_i row_i + mu up = 0, lambda >= 0},
-    where Bland's rule cannot cycle.  The first basis is up and each row
-    independent of up and the rows before it.
+    where Bland's rule cannot cycle.
     """
-    dictionary = _dictionary(rows, up)
     while True:
         cols, _, basis = dictionary
-        enter = next((i for i, v in enumerate(cols[0][: len(rows)]) if v > 0), None)
+        enter = next((i for i, v in enumerate(cols[0][:n]) if v > 0), None)
         if enter is None:
             return dictionary
         leave = min(((b, r) for r, b in enumerate(basis, 1) if cols[r][enter] > 0), default=None)
@@ -199,9 +197,9 @@ def sliced_cone_points(a_rows, height):
     index): y primitive, h an int for integral height, ``tight`` the rows
     of A that vanish on y and, if there are dim - 1 of them (else None),
     ``index`` the gcd t of their maximal minors.  Lineality makes the
-    slice unbounded with no vertex to report; it is found first, and K is
-    cut down to its orthogonal complement, where an exact phase 1
-    (:func:`_first_ray`) finds a first vertex or proves the slice empty.
+    slice unbounded with no vertex to report; the first dictionary shows
+    it, and then K is cut down to its orthogonal complement, where an exact
+    phase 1 (:func:`_first_ray`) finds a first vertex or proves it empty.
 
     From there the slice is walked basis by basis on the integer simplex
     dictionary B = d [rows; I] M^-1, M = [up; A_T] for a basis T of
@@ -259,15 +257,20 @@ def sliced_cone_points(a_rows, height):
     den, up = over_common_denominator(height)
     rows = [primitive(row) if any(row) else row for row in map(_integral, a_rows)]
     rows.append([-x for x in up])
-    lineality = [_integral(y) for y in null_space(rows, dim)]
-    rows += lineality + [[-x for x in y] for y in lineality]
-    first = _first_ray(rows, up) if any(up) else None
+    if not any(up):
+        return "empty", []
+    n = m + 1
+    first = _dictionary(rows, up)
+    lineality = [col[n:] for col, row in zip(first[0][1:], first[2]) if row >= n]
+    if lineality:  # cut K down to the orthogonal complement of its lines
+        rows += lineality + [[-x for x in y] for y in lineality]
+        first = _dictionary(rows, up)
+    first = _first_ray(first, len(rows))
     if first is None:
         return "empty", []
     if lineality:
         return "unbounded", []
     status = "bounded"
-    n = m + 1
     rank_order = [i for i in range(n) if i not in first[2]] + first[2]
     # per basis reached, the rows whose drop leads back to a basis reached before
     back = {frozenset(first[2]): set()}

@@ -7,10 +7,10 @@ row-major: ``mat[i][j]`` is the entry in row ``i``, column ``j``.
 
 ``echelon`` is the one elimination over Q: rank, determinant and every
 rational solve in :mod:`toricontact.geometry` read their answer off it.
-``_hermite`` is the one elimination over Z, an extended-gcd column
-Hermite loop: ``hnf`` runs it with its witness, the Smith forms alternate
-it on a matrix and its transpose, and the saturated kernel basis is one
-Hermite form of the matrix stacked over the identity.
+``_hermite`` is the one Hermite loop over Z, by extended-gcd column
+steps: ``hnf`` runs it with its witness, and the saturated kernel basis is
+one Hermite form of the matrix stacked over the identity.  ``_smith`` is
+the one Smith loop, by gcd pivots, with or without its transforms.
 """
 
 from __future__ import annotations
@@ -208,37 +208,58 @@ def rank(mat: IntMat) -> int:
     return len(echelon(mat)[1])
 
 
-def _smith(row_mats: tuple, col_mats: tuple) -> None:
-    """Bring ``s = row_mats[0]`` (also ``col_mats[0]``) to Smith normal form
-    in place, applying every row operation to each matrix of ``row_mats``
-    and every column operation to each matrix of ``col_mats``.
-
-    Column and row Hermite forms alternate until ``s`` is diagonal (Kannan
-    and Bachem, SIAM J. Comput. 8(4), 1979).  The corner entry either
-    divides its row and column, and then stays while both clear, or drops
-    to a proper divisor; as the Hermite form of a lattice is unique, a
-    cleared corner splits off and the same holds for the block below it.
-    The row Hermite form leaves zero rows and columns last with positive
-    pivots.  Where d_t does not divide a later d_u, row u is added to
-    row t, whose corner then drops to gcd(d_t, d_u).
+def _smith(s: IntMat, rows: tuple = (), cols: tuple = ()) -> None:
+    """Bring ``s`` to Smith normal form in place, applying every row
+    operation to each matrix of ``rows`` and every column operation to
+    each matrix of ``cols``.  By gcd pivots (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4): at corner
+    t an entry +-g, g the gcd of the block left, else a least entry p, goes
+    to the corner and clears its column and row by steps q = x // p.
+    Remainders, or a row with a non-multiple of p added to row t, lower the
+    least entry until p = +-g; the block left holds multiples of g, so
+    d_1 | d_2 | ... with zeros last.
     """
-    s = row_mats[0]
-    k = min(len(s), len(s[0]))
-    while True:
-        _hermite(s, col_mats[1:])
-        ts = [transpose(m) for m in row_mats]
-        _hermite(ts[0], ts[1:])
-        for m, mt in zip(row_mats, ts):
-            m[:] = transpose(mt)
-        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
-            continue
-        d = [s[i][i] for i in range(k)]
-        offenders = [(t, u) for t in range(k) for u in range(t + 1, k) if d[t] and d[u] % d[t]]
-        if not offenders:
-            return
-        t, u = offenders[0]
-        for m in row_mats:
-            m[t] = [x + y for x, y in zip(m[t], m[u])]
+    m, n = len(s), len(s[0])
+    rs, cs = (s, *rows), (s, *cols)
+    for t in range(min(m, n)):
+        g = p = 0
+        for row in s[t:]:  # each is zero before column t
+            g = math.gcd(g, *row)
+        while abs(p) != g:
+            for i in range(t, m):
+                row = s[i]
+                if g in row or -g in row:
+                    j = row.index(g) if g in row else row.index(-g)
+                    break
+            else:
+                _, i, j = min((abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i]) if x)
+            if i != t:
+                for mat in rs:
+                    mat[t], mat[i] = mat[i], mat[t]
+            if j != t:
+                for mat in cs:
+                    for r in mat:
+                        r[t], r[j] = r[j], r[t]
+            prow = s[t]
+            p = prow[t]
+            for i in range(t + 1, m):
+                q = s[i][t] // p
+                if q:
+                    for mat in rs:
+                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+            for j in range(t + 1, n):
+                q = prow[j] // p
+                if q:
+                    for mat in cs:
+                        for r in mat:
+                            r[j] -= q * r[t]
+            if abs(p) != g and not any(prow[t + 1 :]) and not any(r[t] for r in s[t + 1 :]):
+                k = next(k for k in range(t + 1, m) if any(x % p for x in s[k]))
+                for mat in rs:
+                    mat[t] = [x + y for x, y in zip(mat[t], mat[k])]
+        if p < 0:
+            for mat in rs:
+                mat[t] = [-x for x in mat[t]]
 
 
 def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -249,7 +270,7 @@ def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """
     rows, cols = _shape(mat)
     s, u, v = [list(row) for row in mat], identity(rows), identity(cols)
-    _smith((s, u), (s, v))
+    _smith(s, (u,), (v,))
     return s, u, v
 
 
@@ -259,7 +280,7 @@ def smith_diagonal(mat: IntMat) -> list[int]:
     transformations to update."""
     rows, cols = _shape(mat)
     s = [list(row) for row in mat]
-    _smith((s,), (s,))
+    _smith(s)
     return [s[k][k] for k in range(min(rows, cols))]
 
 

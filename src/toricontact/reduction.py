@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import is_
 
 from . import geometry
 from .classify import ToricContactDatum
@@ -282,7 +283,9 @@ def verify_presentation(
     differ.  The reduced vertices are then the datum's vertices v divided
     by their heights <v, reeb'> (``resliced_vertices`` states the lemma),
     so a vertex is unchanged exactly when its height is 1, and no vertex
-    is enumerated again.  Only a different cone is sliced afresh.
+    is enumerated again.  When every one is unchanged and the columns are
+    in facet order, the reduced vertices are the datum's own, sorted and
+    matched already.  Only a different cone is sliced afresh.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
@@ -304,6 +307,7 @@ def verify_presentation(
     # reduction is too broken to slice (the report is already failing then)
     reduced_verts = datum.vertices
     try:
+        own = False  # the datum's own vertices, active sets and order
         if same_cone:
             moved = resliced_vertices(datum.vertices, pres.reeb_image)
             if columns != normals:
@@ -312,14 +316,18 @@ def verify_presentation(
                 to_column = [column[tuple(u)] for u in normals]
                 active = [frozenset([to_column[i] for i in w.active]) for w in moved]
                 moved = [Vertex(w.ray, w.height, a, w.cone_index) for w, a in zip(moved, active)]
-            reduced_verts = sort_vertices(moved)
+            own = all(map(is_, moved, datum.vertices))
+            reduced_verts = datum.vertices if own else sort_vertices(moved)
         else:
             reduced_verts = _poly_vertices(*reduced_polytope(pres))
-        # a primitive ray and a positive height name one point
-        ours = {(v.ray, v.height) for v in datum.vertices}
-        theirs = {(w.ray, w.height) for w in reduced_verts}
-        vertex_diff = [("missing", v) for v in datum.vertices if (v.ray, v.height) not in theirs]
-        vertex_diff += [("extra", w) for w in reduced_verts if (w.ray, w.height) not in ours]
+        if not own:
+            # a primitive ray and a positive height name one point
+            ours = {(v.ray, v.height) for v in datum.vertices}
+            theirs = {(w.ray, w.height) for w in reduced_verts}
+            vertex_diff = [
+                ("missing", v) for v in datum.vertices if (v.ray, v.height) not in theirs
+            ]
+            vertex_diff += [("extra", w) for w in reduced_verts if (w.ray, w.height) not in ours]
         polytope_match = same_cone and not vertex_diff
         if not same_cone:
             integral_cone_normals(normals)

@@ -599,9 +599,9 @@ class TestConeIndex:
         smith = []
         real = classify_module._face_holonomy
 
-        def recorded(generators, face):
+        def recorded(generators, face, *shared):
             smith.append(sorted(face))
-            return real(generators, face)
+            return real(generators, face, *shared)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(classify_module, "_face_holonomy", recorded)

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,7 @@ from toricontact.geometry import (
     solve_general,
     solve_square,
 )
-from toricontact.polytope import cone_normals
+from toricontact.polytope import cone_normals, vertices
 
 from generators import (
     change_basis,
@@ -356,7 +357,7 @@ def _fractional_reeb(rng, d):
 
 class TestPivotWalkOnSimpleData:
     """On a simple polytope every vertex is one basis, reached by one pivot:
-    the null space and the first dictionary are the only eliminations."""
+    the first dictionary is the only elimination."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -378,7 +379,7 @@ class TestPivotWalkOnSimpleData:
             got = walked(a_rows, list(r))
         assert got == scan_sliced_cone_points(a_rows, list(r))
         assert got[0] == "bounded" and len(got[1]) == len(d.vertices)
-        assert Counter(calls) == {"echelon": 2}
+        assert Counter(calls) == {"echelon": 1}
 
     def test_fractional_heights(self):
         # the orthant simplex at reeb (1, 3/2, 1) has the vertex (0, 2/3, 0)
@@ -396,20 +397,27 @@ def _prism(a_rows, b):
     return rows, [*b, 0, 1]
 
 
+def _has_lineality(a_rows, height) -> bool:
+    """Whether the cone {y : A y <= 0, <y, height> >= 0} holds a line."""
+    return bool(null_space([*a_rows, [-x for x in height]], len(height)))
+
+
 class TestPivotsAndSubsets:
     """A degenerate vertex is walked by pivots among its bases, the
     (dim - 1)-subsets of its tight rows that the lexicographic ratio test
-    reaches, as a simple vertex is: every walk takes the null space and the
-    first dictionary as its only eliminations."""
+    reaches, as a simple vertex is: every walk takes the first dictionary
+    as its only elimination, and a cone with lineality one more, with no
+    separate null space."""
 
     BASE_FIRST = TestEdgeWalkAgainstScan.SYSTEMS["square pyramid"]
     SIDES_FIRST = (BASE_FIRST[0][1:] + BASE_FIRST[0][:1], BASE_FIRST[1][1:] + BASE_FIRST[1][:1])
 
     def _walk(self, a_rows, height):
+        eliminations = 1 + _has_lineality(a_rows, height)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _traced(monkeypatch, "echelon")
+            calls = _traced(monkeypatch, "echelon", "null_space")
             got = walked(a_rows, height)
-        assert Counter(calls) == {"echelon": 2}
+        assert Counter(calls) == {"echelon": eliminations}
         return got
 
     def test_pivots_to_the_apex_and_back(self):
@@ -458,14 +466,54 @@ class TestPivotsAndSubsets:
         st.sampled_from(["cube", "simplex", "product"]),
         st.sampled_from(["free", "pinned", "cut"]),
     )
-    def test_degenerate_data_takes_two_eliminations(self, rng, kind, how):
+    def test_degenerate_data_takes_one_elimination_without_lineality(self, rng, kind, how):
         poly, reeb = degenerate(rng, random_datum(rng, kind), how)
         self._walk([[-x for x in u] for u in cone_normals(poly, reeb)], reeb)
 
     @settings(deadline=None, max_examples=200)
     @given(padded_systems())
-    def test_padded_systems_take_two_eliminations(self, case):
-        # a zero height has no phase 1, and its null space is the only one
+    def test_padded_systems_take_one_elimination_without_lineality(self, case):
+        # a zero height has no phase 1 and no elimination
         a_rows, height, _ = case
         assume(any(height))
         self._walk(a_rows, height)
+
+    def test_zero_height_takes_no_elimination(self):
+        a_rows = [[-int(i == j) for j in range(3)] for i in range(3)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _traced(monkeypatch, "echelon", "null_space")
+            assert sliced_cone_points(a_rows, [0, 0, 0]) == ("empty", [])
+        assert calls == []
+
+    REFUSALS = {
+        "empty": "empty polytope",
+        "unbounded": "polytope unbounded in characteristic hyperplane",
+        "bounded": None,
+    }
+
+    @pytest.mark.parametrize("kind", ["cube", "simplex", "product"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_refusals_and_their_messages_match_the_scan_in_order(self, seed, kind):
+        # "free" holds a line, "pinned" and "cut" slice lower-dimensional
+        # polytopes, the negated reeb is empty, and a reeb negative on some
+        # vertex ray makes the slice unbounded
+        rng = Random(seed)
+        d = random_datum(rng, kind)
+        cases = [degenerate(rng, d, how) for how in ("free", "pinned", "cut")]
+        cases.append((d.polytope, [-x for x in d.reeb]))
+        for _ in range(4):
+            reeb = [rng.randint(-2, 2) for _ in d.reeb]
+            if any(reeb):
+                cases.append((d.polytope, reeb))
+        got, want = [], []
+        for poly, reeb in cases:
+            a_rows = [[-x for x in u] for u in cone_normals(poly, reeb)]
+            if comb(len(a_rows) + 1, len(reeb) - 1) > 300:  # the scan's row subsets
+                continue
+            try:
+                vertices(poly, reeb)
+                got.append(None)
+            except ValueError as exc:
+                got.append(str(exc))
+            want.append(self.REFUSALS[scan_sliced_cone_points(a_rows, reeb)[0]])
+        assert got == want

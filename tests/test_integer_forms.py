@@ -353,13 +353,13 @@ class TestOneFacetFaces:
         rows, sizes = [], []
         smith, face_holonomy = lattice._smith, classify_module._face_holonomy
 
-        def counted_smith(row_mats, col_mats):
-            rows.append(len(row_mats[0]))
-            return smith(row_mats, col_mats)
+        def counted_smith(s, *transforms):
+            rows.append(len(s))
+            return smith(s, *transforms)
 
-        def counted_face(generators, face):
+        def counted_face(generators, face, *shared):
             sizes.append(len(face))
-            return face_holonomy(generators, face)
+            return face_holonomy(generators, face, *shared)
 
         monkeypatch.setattr(lattice, "_smith", counted_smith)
         monkeypatch.setattr(classify_module, "_face_holonomy", counted_face)

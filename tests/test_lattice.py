@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricontact import lattice
+from toricontact.classify import classify
 from toricontact.lattice import (
     FiniteAbelianGroup,
     hnf,
@@ -20,7 +21,10 @@ from toricontact.lattice import (
     snf,
     transpose,
 )
+from toricontact.spheres import weighted_simplex
 
+import oracles
+from generators import parabola
 from oracles import cofactor_det, in_span_over_q, minor_gcd_invariant_factors, small_kernel_vectors
 
 
@@ -53,6 +57,36 @@ def degenerate_matrices(draw):
             a, b = draw(entry), draw(entry)
             m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
     return m
+
+
+@st.composite
+def smith_matrices(draw):
+    """Degenerate and small matrices times a common factor, with a zero row
+    and a zero column put in at random: many have no entry equal to +-gcd,
+    so the Smith loop has to make one."""
+    m = draw(st.one_of(degenerate_matrices(), small_matrices(max_dim=3, max_entry=12)))
+    factor = draw(st.sampled_from([1, 1, 2, 6]))
+    m = [[factor * x for x in row] for row in m]
+    if draw(st.booleans()):
+        m.insert(draw(st.integers(0, len(m))), [0] * len(m[0]))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(m[0])))
+        m = [[*row[:j], 0, *row[j:]] for row in m]
+    return m
+
+
+def no_entry_is_the_gcd(test):
+    """Examples with no entry +-gcd, where the Smith loop lowers the least
+    entry by steps first."""
+    for m in (
+        [[2, 0], [0, 3]],
+        [[6, 10, 15]],
+        [[4, 6], [6, 9]],
+        [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+        [[0, 0, 0], [4, 0, 6], [-6, 0, -9]],
+    ):
+        test = example(m)(test)
+    return test
 
 
 def diag_of(mat):
@@ -122,8 +156,9 @@ class TestSnf:
         s, u, v = snf([[2]])
         assert s == [[2]]
 
-    @settings(deadline=None, max_examples=150)
-    @given(st.one_of(small_matrices(), degenerate_matrices()))
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(small_matrices(), degenerate_matrices(), smith_matrices()))
+    @no_entry_is_the_gcd
     def test_properties(self, m):
         s, u, v = snf(m)
         assert matmul(matmul(u, m), v) == s
@@ -151,8 +186,11 @@ class TestSnf:
 
 
 class TestSmithDiagonal:
-    @settings(deadline=None, max_examples=200)
-    @given(st.one_of(degenerate_matrices(), small_matrices(max_dim=3, max_entry=6)))
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(degenerate_matrices(), small_matrices(max_dim=3, max_entry=6), smith_matrices())
+    )
+    @no_entry_is_the_gcd
     def test_matches_snf_and_the_minor_gcd_oracle(self, m):
         d = smith_diagonal(m)
         assert d == diag_of(snf(m)[0])
@@ -165,6 +203,37 @@ class TestSmithDiagonal:
         m = [[2, 4], [6, 8]]
         assert smith_diagonal(m) == [2, 4]
         assert m == [[2, 4], [6, 8]]
+
+
+class TestSmithLoop:
+    """The Smith loop works on its matrix alone, by gcd pivots."""
+
+    def test_classify_runs_no_hermite_form_and_no_transpose_in_it(self, monkeypatch):
+        inside, seen, smith_calls = [], [], []
+        smith = lattice._smith
+
+        def entered(*args):
+            smith_calls.append(args)
+            inside.append(True)
+            try:
+                return smith(*args)
+            finally:
+                inside.pop()
+
+        for name in ("_hermite", "transpose"):
+
+            def spied(*args, name=name, real=getattr(lattice, name)):
+                if inside:
+                    seen.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(lattice, name, spied)
+        monkeypatch.setattr(lattice, "_smith", entered)
+        for d in (weighted_simplex((2, 3, 5, 7)), parabola(8)):
+            smith_calls.clear()
+            assert classify(d) == oracles.classify(d)
+            assert smith_calls
+        assert seen == []
 
 
 class TestKernel:

@@ -10,7 +10,7 @@ from toricontact import geometry, lattice, reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
-from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
+from toricontact.polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, vertices
 from toricontact.reduction import (
     SpherePresentation,
     build_beta,
@@ -364,6 +364,34 @@ class TestSameCone:
         assert got == expected
         assert got[0]["ok"] and not got[1]["ok"] and got[1]["vertex_diff"]
 
+    @pytest.mark.parametrize("datum", [cube_datum, lambda: labeled_cube(2, [1, 2, 3, 1], identity(3))])
+    def test_own_vertices_are_read_with_no_sort_as_their_copies_are(self, monkeypatch, datum):
+        # beta @ a = reeb leaves every vertex the datum's own object, for the
+        # presentation and for each W mutant: verify takes the datum's list
+        # as it is, and reports what copies of the vertices, sorted and
+        # matched by ray and height, give
+        d = datum()
+        pres = synthesize(d)
+        cases = [pres] + [
+            weight_mutant(pres, r, j) for r in range(len(pres.weights)) for j in range(pres.N)
+        ]
+        resliced = reduction.resliced_vertices
+
+        def copies(verts, reeb):
+            return [Vertex(w.ray, w.height, w.active, w.cone_index) for w in resliced(verts, reeb)]
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(reduction, "resliced_vertices", copies)
+            expected = [verification_to_document(verify_presentation(p, d)) for p in cases]
+
+        def refuse(*args):
+            raise AssertionError("the datum's own vertices were sorted again")
+
+        monkeypatch.setattr(reduction, "sort_vertices", refuse)
+        got = [verification_to_document(verify_presentation(p, d)) for p in cases]
+        assert got == expected
+        assert got[0]["ok"] and len(cases) > 1 and not any(doc["ok"] for doc in got[1:])
+
 
 class TestPerturbedReeb:
     """Data resliced by ``perturb_reeb`` with a random integral reeb' that is
@@ -627,9 +655,9 @@ def counted_smith(monkeypatch):
     calls = []
     smith = lattice._smith
 
-    def counted(row_mats, col_mats):
-        calls.append(len(row_mats) + len(col_mats))
-        return smith(row_mats, col_mats)
+    def counted(s, rows=(), cols=()):
+        calls.append(len(rows) + len(cols))
+        return smith(s, rows, cols)
 
     monkeypatch.setattr(lattice, "_smith", counted)
     return calls
@@ -728,7 +756,7 @@ class TestStabilizerOrder:
         orders = [order for _, order in report.local_freeness]
         assert gcd(*orders) == 2
         assert SATURATION in report.problems
-        assert calls == [2]  # S alone, for rows and for columns
+        assert calls == [0]  # the diagonal alone, with no transform
 
     @settings(deadline=None, max_examples=40)
     @given(
