@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 
 from .lattice import FiniteAbelianGroup, FrozenValue, kernel_lattice_basis, matvec
 from .lattice import primitive, smith_diagonal
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, _exact, cone_normals, cone_over
+from .polytope import LabeledFacet, LabeledPolytope, Vertex, _exact, _kept_cone_normals, cone_over
 from .polytope import integral_cone_normals, resliced_vertices, sort_vertices
 from .polytope import vertices as _poly_vertices
 
@@ -47,10 +47,11 @@ class ToricContactDatum(FrozenValue):
     ``reeb`` holds ints in rational mode, Fractions in irrational mode, and
     ``mode`` is read off it.  Construct through :func:`validate_datum`, which
     checks every invariant and caches the vertex list.  ``cone_normals`` is
-    computed on first read and kept for every later stage to share, unchanged.
+    the one list the polytope keeps for reeb: the vertex walk of validation
+    computed it, and every later stage shares it, unchanged.
     """
 
-    __slots__ = ("polytope", "reeb", "vertices", "_cone_normals")
+    __slots__ = ("polytope", "reeb", "vertices")
 
     def __init__(self, polytope: LabeledPolytope, reeb: tuple, vertices: tuple[Vertex, ...]):
         object.__setattr__(self, "polytope", polytope)
@@ -71,12 +72,7 @@ class ToricContactDatum(FrozenValue):
 
     @property
     def cone_normals(self) -> list[list]:
-        try:
-            return self._cone_normals
-        except AttributeError:
-            normals = cone_normals(self.polytope, self.reeb)
-            object.__setattr__(self, "_cone_normals", normals)
-            return normals
+        return _kept_cone_normals(self.polytope, self.reeb)
 
 
 class FaceInvariants(FrozenValue):
@@ -141,7 +137,7 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
     integral = all(type(x) is int for x in r)
     if not integral and mode == "rational":
         raise ValueError("characteristic vector not integral")
-    stored = tuple(r) if integral else tuple(map(Fraction, r))
+    stored = tuple(r) if integral else tuple([Fraction(x) if type(x) is int else x for x in r])
 
     verts = _poly_vertices(poly, stored)
     n = poly.dim
@@ -166,11 +162,11 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
         # one is tight at every vertex and the simplicity check raised.
         # With offset a/b in lowest terms, u_i = (a * reeb - b * m_i p_i) / b
         # is integral exactly when b divides every entry of reeb, so the
-        # normals that vertices() built are built again only to name the
+        # normals that vertices() kept are read again only to name the
         # first facet that fails
         g = gcd(*stored)
         if any(g % f.offset.denominator for f in poly.facets):
-            integral_cone_normals(cone_normals(poly, stored))
+            integral_cone_normals(_kept_cone_normals(poly, stored))
     return ToricContactDatum(poly, stored, tuple(verts))
 
 

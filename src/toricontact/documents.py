@@ -3,6 +3,8 @@
 Rationals travel as strings "p/q" (or "p", and no other string form) so
 every value round-trips bit-exactly; integers are accepted wherever a
 rational is expected and non-reduced fractions are normalized on parse.
+An integer or a "p" string parses to an int and only "p/q" to a
+Fraction, which the datum and presentation constructors keep as it is.
 A classification's sample points and every vertex are written from
 integers, the faces' sums and the vertices' rays over their heights,
 each distinct value with one gcd and no Fraction, as the same text
@@ -44,11 +46,11 @@ __all__ = [
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _fraction_from(value, what: str) -> Fraction:
+def _rational_from(value, what: str) -> int | Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"{what} must be an integer or a rational string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         # Fraction(str) also reads decimals, exponents, "_" and spaces, and
         # "1e3000000" alone makes it build a 3-million-digit integer
@@ -57,7 +59,7 @@ def _fraction_from(value, what: str) -> Fraction:
             raise ValueError(f"bad rational {value!r} for {what}: not of the form p/q or p")
         num, den = match.groups()
         try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return Fraction(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {value!r} for {what}: {exc}") from None
     raise ValueError(f"{what} must be an integer or a rational string, got {value!r}")
@@ -110,13 +112,13 @@ def datum_from_document(doc, mode: str | None = None) -> ToricContactDatum:
             raise ValueError(f"facet {k} must be an object with a normal")
         normal = _int_list(fdoc["normal"], f"facet {k} normal")
         label = _int_from(fdoc.get("label", 1), f"facet {k} label")
-        offset = _fraction_from(fdoc.get("offset", 0), f"facet {k} offset")
+        offset = _rational_from(fdoc.get("offset", 0), f"facet {k} offset")
         try:
             facets.append(LabeledFacet(tuple(normal), label, offset))
         except ValueError as exc:
             raise ValueError(f"facet {k} {exc}") from None
     reeb = [
-        _fraction_from(x, f"reeb component {i}")
+        _rational_from(x, f"reeb component {i}")
         for i, x in enumerate(_list(doc["reeb"], "reeb"))
     ]
     requested = mode if mode is not None else doc.get("mode", "rational")
@@ -148,7 +150,7 @@ def presentation_from_document(doc) -> SpherePresentation:
     beta = [_int_list(row, "beta row") for row in _list(doc["beta"], "beta")]
     weights = [_int_list(row, "weights row") for row in _list(doc["weights"], "weights")]
     deformation = [
-        _fraction_from(x, f"deformation component {i}")
+        _rational_from(x, f"deformation component {i}")
         for i, x in enumerate(_list(doc["deformation"], "deformation"))
     ]
     return SpherePresentation(n_cols, beta, weights, deformation)

@@ -292,14 +292,18 @@ def kernel_lattice_basis(mat: IntMat) -> IntMat:
     with Z^cols; the quotient of Z^cols by their span is torsion free.
     Returns an empty list when the kernel is trivial.
 
-    One Hermite form of ``mat`` stacked over the identity (Cohen, *A Course
-    in Computational Algebraic Number Theory*, 1993, section 2.4): once the
-    rows of ``mat`` are done, the columns past its rank vanish on ``mat``
-    and, the transform being unimodular, their lower block is a basis of
-    the saturated kernel.  The identity rows then only mix those columns
+    At full column rank, tested by one ``echelon`` when rows >= cols, the
+    kernel is zero and no Hermite form runs.  Otherwise one Hermite form of
+    ``mat`` stacked over the identity (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 1993, section 2.4): once the rows of ``mat``
+    are done, the columns past its rank vanish on ``mat`` and, the
+    transform being unimodular, their lower block is a basis of the
+    saturated kernel.  The identity rows then only mix those columns
     among themselves, into their unique Hermite form.
     """
     rows, cols = _shape(mat)
+    if rows >= cols and len(echelon(mat)[1]) == cols:
+        return []
     h = [list(row) for row in mat] + identity(cols)
     _hermite(h)
     rk = sum(1 for j in range(cols) if any(row[j] for row in h[:rows]))

@@ -45,7 +45,7 @@ class LabeledFacet(FrozenValue):
 
     def __init__(self, normal: tuple[int, ...], label: int = 1, offset: Fraction = 0):
         normal = as_integers(normal, "normal")
-        offset = Fraction(offset)
+        offset = offset if type(offset) is Fraction else Fraction(offset)
         if not any(normal):
             raise ValueError("normal is zero")
         if isinstance(label, bool) or not isinstance(label, int) or label < 1:
@@ -65,7 +65,7 @@ class LabeledFacet(FrozenValue):
 
 
 class LabeledPolytope(FrozenValue):
-    __slots__ = ("ambient_dim", "facets")
+    __slots__ = ("ambient_dim", "facets", "_cone_normals")
 
     def __init__(self, ambient_dim: int, facets: tuple[LabeledFacet, ...]):
         facets = tuple(facets)
@@ -78,12 +78,16 @@ class LabeledPolytope(FrozenValue):
                 raise ValueError("facet normal has wrong dimension")
         seen = {}
         for i, f in enumerate(facets):
-            key = (f.normal, Fraction(f.offset, f.label))
+            # offset / label = a / (b m) in lowest terms, with no Fraction
+            a, bm = f.offset.numerator, f.offset.denominator * f.label
+            g = gcd(a, bm)
+            key = (f.normal, a // g, bm // g)
             if key in seen:
                 raise ValueError(f"duplicate facet: indices {seen[key]} and {i}")
             seen[key] = i
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "_cone_normals", {})
 
     @property
     def dim(self) -> int:
@@ -133,7 +137,7 @@ class MomentCone(FrozenValue):
 
 def _exact(reeb) -> list:
     """The characteristic vector as ints where integral, else Fractions."""
-    exact = [x if type(x) is int else Fraction(x) for x in reeb]
+    exact = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in reeb]
     return [x.numerator if x.denominator == 1 else x for x in exact]
 
 
@@ -145,6 +149,8 @@ def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
     normals and characteristic vectors give equal vertices and active sets.
     With offset a/b each u_i is (a * reeb - b * m_i p_i) / b, an integer
     vector unless b does not divide it; only those entries become Fractions.
+    A polytope keeps them per characteristic vector (:func:`_kept_cone_normals`),
+    so validation's walk and every later stage of a datum share one copy.
     """
     r = _exact(reeb)
     normals = []
@@ -154,6 +160,17 @@ def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
         if b != 1:
             u = [x // b if x % b == 0 else Fraction(x, b) for x in u]
         normals.append(u)
+    return normals
+
+
+def _kept_cone_normals(poly: LabeledPolytope, r) -> list[list]:
+    """:func:`cone_normals` at the exact characteristic vector r (as
+    :func:`_exact` gives it), computed on first use and kept on ``poly``
+    for every later caller to share, unchanged."""
+    key = tuple(r)
+    normals = poly._cone_normals.get(key)
+    if normals is None:
+        normals = poly._cone_normals[key] = cone_normals(poly, r)
     return normals
 
 
@@ -176,7 +193,7 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
         raise ValueError("characteristic vector has wrong dimension")
     if not any(r):
         raise ValueError("characteristic vector must be nonzero")
-    a_rows = [[-x for x in u] for u in cone_normals(poly, r)]
+    a_rows = [[-x for x in u] for u in _kept_cone_normals(poly, r)]
     status, points = geometry.sliced_cone_points(a_rows, r)
     if status == "empty":
         raise ValueError("empty polytope")
@@ -239,7 +256,7 @@ def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
     The decomposition must be integral.
     """
     normals = []
-    for u in integral_cone_normals(cone_normals(poly, reeb)):
+    for u in integral_cone_normals(_kept_cone_normals(poly, _exact(reeb))):
         if not any(u):
             raise ValueError("degenerate facet under coning")
         label = gcd(*u)

@@ -47,7 +47,7 @@ class SpherePresentation(FrozenValue):
     def __init__(self, N: int, beta: tuple, weights: tuple, deformation: tuple[Fraction, ...]):
         beta = tuple(as_integers(r, "beta") for r in beta)
         weights = tuple(as_integers(r, "weights") for r in weights)
-        deformation = tuple(Fraction(x) for x in deformation)
+        deformation = tuple([x if type(x) is Fraction else Fraction(x) for x in deformation])
         if not beta or any(len(row) != N for row in beta):
             raise ValueError("beta rows must all have length N")
         if any(len(row) != N for row in weights):
@@ -125,7 +125,8 @@ def kernel_torus_weights(beta) -> list[list[int]]:
 
 
 def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
-    """The solution of beta @ a = reeb that maximizes min_i a_i.
+    """The solution of beta @ a = reeb that maximizes min_i a_i, read in
+    integers off one fraction-free elimination.
 
     The columns u_i of beta are the cone normals, so at a vertex v of the
     polytope <u_i, v> is the slack s_i(v) of facet i, and v^T beta a =
@@ -137,6 +138,14 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     independent because the vertex is simple, so the optimum is unique and
     one solve on that active set gives it.  A positive solution exists for
     every valid datum.
+
+    In integers: with reeb = r / D over its common denominator D (1 in
+    rational mode), the best vertex v = ray / h has <total, v> = num / h
+    and h_r = <ray, r> = D h, so y = num D (a - z* 1) solves beta_A y =
+    num r - h_r total.  One ``echelon`` (Bareiss, Math. Comp. 22, 1968) of
+    [beta_A | num r - h_r total] gives y = e / d, read with d > 0 off the
+    last column, and a_i = (h_r d + e_i) / (num D d), which is h_r / (num D)
+    off A.
     """
     total = [sum(row) for row in beta]
     # the best vertex so far as num / h = <total, v>, v = ray / h
@@ -147,18 +156,23 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
             num, h, best = nv, v.height, v
     if num <= 0:
         raise ValueError("no positive solution")
-    # y = num * (a - z* * 1) is zero off T, so off A = A(best) as well, and
-    # beta_A y = num * reeb - h * total
+    den, r = over_common_denominator(datum.reeb)
+    hr = sum([x * y for x, y in zip(best.ray, r)])  # h_r = <ray, r> = D h
+    # y is zero off T, so off A = A(best) as well
     active = sorted(best.active)
-    y = geometry.solve_general(
-        [[row[i] for i in active] for row in beta],
-        [num * r - h * t for r, t in zip(datum.reeb, total)],
+    k = len(active)
+    e, pivots, d, _ = echelon(
+        [[row[i] for i in active] + [num * x - hr * t] for row, x, t in zip(beta, r, total)]
     )
-    if y is None or any(x < 0 for x in y):
+    if k in pivots:  # a row reads 0 = nonzero
         raise ValueError("no positive solution")
-    a = [Fraction(h, num)] * len(beta[0])
-    for i, x in zip(active, y):
-        a[i] = Fraction(h * x.denominator + x.numerator, num * x.denominator)
+    ys = [row[k] if d > 0 else -row[k] for row in e]
+    d = abs(d)
+    if any(y < 0 for y in ys):
+        raise ValueError("no positive solution")
+    a = [Fraction(hr, num * den)] * len(beta[0])
+    for c, y in zip(pivots, ys):
+        a[active[c]] = Fraction(hr * d + y, num * den * d)
     return tuple(a)
 
 

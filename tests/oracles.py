@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here calls into the package's normal-form code, so agreement
-between these and the fast paths is a real cross-check.  The two
+between these and the fast paths is a real cross-check.  The three
 exceptions are :func:`classify`, the reference for the package's bitmask
-face walk: it shares the facet projection and takes a full ``snf``, and
+face walk: it shares the facet projection and takes a full ``snf``,
 :func:`stabilizer_order`, the reference for reading every stabilizer order
-off one elimination of W: it takes one ``echelon`` of each support block.
+off one elimination of W: it takes one ``echelon`` of each support block,
+and :func:`solve_general_deformation`, the rational-solve route that the
+integer deformation solve replaced: it takes ``geometry.solve_general``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from toricontact import geometry
 from toricontact.classify import ClassificationReport, FaceInvariants, _facet_generators
 from toricontact.lattice import FiniteAbelianGroup, echelon, snf
 
@@ -224,6 +227,37 @@ def maximin_deformation(datum, beta):
         for v in verts
         if v[-1] == best_z
     )
+
+
+def solve_general_deformation(datum, beta):
+    """``reduction.deformation_vector`` by its earlier route: the best
+    vertex as there, then one rational ``solve_general`` of beta_A y =
+    num * reeb - h * total, with a = (h + y) / num on A and h / num off it."""
+    total = [sum(row) for row in beta]
+    num, h, best = 0, 1, None
+    for v in datum.vertices:
+        nv = sum(t * x for t, x in zip(total, v.ray))
+        if nv * h > num * v.height:
+            num, h, best = nv, v.height, v
+    if num <= 0:
+        raise ValueError("no positive solution")
+    active = sorted(best.active)
+    y = geometry.solve_general(
+        [[row[i] for i in active] for row in beta],
+        [num * r - h * t for r, t in zip(datum.reeb, total)],
+    )
+    if y is None or any(x < 0 for x in y):
+        raise ValueError("no positive solution")
+    a = [Fraction(h, num)] * len(beta[0])
+    for i, x in zip(active, y):
+        a[i] = (h + x) / num
+    return tuple(a)
+
+
+def fraction_facet_key(facet):
+    """The duplicate-facet key of a ``LabeledFacet`` as a Fraction: its
+    normal and offset / label, the whole inequality over its label."""
+    return facet.normal, Fraction(facet.offset, facet.label)
 
 
 def pointed_cone_rays(a_rows, dim):
