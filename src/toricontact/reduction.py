@@ -4,22 +4,22 @@ Every valid datum with N facets is presented as a contact reduction of the
 sphere S^{2N-1}: the columns of beta are the labeled inward normals of the
 moment cone, the reduction torus is the saturated kernel of beta, and the
 deformation vector a is a positive rational solution of beta @ a = reeb.
-``reduced_polytope`` reads the datum back off a presentation, which turns
-the presentation's correctness into an exact round-trip check.
+``reduced_polytope`` reads the datum back off a presentation, an exact
+round trip, and ``verify_presentation`` checks one against a datum's cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import is_
+from operator import is_, ne
 
 from . import geometry
 from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
 from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
 from .polytope import LabeledFacet, LabeledPolytope, Vertex, integral_cone_normals
-from .polytope import resliced_vertices, sort_vertices, vertices as _poly_vertices
+from .polytope import resliced_vertices, sort_vertices
 
 __all__ = [
     "SpherePresentation",
@@ -83,7 +83,8 @@ class SpherePresentation(FrozenValue):
 
 class VerificationReport(FrozenValue):
     """``vertex_diff`` holds ("missing" or "extra", vertex) pairs and
-    ``local_freeness`` (reduced vertex, stabilizer order or None) pairs."""
+    ``local_freeness`` (reduced vertex, stabilizer order or None) pairs;
+    both are empty on another cone, which checks no vertex and is not smooth."""
 
     __slots__ = ("polytope_match", "vertex_diff", "local_freeness", "problems")
 
@@ -97,7 +98,7 @@ class VerificationReport(FrozenValue):
 
     @property
     def smooth(self) -> bool:
-        return all(order == 1 for _, order in self.local_freeness)
+        return bool(self.local_freeness) and all(order == 1 for _, order in self.local_freeness)
 
     @property
     def ok(self) -> bool:
@@ -176,21 +177,26 @@ def deformation_vector(datum: ToricContactDatum, beta) -> tuple[Fraction, ...]:
     return tuple(a)
 
 
+def _failing(message: str, flags) -> list[str]:
+    """[message and the indices of the true flags], or [] if none is true."""
+    bad = [str(i) for i, flag in enumerate(flags) if flag]
+    return [f"{message} {', '.join(bad)}"] if bad else []
+
+
 def _presentation_problems(pres: SpherePresentation, reeb, order_gcd: int) -> list[str]:
     """What is wrong with the presentation's torus and deformation, on their
     own and against reeb; order_gcd is the gcd of the vertex stabilizer
     orders, and 1 proves W saturated (see ``verify_presentation``)."""
     problems = []
     if pres.weights:
-        if any(any(row) for row in matmul(pres.beta, transpose(pres.weights))):
-            problems.append("beta @ weights^T is not zero")
+        kernel = matmul(pres.weights, transpose(pres.beta))
+        problems += _failing("beta @ weights^T is not zero: weight rows", map(any, kernel))
         if order_gcd != 1 and any(d != 1 for d in smith_diagonal(pres.weights)):
             problems.append("weight matrix is not a saturated kernel basis")
-    if any(x <= 0 for x in pres.deformation):
-        problems.append("deformation vector not strictly positive")
-    if pres.reeb_image != tuple(reeb):
-        problems.append("beta @ deformation differs from the characteristic vector")
-    return problems
+    flags = [x <= 0 for x in pres.deformation]
+    problems += _failing("deformation vector not strictly positive: entries", flags)
+    text = "beta @ deformation differs from the characteristic vector: coordinates"
+    return problems + _failing(text, map(ne, pres.reeb_image, reeb))
 
 
 def synthesize(datum: ToricContactDatum) -> SpherePresentation:
@@ -274,32 +280,47 @@ def _stabilizer_orders(weights, supports) -> list[int | None]:
     return orders
 
 
+def _cone_diff(columns, normals) -> list[str]:
+    """One line per datum facet whose cone normal no column of beta equals,
+    then one per column that is no cone normal, or repeats one; the datum's
+    normals are distinct, so a different multiset names at least one facet."""
+    facet = {tuple(u): i for i, u in enumerate(normals)}
+    seen, lines = set(), []
+    for j, col in enumerate(columns):
+        i = facet.get(tuple(col))
+        if i is None or i in seen:
+            what = "is no cone normal of the datum" if i is None else f"repeats facet {i}'s"
+            lines.append(f"beta column {j} ({', '.join(map(str, col))}) {what}")
+        seen.add(i)
+    text = "facet {}: cone normal ({}) is no column of beta".format
+    return [text(i, ", ".join(map(str, u))) for i, u in enumerate(normals) if i not in seen] + lines
+
+
 def verify_presentation(
     pres: SpherePresentation, datum: ToricContactDatum
 ) -> VerificationReport:
-    """Check a presentation against a datum, exactly.
+    """Check a presentation against a datum, exactly, deciding by the cone.
 
-    The polytope match compares vertex sets and cone normals (the facet
-    data with offsets absorbed, so data that differ only by the hyperplane
-    normalization still match), the latter as multisets of beta's columns
-    and the datum's integral cone normals.  Local freeness is checked at
-    every vertex through the reduction-torus stabilizer, all read off one
-    elimination of W (``_stabilizer_orders``).  Each order is the gcd of
-    some maximal minors of W, so orders with gcd 1 leave the gcd of all of
-    them 1: W is saturated, and the Smith loop runs only otherwise.
+    Lerman (Contact toric manifolds, J. Symplectic Geom. 1, 2003): a
+    compact, connected contact toric manifold of Reeb type (its torus holds
+    the Reeb flow of an invariant contact form) is determined by its moment
+    cone, and its contact form by the Reeb vector.  The sphere's reduction
+    by the kernel torus of beta has the cone cut out by beta's columns and
+    Reeb vector reeb' = beta @ a, so the columns are first compared with
+    the datum's cone normals as multisets.  Another cone checks no vertex:
+    its problems are the torus's, W's saturation by its Smith form, and
+    each facet and column of the difference (``_cone_diff``).
 
-    By Lerman's classification of contact toric manifolds of Reeb type
-    (J. Symplectic Geom. 2003), the reduction of the sphere by the kernel
-    torus of beta has the moment cone whose inward normals are beta's
-    columns, sliced by reeb' = beta @ a.  When those columns are the
-    datum's cone normals (``cone_normals``) in any order, that cone is the
-    datum's own: beta is onto, the normals match, and only reeb' can
-    differ.  The reduced vertices are then the datum's vertices v divided
-    by their heights <v, reeb'> (``resliced_vertices`` states the lemma),
-    so a vertex is unchanged exactly when its height is 1, and no vertex
-    is enumerated again.  When every one is unchanged and the columns are
-    in facet order, the reduced vertices are the datum's own, sorted and
-    matched already.  Only a different cone is sliced afresh.
+    On the same cone beta is onto (the cone is pointed) and only reeb' can
+    differ.  The reduced vertices are the datum's vertices v divided by
+    their heights <v, reeb'> (``resliced_vertices`` states the lemma), so
+    none is enumerated again, and when every height is 1 and the columns
+    are in facet order they are the datum's own, sorted and matched
+    already.  Local freeness is checked at every reduced vertex through the
+    reduction-torus stabilizer, all read off one elimination of W
+    (``_stabilizer_orders``).  Each order is the gcd of some maximal minors
+    of W, so orders with gcd 1 leave the gcd of all of them 1: W is
+    saturated, and the Smith loop runs only otherwise.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
@@ -307,55 +328,33 @@ def verify_presentation(
         raise ValueError("presentation and datum facet counts differ")
     columns = transpose(pres.beta)
     normals = datum.cone_normals
-    same_cone = sorted(columns) == sorted(normals)
-    problems = []
-    # on the same cone beta is onto: the datum's cone is pointed
-    if not same_cone and rank(pres.beta) != pres.ambient_dim:
-        problems.append("beta not surjective")
-    late = []  # the reduced polytope's problems, reported after the torus's
+    if sorted(columns) != sorted(normals):
+        problems = [] if rank(pres.beta) == pres.ambient_dim else ["beta not surjective"]
+        problems += _presentation_problems(pres, datum.reeb, 0)  # no orders: Smith form
+        return VerificationReport(False, (), (), tuple(problems + _cone_diff(columns, normals)))
 
-    vertex_diff = []
-    polytope_match = False
-    # stabilizer supports index the presentation's own columns, so read the
-    # active sets off the reduced polytope; keep the datum's when the
-    # reduction is too broken to slice (the report is already failing then)
-    reduced_verts = datum.vertices
+    # supports index beta's columns; a broken slice keeps the datum's vertices
+    reduced_verts, vertex_diff, late = datum.vertices, [], []
     try:
-        own = False  # the datum's own vertices, active sets and order
-        if same_cone:
-            moved = resliced_vertices(datum.vertices, pres.reeb_image)
-            if columns != normals:
-                # column j is the datum facet whose cone normal equals it
-                column = {tuple(c): j for j, c in enumerate(columns)}
-                to_column = [column[tuple(u)] for u in normals]
-                active = [frozenset([to_column[i] for i in w.active]) for w in moved]
-                moved = [Vertex(w.ray, w.height, a, w.cone_index) for w, a in zip(moved, active)]
-            own = all(map(is_, moved, datum.vertices))
-            reduced_verts = datum.vertices if own else sort_vertices(moved)
-        else:
-            reduced_verts = _poly_vertices(*reduced_polytope(pres))
-        if not own:
+        moved = resliced_vertices(datum.vertices, pres.reeb_image)
+        if columns != normals:
+            # column j is the datum facet whose cone normal equals it
+            column = {tuple(c): j for j, c in enumerate(columns)}
+            to_column = [column[tuple(u)] for u in normals]
+            active = [frozenset([to_column[i] for i in w.active]) for w in moved]
+            moved = [Vertex(w.ray, w.height, a, w.cone_index) for w, a in zip(moved, active)]
+        if not all(map(is_, moved, datum.vertices)):
+            reduced_verts = sort_vertices(moved)
             # a primitive ray and a positive height name one point
             ours = {(v.ray, v.height) for v in datum.vertices}
-            theirs = {(w.ray, w.height) for w in reduced_verts}
-            vertex_diff = [
-                ("missing", v) for v in datum.vertices if (v.ray, v.height) not in theirs
-            ]
+            got = {(w.ray, w.height) for w in reduced_verts}
+            vertex_diff = [("missing", v) for v in datum.vertices if (v.ray, v.height) not in got]
             vertex_diff += [("extra", w) for w in reduced_verts if (w.ray, w.height) not in ours]
-        polytope_match = same_cone and not vertex_diff
-        if not same_cone:
-            integral_cone_normals(normals)
-            late.append("cone normals of presentation and datum differ")
     except ValueError as exc:
-        late.append(f"reduced polytope unavailable: {exc}")
+        late = [f"reduced polytope unavailable: {exc}"]
 
-    coords = range(pres.N)
-    supports = [[i for i in coords if i not in v.active] for v in reduced_verts]
+    supports = [[i for i in range(pres.N) if i not in v.active] for v in reduced_verts]
     orders = _stabilizer_orders(pres.weights, supports)
-    problems += _presentation_problems(pres, datum.reeb, gcd(*[o or 0 for o in orders]))
-    return VerificationReport(
-        polytope_match=polytope_match,
-        vertex_diff=tuple(vertex_diff),
-        local_freeness=tuple(zip(reduced_verts, orders)),
-        problems=tuple(problems + late),
-    )
+    problems = _presentation_problems(pres, datum.reeb, gcd(*[o or 0 for o in orders])) + late
+    local = tuple(zip(reduced_verts, orders))
+    return VerificationReport(not (vertex_diff or late), tuple(vertex_diff), local, tuple(problems))

@@ -126,6 +126,24 @@ def random_sphere(rng):
     return weighted_simplex([w // gcd(*weights) for w in weights])
 
 
+KINDS = ["cube", "simplex", "parabola", "product", "weighted", "sphere"]
+
+
+def generated(rng, kind):
+    """A datum of one of the ``KINDS`` above, in a random basis."""
+    if kind in ("cube", "simplex"):
+        d = cube_or_simplex(rng, kind == "cube")
+    elif kind == "parabola":
+        d = parabola(2 * rng.randint(2, 8))
+    elif kind == "product":
+        d = simplex_product(rng)
+    elif kind == "weighted":
+        d = weighted_simplex_product(rng)
+    else:
+        d = random_sphere(rng)
+    return change_basis(d, random_unimodular(rng, d.n + 1))
+
+
 def positive_reeb(rng, d):
     """A random integral vector strictly positive on the datum's vertex rays:
     a random perturbation e plus k * reeb, k past every -<v, e>."""

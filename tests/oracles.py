@@ -13,6 +13,7 @@ integer deformation solve replaced: it takes ``geometry.solve_general``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -51,6 +52,46 @@ def minor_gcd_invariant_factors(mat) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def minor_gcd(mat, k) -> int:
+    """The gcd of the k x k minors of mat by cofactor expansion, 1 at k = 0."""
+    if k == 0:
+        return 1
+    rows, cols = range(len(mat)), range(len(mat[0]))
+    return math.gcd(
+        *[
+            cofactor_det([[mat[i][j] for j in csel] for i in rsel])
+            for rsel in combinations(rows, k)
+            for csel in combinations(cols, k)
+        ]
+    )
+
+
+def reeb_period_order(normals, reeb, face) -> int:
+    """The holonomy order at a face read off the Reeb flow's periods.
+
+    A point over the face F (the facets through it) has period s_F, the
+    least s > 0 with s reeb in Z^{n+1} + span_R{u_i : i in F}, u_i the cone
+    normals; the order is s_empty / s_F.  With Phi_F a basis of the integer
+    functionals that vanish on every u_i, i in F, s_F = 1 / g_F for g_F the
+    gcd of Phi_F reeb, so the order is g_F / gcd(reeb).  In a lattice basis
+    that puts the rows U_F in column Hermite form [A 0] (rank rho), the
+    (rho + 1)-minors of [U_F; reeb] are the rho-minors of A times the
+    entries of reeb on the last columns, and those entries are Phi_F reeb:
+    g_F = d_{rho+1}([U_F; reeb]) / d_rho(U_F), d_k the minor gcd.
+    """
+    rows = [list(normals[i]) for i in sorted(face)]
+    rho = len(fraction_rref(rows)[0]) if rows else 0
+    g = minor_gcd([*rows, list(reeb)], rho + 1) // minor_gcd(rows, rho)
+    return g // math.gcd(*reeb)
+
+
+def cone_difference(columns, normals) -> tuple[list, list]:
+    """The multiset differences (normals - columns, columns - normals) of
+    beta's columns and a datum's cone normals, each sorted."""
+    columns, normals = Counter(map(tuple, columns)), Counter(map(tuple, normals))
+    return sorted((normals - columns).elements()), sorted((columns - normals).elements())
 
 
 def stabilizer_order(weights, support) -> int | None:
@@ -171,7 +212,8 @@ def datum_document(datum) -> dict:
 
 def verification_document(report) -> dict:
     """The verification document, each vertex's coordinates written by
-    ``str(Fraction)``; smooth means every stabilizer order is 1."""
+    ``str(Fraction)``; smooth means some vertex is checked, and every
+    stabilizer order is 1."""
     orders = [order for _, order in report.local_freeness]
     return {
         "ok": report.polytope_match and not report.problems and None not in orders,
@@ -183,7 +225,7 @@ def verification_document(report) -> dict:
             {"vertex": _texts(v.coords), "stabilizer_order": order}
             for v, order in report.local_freeness
         ],
-        "smooth": all(order == 1 for order in orders),
+        "smooth": bool(orders) and all(order == 1 for order in orders),
         "problems": list(report.problems),
     }
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricontact import geometry, lattice
@@ -39,9 +39,11 @@ from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import weighted_simplex
 
 from generators import (
+    KINDS,
     change_basis,
     cube_or_simplex,
     degenerate,
+    generated,
     labeled_cube,
     parabola,
     perturbed,
@@ -514,6 +516,52 @@ class TestHolonomyMatchesSaturatedChain:
                     assert fi.holonomy == saturated_chain_holonomy(d, fi.face)
             assert ran["_diagonal_holonomy"] > before["_diagonal_holonomy"]
         assert ran["_face_holonomy"] > 0
+
+
+def unit_cube(rng):
+    """A cube with every label 1, n <= 4, in a random lattice basis."""
+    n = rng.randint(1, 4)
+    return labeled_cube(n, [1] * (2 * n), random_unimodular(rng, n + 1))
+
+
+def free_with_primitive_projections(d) -> bool:
+    """Every c_i = 1, the content of facet i's normal modulo reeb (the gcd
+    of the 2-minors of [reeb; p_i] over gcd(reeb)), and the kernel torus K
+    of the datum's presentation acts freely: beta onto Z^{n+1}, and every
+    stabilizer trivial."""
+    g = gcd(*d.reeb)
+    if any(oracles.minor_gcd([d.reeb, f.normal], 2) != g for f in d.facets):
+        return False
+    pres = synthesize(d)
+    onto = oracles.minor_gcd(pres.beta, pres.ambient_dim) == 1
+    return onto and verify_presentation(pres, d).smooth
+
+
+class TestHolonomyMatchesReebPeriods:
+    """Where every c_i is 1, classify's quotient labels and the moment-cone
+    labels of ``cone_normals`` read alike, and where K acts freely the
+    holonomy order at each face is the ratio of Reeb periods
+    (``oracles.reeb_period_order``).  Orbifold cubes and products, where
+    the two readings part, are left out."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from([*KINDS, "unit cube"]))
+    def test_group_order_is_the_period_ratio(self, rng, kind):
+        d = unit_cube(rng) if kind == "unit cube" else generated(rng, kind)
+        assume(free_with_primitive_projections(d))
+        for fi in classify(d).per_face:
+            assert fi.holonomy.order() == oracles.reeb_period_order(d.cone_normals, d.reeb, fi.face)
+
+    def test_a_smooth_sphere_with_short_orbits(self):
+        # S^5 with weights 1, 2, 3 is its own presentation (K is trivial):
+        # the orbits over the vertices close after 1, 1/2 and 1/3 turns
+        d = weighted_simplex((1, 2, 3))
+        assert free_with_primitive_projections(d)
+        report = classify(d)
+        normals = d.cone_normals
+        orders = [oracles.reeb_period_order(normals, d.reeb, fi.face) for fi in report.per_face]
+        assert orders == [fi.holonomy.order() for fi in report.per_face]
+        assert sorted(set(orders)) == [1, 2, 3]
 
 
 class TestBitmaskFaceWalk:

@@ -37,9 +37,9 @@ GOLDEN = {
     "cubes": "f594ef15136df980785a37063f8c86572284c1c5f60ae45082daa58456fa831f",
     "ngons": "c7843fe470fd797a2ca66abb78891f267b2bb67ff112b9e68fed8948ee8ca985",
     "spheres": "6a98a338a3921173a44c4ee9b0bcce09215960d0e3d00a62d89c70f239a4bc69",
-    "mutations": "3a3cfb14b9bd539381683a5c34241db7534440776733260e1873d6405b4aa3a6",
-    "parabola": "3da52d879ad1040078dad34cdecedc80a5c882e22cab748e9f2acaa80a88bc09",
-    "irrational-square": "054d7762d751fcc62deb880fc5d57a5208c0cc4974fe07a1548b3e29f031f8d0",
+    "mutations": "fb3766cd2c2a303aaa74033da3a0ab8403b1985c125b537cff4a739ce1139933",
+    "parabola": "e20ba04bce118b9062514dd72f0c5495488fe595cd3f90d6557c79c14c260f66",
+    "irrational-square": "ac35618a5ad23ff9759885d4f7e1f7f08259c430229874cabb1be6c4175e731d",
 }
 
 

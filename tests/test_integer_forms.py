@@ -21,12 +21,11 @@ from hypothesis import strategies as st
 
 import oracles
 from generators import (
-    change_basis,
-    cube_or_simplex,
+    KINDS,
+    generated,
     labeled_cube,
     parabola,
     perturbed,
-    random_sphere,
     random_unimodular,
     simplex_product,
     weighted_simplex_product,
@@ -42,24 +41,6 @@ F = Fraction
 classify_module = importlib.import_module("toricontact.classify")
 classify = classify_module.classify
 MODULES = (polytope, classify_module, reduction, documents, geometry, lattice)
-
-KINDS = ["cube", "simplex", "parabola", "product", "weighted", "sphere"]
-
-
-def generated(rng, kind):
-    """A datum of one kind of ``tests/generators.py``, in a random basis."""
-    if kind in ("cube", "simplex"):
-        d = cube_or_simplex(rng, kind == "cube")
-    elif kind == "parabola":
-        d = parabola(2 * rng.randint(2, 8))
-    elif kind == "product":
-        d = simplex_product(rng)
-    elif kind == "weighted":
-        d = weighted_simplex_product(rng)
-    else:
-        d = random_sphere(rng)
-    return change_basis(d, random_unimodular(rng, d.n + 1))
-
 
 def fractional(rng, d):
     """The datum's polytope at k reeb + e, e of denominator 2..5 and k past
@@ -179,7 +160,7 @@ def _permuted(pres):
 
 def _w_mutated(pres):
     """The presentation with 1 added to W[0][0], or to beta[0][0] when the
-    reduction torus is trivial: another cone, so verify walks it."""
+    reduction torus is trivial: another cone, which verify names by facet."""
     beta, weights = [list(r) for r in pres.beta], [list(r) for r in pres.weights]
     (weights or beta)[0][0] += 1
     return reduction.SpherePresentation(pres.N, beta, weights, pres.deformation)
@@ -325,12 +306,16 @@ class TestDocumentsMatchTheFractionWriter:
     @settings(deadline=None, max_examples=30)
     @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
     def test_verification_document_at_fraction_heights(self, rng, kind):
-        # the datum's own presentation against the datum resliced at a
-        # fractional reeb: the datum's vertices that moved are missing, at
-        # Fraction heights, and the reduced ones extra, at int heights
+        # the datum's own presentation against its zero-offset cone form
+        # sliced at a fractional reeb, the same cone: the datum's vertices
+        # that moved are missing, at Fraction heights, and the reduced ones
+        # extra, at int heights
         d = generated(rng, kind)
-        other = fractional(rng, d)
-        report = reduction.verify_presentation(reduction.synthesize(d), other)
+        pres = reduction.synthesize(d)
+        cone_form = reduction.reduced_polytope(pres)[0]
+        other = validate_datum(cone_form, fractional(rng, d).reeb, "irrational")
+        assert other.cone_normals == d.cone_normals
+        report = reduction.verify_presentation(pres, other)
         assert documents.verification_to_document(report) == oracles.verification_document(report)
         kinds = [kind for kind, _ in report.vertex_diff]
         assert kinds == sorted(kinds, reverse=True)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricontact import geometry, lattice, reduction
+import oracles
+from toricontact import geometry, lattice, polytope, reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
@@ -22,8 +24,8 @@ from toricontact.reduction import (
 )
 from toricontact.spheres import weighted_simplex
 
-from generators import labeled_cube, parabola, perturbed, random_datum, random_sphere
-from generators import weighted_simplex_product
+from generators import KINDS, generated, labeled_cube, parabola, perturbed, random_datum
+from generators import random_sphere, weighted_simplex_product
 from oracles import cofactor_det, maximin_deformation, minor_gcd_invariant_factors
 from oracles import small_kernel_vectors
 from oracles import stabilizer_order
@@ -239,18 +241,19 @@ class TestReducedSliceIsTheDatumSlice:
         assert expected["ok"]
         assert verification_to_document(verify_presentation(permuted, d)) == expected
 
-    def test_irrational_square_keeps_its_vertex_diff(self):
+    def test_irrational_square_names_its_half_integral_facets(self):
         # the square's presentation at reeb e_2, checked against the square
-        # at reeb e_2 / 2: no reuse, and the integrality check failing
-        # afterwards must not empty the diff
+        # at reeb e_2 / 2: another cone, each of whose four cone normals has
+        # a 1/2 entry, named as str writes it, with no vertex checked
         pres = synthesize(square((0, 0, 1)))
         report = verify_presentation(pres, square((0, 0, F(1, 2))))
-        corners = [(F(x), F(y)) for x in (-1, 1) for y in (-1, 1)]
-        extra = [("extra", (*c, F(1))) for c in corners]
-        missing = [("missing", (*c, F(2))) for c in corners]
-        assert sorted((kind, v.coords) for kind, v in report.vertex_diff) == extra + missing
-        assert not report.ok and not report.polytope_match
-        assert any("not integral" in p for p in report.problems)
+        named = [p for p in report.problems if p.startswith("facet ")]
+        assert named == [
+            f"facet {i}: cone normal ({x}, {y}, 1/2) is no column of beta"
+            for i, (x, y) in enumerate([(-1, 0), (1, 0), (0, -1), (0, 1)])
+        ]
+        assert report.vertex_diff == () and report.local_freeness == ()
+        assert not report.ok and not report.polytope_match and not report.smooth
 
 
 def enumerated_report(pres, d):
@@ -258,10 +261,14 @@ def enumerated_report(pres, d):
     report them for a presentation of d's own cone with a valid torus,
     from enumerating the reduced polytope's vertices afresh."""
     problems = []
-    if any(x <= 0 for x in pres.deformation):
-        problems.append("deformation vector not strictly positive")
-    if pres.reeb_image != tuple(F(x) for x in d.reeb):
-        problems.append("beta @ deformation differs from the characteristic vector")
+    bad = [str(i) for i, x in enumerate(pres.deformation) if x <= 0]
+    if bad:
+        problems.append(f"deformation vector not strictly positive: entries {', '.join(bad)}")
+    image = [sum(b * x for b, x in zip(row, pres.deformation)) for row in pres.beta]
+    bad = [str(i) for i, (x, r) in enumerate(zip(image, d.reeb)) if x != r]
+    if bad:
+        text = "beta @ deformation differs from the characteristic vector: coordinates"
+        problems.append(f"{text} {', '.join(bad)}")
     try:
         verts = vertices(*reduced_polytope(pres))
     except ValueError as exc:
@@ -344,26 +351,6 @@ class TestSameCone:
             assert got == enumerated_report(bad, d)
             assert got[3][-1] == f"reduced polytope unavailable: {message}"
 
-    @pytest.mark.parametrize("datum", [cube_datum, lambda: weighted_simplex((1, 2, 3))])
-    def test_no_vertex_enumeration_on_the_same_cone(self, monkeypatch, datum):
-        d = datum()
-        pres = synthesize(d)
-        deformed = list(pres.deformation)
-        deformed[0] += 1
-        perm = [*range(1, pres.N), 0]
-        deformed_pres = SpherePresentation(pres.N, pres.beta, pres.weights, deformed)
-        cases = [permuted(pres, perm), deformed_pres]
-        expected = [verification_to_document(verify_presentation(p, d)) for p in cases]
-
-        def refuse(*args):
-            raise AssertionError("the same cone was enumerated again")
-
-        monkeypatch.setattr(reduction, "_poly_vertices", refuse)
-        monkeypatch.setattr(reduction, "reduced_polytope", refuse)
-        got = [verification_to_document(verify_presentation(p, d)) for p in cases]
-        assert got == expected
-        assert got[0]["ok"] and not got[1]["ok"] and got[1]["vertex_diff"]
-
     @pytest.mark.parametrize("datum", [cube_datum, lambda: labeled_cube(2, [1, 2, 3, 1], identity(3))])
     def test_own_vertices_are_read_with_no_sort_as_their_copies_are(self, monkeypatch, datum):
         # beta @ a = reeb leaves every vertex the datum's own object, for the
@@ -391,6 +378,98 @@ class TestSameCone:
         got = [verification_to_document(verify_presentation(p, d)) for p in cases]
         assert got == expected
         assert got[0]["ok"] and len(cases) > 1 and not any(doc["ok"] for doc in got[1:])
+
+
+def beta_mutant(pres, r, j, step=1):
+    """The presentation with step added to beta[r][j]."""
+    rows = [list(row) for row in pres.beta]
+    rows[r][j] += step
+    return SpherePresentation(pres.N, rows, pres.weights, pres.deformation)
+
+
+def refuse_walks(patched):
+    """Make every vertex walk raise: ``polytope.vertices``, the slice walk
+    under it, ``geometry.sliced_cone_points``, and ``reduced_polytope``."""
+
+    def refuse(*args):
+        raise AssertionError("verify walked a slice")
+
+    patched.setattr(polytope, "vertices", refuse)
+    patched.setattr(geometry, "sliced_cone_points", refuse)
+    patched.setattr(reduction, "reduced_polytope", refuse)
+
+
+FACET_LINE = re.compile(r"facet (\d+): cone normal \((.*)\) is no column of beta")
+COLUMN_LINE = re.compile(
+    r"beta column (\d+) \((.*)\) (?:is no cone normal of the datum|repeats facet (\d+)'s)"
+)
+
+
+def named_difference(report, columns, normals):
+    """The cone normals and the columns the report's problems name, each
+    sorted, after checking that each line writes its vector with str and
+    that a repeated column is the cone normal it names."""
+    missing, extra = [], []
+    kinds = (FACET_LINE, normals, missing), (COLUMN_LINE, columns, extra)
+    for problem in report.problems:
+        for pattern, vectors, named in kinds:
+            match = pattern.fullmatch(problem)
+            if match:
+                vector = tuple(vectors[int(match[1])])
+                assert match[2] == ", ".join(map(str, vector))
+                if pattern is COLUMN_LINE and match[3]:
+                    assert tuple(normals[int(match[3])]) == vector
+                elif pattern is COLUMN_LINE:
+                    assert vector not in map(tuple, normals)
+                named.append(vector)
+    return sorted(missing), sorted(extra)
+
+
+class TestAnotherCone:
+    """A presentation whose columns are not the datum's cone normals, as a
+    multiset, is decided by the cone: no vertex is walked or checked, and
+    the problems name the facets and columns of the difference."""
+
+    @pytest.mark.parametrize("datum", [cube_datum, lambda: weighted_simplex((1, 2, 3))])
+    def test_no_vertex_walk_for_any_presentation(self, monkeypatch, datum):
+        # a permutation and a deformation keep the cone, a beta mutant is
+        # another; none is walked, and only the deformed one has a diff
+        d = datum()
+        pres = synthesize(d)
+        deformed = list(pres.deformation)
+        deformed[0] += 1
+        perm = [*range(1, pres.N), 0]
+        deformed_pres = SpherePresentation(pres.N, pres.beta, pres.weights, deformed)
+        cases = [permuted(pres, perm), deformed_pres, beta_mutant(pres, 0, 0)]
+        expected = [verification_to_document(verify_presentation(p, d)) for p in cases]
+        refuse_walks(monkeypatch)
+        got = [verification_to_document(verify_presentation(p, d)) for p in cases]
+        assert got == expected
+        assert got[0]["ok"] and not got[1]["ok"] and got[1]["vertex_diff"]
+        assert not got[2]["ok"] and got[2]["vertex_diff"] == [] == got[2]["local_freeness"]
+        assert not hasattr(reduction, "_poly_vertices")
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_every_beta_mutant_names_the_multiset_difference(self, rng, kind):
+        d = generated(rng, kind)
+        pres = synthesize(d)
+        perm = rng.sample(range(pres.N), pres.N)
+        mutants = [
+            permuted(beta_mutant(pres, r, j, step), perm)
+            for r in range(pres.ambient_dim)
+            for j in range(pres.N)
+            for step in (1, -1)
+        ]
+        with pytest.MonkeyPatch.context() as patched:
+            refuse_walks(patched)
+            reports = [verify_presentation(m, d) for m in mutants]
+        for mutant, report in zip(mutants, reports):
+            columns = transpose(mutant.beta)
+            expected = oracles.cone_difference(columns, d.cone_normals)
+            assert named_difference(report, columns, d.cone_normals) == expected
+            assert expected[0] and not report.ok and not report.smooth
+            assert report.vertex_diff == () == report.local_freeness
 
 
 class TestPerturbedReeb:
@@ -699,7 +778,9 @@ class TestStabilizerOrder:
     def test_degenerate_reduced_vertex_of_k_columns(self):
         # beta[0][3] + 1 on the hexagon of the golden mutations family
         # (ngon(6)): the reduced polytope has a vertex on 3 of 6 facets, so
-        # its support has k = 3 columns and its order is |det W_S| alone
+        # its support has k = 3 columns and its order is |det W_S| alone;
+        # verify checks no vertex of another cone, so the support is read
+        # off the walk here
         hull = [(-4, -3), (-3, -4), (3, -4), (4, 3), (3, 4), (-3, 4)]
         facets = tuple(
             LabeledFacet((x, y, 0), 1 + i % 3, F(1 + i % 3)) for i, (x, y) in enumerate(hull)
@@ -713,8 +794,8 @@ class TestStabilizerOrder:
         support = [j for j in range(pres.N) if j not in vertex.active]
         assert vertex.coords == (F(12, 37), F(0), F(36, 37)) and support == [0, 1, 5]
         w_support = [[row[j] for j in support] for row in pres.weights]
-        report = verify_presentation(mutant, d)
-        assert dict(orders_by_point(report))[vertex.coords] == abs(cofactor_det(w_support)) == 24
+        order = abs(cofactor_det(w_support))
+        assert reduction._stabilizer_orders(pres.weights, [support]) == [order] == [24]
 
     def test_one_elimination_of_w_per_verification(self, monkeypatch):
         # the 62-gon has k = 59 torus rows; every other elimination verify
