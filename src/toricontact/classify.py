@@ -195,12 +195,11 @@ def _face_holonomy(generators, face, shared=None) -> FiniteAbelianGroup:
     """Torsion of Z^n modulo the span L of the generators of the facets
     ``face`` lists in increasing order: the diagonal entries above 1 of the
     Smith normal form of those rows (Z^n/L is the sum of the Z/d_k and a
-    free part).  The empty face has L = 0.  ``shared``, when given, keeps
-    one group per tuple of invariant factors."""
-    diag = []
-    if face:
-        rows = [generators[i] for i in face]
-        diag = smith_diagonal(rows) if len(rows) > 1 else [gcd(*rows[0])]  # one row: its content
+    free part), d_k = D_k / D_(k-1) from the gcds D_k of the k x k minors
+    when there are at most two rows or a 3 x 3 block (:func:`smith_diagonal`).
+    The empty face has L = 0.  ``shared``, when given, keeps one group per
+    tuple of invariant factors."""
+    diag = smith_diagonal([generators[i] for i in face]) if face else []
     factors = tuple(d for d in diag if d > 1)
     if shared is None:
         return FiniteAbelianGroup(factors)
@@ -248,7 +247,8 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     the holonomy Z/m_i + ... (i in F), put in invariant-factor form by gcd
     and lcm with no Smith normal form, once per multiset of labels.  Every
     other nonempty face costs the Smith diagonal of its generator rows,
-    whose entries above 1 are its holonomy.  Faces with equal groups share
+    whose entries above 1 are its holonomy, off the gcds of its minors up
+    to a 3 x 3 block (``_face_holonomy``).  Faces with equal groups share
     one group object, so the document names each group once.
 
     No determinant finds the unimodular vertices.  Let t_v be the cone

@@ -13,7 +13,8 @@ does not depend on the order of the rows.  Both
 move by fraction-free pivots of one integer simplex dictionary, one pivot
 per basis; a lexicographic ratio test walks degenerate vertices by pivots
 too, so a whole walk takes one elimination, the first dictionary's, which
-also shows any lineality.
+also shows any lineality.  A simplicial cone's walk makes no pivot: its
+vertices all neighbour the first one, and are read off its dictionary.
 """
 
 from __future__ import annotations
@@ -251,6 +252,23 @@ def sliced_cone_points(a_rows, height):
     index: dim - 1 rows tight at y are the basis T, det M expands along
     up into <up, c> with c the signed maximal minors of A_T, and c = +-t y
     as A_T c = 0 and y is the primitive kernel vector.
+
+    Lemma (simplicial).  If A has exactly dim rows, every basis T leaves
+    out one row k of A, and it is the one row an edge can end on: a basis
+    row has B[i][r] = d [i = T_r] >= 0, and the height row has B[i][r] =
+    0.  (5) Any two vertices v and w of P_eps are neighbours.  With T the
+    basis of v, w leaves out some row j of T, so it is tight on T - {j},
+    on the edge of v that drops j, where j's slack rises from 0 at v to a
+    positive slack at w; the edge ends where k first gets tight, at w.
+    (6) If the slice is unbounded, phase 1's vertex v has an unbounded
+    edge.  Else the dim - 1 edges of v would end at the dim - 1 bases
+    that leave out a row of T, every basis would be a vertex, each one's
+    edges would end at the others by (5), and P_eps would be bounded by
+    (2).  So the walk expands phase 1's dictionary alone and makes no
+    pivot: an edge's end is column 0 of the dictionary the pivot would
+    make, (p B[j][0] + c B[j][r]) / d per row j, with p = -B[i][r] and
+    c = B[i][0] for the row i that stops it; its zeros are the tight set
+    and p / <up, y> is the index.
     """
     dim = len(height)
     m = len(a_rows)
@@ -272,19 +290,22 @@ def sliced_cone_points(a_rows, height):
         return "unbounded", []
     status = "bounded"
     rank_order = [i for i in range(n) if i not in first[2]] + first[2]
-    # per basis reached, the rows whose drop leads back to a basis reached before
-    back = {frozenset(first[2]): set()}
-    queue = deque([first])
     found, heights = {}, {}  # per ray y: (tight, index) and <y, up>
-    while queue:
-        dictionary = queue.popleft()
-        cols, d, basis = dictionary
-        col0 = cols[0]
+
+    def reach(col0, d):
         y = tuple(primitive(col0[n:]))
         if y not in found:
             tight = frozenset(i for i in range(m) if not col0[i])
             heights[y] = h = sum(map(mul, y, up))
             found[y] = tight, d // h if len(tight) == dim - 1 else None
+
+    # per basis reached, the rows whose drop leads back to a basis reached before
+    back = {frozenset(first[2]): set()}
+    queue = deque([first])
+    while queue:
+        dictionary = queue.popleft()
+        cols, d, basis = dictionary
+        reach(cols[0], d)
         here = frozenset(basis)
         skip = back[here]
         for r, row in enumerate(basis, 1):
@@ -293,6 +314,11 @@ def sliced_cone_points(a_rows, height):
             enter = _entering(dictionary, r, n, rank_order)
             if enter is None:
                 status = "unbounded"
+                continue
+            if m == dim:  # simplicial: every vertex neighbours phase 1's
+                col0, colr = cols[0], cols[r]
+                p, c = -colr[enter], col0[enter]  # column 0 of the pivot, over p
+                reach([(p * x + c * y) // d for x, y in zip(col0, colr)], p)
                 continue
             there = here - {row} | {enter}
             if there in back:

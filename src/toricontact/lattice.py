@@ -10,13 +10,16 @@ rational solve in :mod:`toricontact.geometry` read their answer off it.
 ``_hermite`` is the one Hermite loop over Z, by extended-gcd column
 steps: ``hnf`` runs it with its witness, and the saturated kernel basis is
 one Hermite form of the matrix stacked over the identity.  ``_smith`` is
-the one Smith loop, by gcd pivots, with or without its transforms.
+the one Smith loop, by gcd pivots, with or without its transforms; a
+Smith diagonal of at most two rows, or of a 3 x 3 block, is read off the
+gcds of its minors instead.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, combinations
 from operator import mul
 
 __all__ = [
@@ -276,12 +279,36 @@ def snf(mat: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 
 def smith_diagonal(mat: IntMat) -> list[int]:
     """The min(rows, cols) diagonal entries d_1 | d_2 | ... of the Smith
-    normal form of ``mat``, zeros last: the loop of :func:`snf` with no
-    transformations to update."""
+    normal form of ``mat``, zeros last.
+
+    One row, two rows or a 3 x 3 block take d_k = D_k / D_(k-1), with D_k
+    the gcd of the k x k minors, D_0 = 1 and d_k = 0 once D_k = 0 (Newman,
+    *Integral Matrices*, 1972, ch. II): D_1 the content, D_2 from the 2 x 2
+    minors of each pair of rows, D_3 = |det|.  A wider block runs the loop
+    of :func:`snf` with no transformations to update.
+    """
     rows, cols = _shape(mat)
-    s = [list(row) for row in mat]
-    _smith(s)
-    return [s[k][k] for k in range(min(rows, cols))]
+    if rows == 1:
+        return [math.gcd(*mat[0])]
+    if rows == 2 or rows == cols == 3:
+        # per pair of rows, the minors on the column pairs (0, 1), (0, 2), (1, 2), ...
+        minors = [
+            [a[i] * b[j] - a[j] * b[i] for j in range(cols) for i in range(j)]
+            for a, b in combinations(mat, 2)
+        ]
+        divisors = [math.gcd(*chain(*mat)), math.gcd(*chain(*minors))]
+        if rows == 3:  # det along row 0, with the minors of rows 1 and 2
+            (a0, a1, a2), (m01, m02, m12) = mat[0], minors[2]
+            divisors.append(abs(a0 * m12 - a1 * m02 + a2 * m01))
+    else:
+        s = [list(row) for row in mat]
+        _smith(s)
+        return [s[k][k] for k in range(min(rows, cols))]
+    diagonal, previous = [], 1
+    for big in divisors[:cols]:
+        diagonal.append(big // previous if big else 0)
+        previous = big
+    return diagonal
 
 
 def kernel_lattice_basis(mat: IntMat) -> IntMat:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import is_, ne
+from operator import is_, mul, ne
 
 from . import geometry
 from .classify import ToricContactDatum
@@ -66,17 +66,17 @@ class SpherePresentation(FrozenValue):
         return len(self.beta)
 
     @property
-    def reeb_image(self) -> tuple[Fraction, ...]:
+    def reeb_image(self) -> tuple:
         """beta @ deformation, in integers over the deformation's lcm
-        denominator; computed on first use and kept."""
+        denominator: an int where integral, else a Fraction, as a datum's
+        reeb; computed on first use and kept."""
         try:
             return self._reeb_image
         except AttributeError:
             pass
         den, nums = over_common_denominator(self.deformation)
-        image = tuple(
-            Fraction(sum([b * x for b, x in zip(row, nums)]), den) for row in self.beta
-        )
+        sums = [sum(map(mul, row, nums)) for row in self.beta]
+        image = tuple([s // den if s % den == 0 else Fraction(s, den) for s in sums])
         object.__setattr__(self, "_reeb_image", image)
         return image
 
@@ -183,15 +183,16 @@ def _failing(message: str, flags) -> list[str]:
     return [f"{message} {', '.join(bad)}"] if bad else []
 
 
-def _presentation_problems(pres: SpherePresentation, reeb, order_gcd: int) -> list[str]:
+def _presentation_problems(pres: SpherePresentation, reeb, minor_gcd: int) -> list[str]:
     """What is wrong with the presentation's torus and deformation, on their
-    own and against reeb; order_gcd is the gcd of the vertex stabilizer
-    orders, and 1 proves W saturated (see ``verify_presentation``)."""
+    own and against reeb; minor_gcd is a gcd of some maximal minors of W,
+    so 1 proves W saturated and any other value leaves it to W's Smith
+    diagonal (see ``verify_presentation``)."""
     problems = []
     if pres.weights:
         kernel = matmul(pres.weights, transpose(pres.beta))
         problems += _failing("beta @ weights^T is not zero: weight rows", map(any, kernel))
-        if order_gcd != 1 and any(d != 1 for d in smith_diagonal(pres.weights)):
+        if minor_gcd != 1 and any(d != 1 for d in smith_diagonal(pres.weights)):
             problems.append("weight matrix is not a saturated kernel basis")
     flags = [x <= 0 for x in pres.deformation]
     problems += _failing("deformation vector not strictly positive: entries", flags)
@@ -218,7 +219,7 @@ def reduced_polytope(pres: SpherePresentation):
 
     Returns (polytope, reeb): the polytope cut out by <alpha, beta_i> >= 0
     in the hyperplane <alpha, beta @ a> = 1, with facet labels from the
-    primitive decomposition of beta's columns.
+    primitive decomposition of beta's columns, and reeb = ``reeb_image``.
     """
     facets = []
     for col in transpose(pres.beta):
@@ -226,11 +227,7 @@ def reduced_polytope(pres: SpherePresentation):
             raise ValueError("degenerate beta column")
         g = gcd(*col)
         facets.append(LabeledFacet(tuple(-(x // g) for x in col), g, Fraction(0)))
-    poly = LabeledPolytope(pres.ambient_dim, tuple(facets))
-    reeb = pres.reeb_image
-    if all(x.denominator == 1 for x in reeb):
-        reeb = tuple(int(x) for x in reeb)
-    return poly, reeb
+    return LabeledPolytope(pres.ambient_dim, tuple(facets)), pres.reeb_image
 
 
 def _stabilizer_orders(weights, supports) -> list[int | None]:
@@ -308,8 +305,10 @@ def verify_presentation(
     by the kernel torus of beta has the cone cut out by beta's columns and
     Reeb vector reeb' = beta @ a, so the columns are first compared with
     the datum's cone normals as multisets.  Another cone checks no vertex:
-    its problems are the torus's, W's saturation by its Smith form, and
-    each facet and column of the difference (``_cone_diff``).
+    its problems are the torus's, W's saturation, and each facet and column
+    of the difference (``_cone_diff``).  By Cramer's rule the entries of
+    E = d W_P^-1 W, from echelon(W) = (E, P, d), are maximal minors of W:
+    gcd 1 at full rank proves W saturated, with no Smith diagonal.
 
     On the same cone beta is onto (the cone is pointed) and only reeb' can
     differ.  The reduced vertices are the datum's vertices v divided by
@@ -330,7 +329,9 @@ def verify_presentation(
     normals = datum.cone_normals
     if sorted(columns) != sorted(normals):
         problems = [] if rank(pres.beta) == pres.ambient_dim else ["beta not surjective"]
-        problems += _presentation_problems(pres, datum.reeb, 0)  # no orders: Smith form
+        e, pivots, _, _ = echelon(pres.weights)
+        minor_gcd = gcd(*[gcd(*row) for row in e]) if len(pivots) == len(pres.weights) else 0
+        problems += _presentation_problems(pres, datum.reeb, minor_gcd)
         return VerificationReport(False, (), (), tuple(problems + _cone_diff(columns, normals)))
 
     # supports index beta's columns; a broken slice keeps the datum's vertices

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from operator import mul
 from random import Random
 
 import pytest
@@ -388,6 +389,73 @@ class TestPivotWalkOnSimpleData:
         assert status == "bounded"
         assert points == scan_sliced_cone_points(a_rows, [1, F(3, 2), 1])[1]
         assert (F(0), F(2, 3), F(0)) in [p for p, _, _ in points]
+
+
+@st.composite
+def square_systems(draw):
+    """(A, height) with A square of dim 2..6: integer rows, or rational
+    ones, with at most one zero row or one row repeated (a line in the
+    cone), and an integral or rational height that may vanish.  Half the
+    heights combine the rows of -A with positive weights, which slice an
+    invertible A in a bounded simplex, or with one weight moved to 0 or
+    -1."""
+    dim = draw(st.integers(2, 6))
+    row = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    a_rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    i, j = draw(st.permutations(range(dim)))[:2]
+    how = draw(st.sampled_from(["keep", "keep", "keep", "zero", "repeat"]))
+    if how != "keep":
+        a_rows[i] = [0] * dim if how == "zero" else a_rows[j]
+    if draw(st.booleans()):
+        a_rows = [[F(x, draw(st.integers(1, 4))) for x in row] for row in a_rows]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+        if draw(st.sampled_from([False, False, True])):
+            weights[i] = draw(st.integers(-1, 0))
+        scale = draw(st.sampled_from([1, F(1, 2), F(3, 2)]))
+        return a_rows, [-scale * sum(map(mul, weights, col)) for col in zip(*a_rows)]
+    entry = st.one_of(st.integers(-2, 6), st.fractions(-3, 6, max_denominator=4))
+    return a_rows, draw(st.lists(entry, min_size=dim, max_size=dim))
+
+
+class TestSimplicialWalk:
+    """A cone of dim rows has every vertex next to phase 1's, so the walk
+    reads them off the first dictionary with no pivot."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(square_systems())
+    @example(([[-1, 0], [0, -1]], [-1, -1]))  # empty
+    @example(([[-1, 0], [0, -1]], [1, 0]))  # unbounded, with a vertex
+    @example(([[-1, 0, 0], [0, -1, 0], [0, 0, 0]], [1, 1, 1]))  # a zero row
+    @example(([[-1, 0, 0], [0, -1, 0], [F(1, 2), 1, -1]], [0, F(1, 3), 1]))
+    def test_square_systems_against_the_scan(self, system):
+        a_rows, height = system
+        assert walked(a_rows, height) == scan_sliced_cone_points(a_rows, height)
+
+    def test_random_simplices_against_the_scan(self):
+        # heights inside the dual cone of a random invertible A, integral
+        # or not: bounded simplices up to dim 6, where the strategy above
+        # mostly draws singular or unbounded systems
+        rng = Random(32)
+        for _ in range(120):
+            dim = rng.randint(2, 6)
+            a_rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+            weights = [F(rng.randint(1, 6), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
+            height = [-sum(map(mul, weights, col)) for col in zip(*a_rows)]
+            assert walked(a_rows, height) == scan_sliced_cone_points(a_rows, height)
+
+    def test_bounded_slice_takes_one_elimination_and_no_pivot(self):
+        # the orthant at height (1, ..., 6): phase 1's basis, the first five
+        # rows, is the vertex e_6 / 6 already, and the other five are its
+        # neighbours
+        a_rows = [[-int(i == j) for j in range(6)] for i in range(6)]
+        height = [1, 2, 3, 4, 5, 6]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _traced(monkeypatch, "echelon", "_pivot")
+            status, points = walked(a_rows, height)
+        assert Counter(calls) == {"echelon": 1}
+        assert status == "bounded" and len(points) == 6
+        assert (status, points) == scan_sliced_cone_points(a_rows, height)
 
 
 def _prism(a_rows, b):

@@ -24,7 +24,6 @@ from toricontact.lattice import (
 from toricontact.spheres import weighted_simplex
 
 import oracles
-from generators import parabola
 from oracles import cofactor_det, in_span_over_q, minor_gcd_invariant_factors, small_kernel_vectors
 
 
@@ -73,6 +72,32 @@ def smith_matrices(draw):
         j = draw(st.integers(0, len(m[0])))
         m = [[*row[:j], 0, *row[j:]] for row in m]
     return m
+
+
+@st.composite
+def minor_blocks(draw):
+    """1 x n and 2 x n blocks (n = 1..6) and 3 x 3 blocks, with negative
+    entries, often times a common factor, and about a third each with a
+    zero row or a row that is a combination of the others (rank
+    deficient)."""
+    shapes = [(1, n) for n in range(1, 7)] + [(2, n) for n in range(1, 7)] + [(3, 3)]
+    rows, cols = draw(st.sampled_from(shapes))
+    entry = st.integers(-12, 12)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    i = draw(st.integers(0, rows - 1))
+    how = draw(st.sampled_from(["keep", "zero", "combine"]))
+    if how == "zero":
+        m[i] = [0] * cols
+    elif how == "combine":
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        others = [row for k, row in enumerate(m) if k != i] or [[0] * cols]
+        m[i] = [a * x + b * y for x, y in zip(others[0], others[-1])]
+    factor = draw(st.sampled_from([1, 1, 2, 6]))
+    return [[factor * x for x in row] for row in m]
+
+
+def refused_smith(*args):
+    raise AssertionError("the Smith loop ran")
 
 
 def no_entry_is_the_gcd(test):
@@ -196,6 +221,25 @@ class TestSmithDiagonal:
         assert d == diag_of(snf(m)[0])
         assert [x for x in d if x] == minor_gcd_invariant_factors(m)
 
+    @settings(deadline=None, max_examples=400)
+    @given(minor_blocks())
+    @example([[0, 0, 0, 0]])
+    @example([[-6, 10, 15]])
+    @example([[4, 6], [6, 9]])
+    @example([[2, -4, 6], [0, 0, 0]])
+    @example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    @example([[0, 0, 0], [4, 0, 6], [-6, 0, -9]])
+    def test_minor_gcds_match_the_loop_and_the_oracle(self, m):
+        # one row, two rows and a 3 x 3 block take their diagonal off the
+        # gcds of their minors, with no Smith loop
+        s = [list(row) for row in m]
+        lattice._smith(s)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(lattice, "_smith", refused_smith)
+            d = smith_diagonal(m)
+        assert d == diag_of(s)
+        assert [x for x in d if x] == minor_gcd_invariant_factors(m)
+
     def test_zero_matrix(self):
         assert smith_diagonal([[0, 0, 0], [0, 0, 0]]) == [0, 0]
 
@@ -229,10 +273,11 @@ class TestSmithLoop:
 
             monkeypatch.setattr(lattice, name, spied)
         monkeypatch.setattr(lattice, "_smith", entered)
-        for d in (weighted_simplex((2, 3, 5, 7)), parabola(8)):
-            smith_calls.clear()
-            assert classify(d) == oracles.classify(d)
-            assert smith_calls
+        # faces of 3 facets in Z^4 are 3 x 4 blocks, past the minor gcds
+        d = weighted_simplex((2, 3, 5, 7, 11))
+        report = classify(d)
+        assert smith_calls
+        assert report == oracles.classify(d)
         assert seen == []
 
 

@@ -742,6 +742,19 @@ def counted_smith(monkeypatch):
     return calls
 
 
+def counted_smith_diagonal(monkeypatch):
+    """The list that collects the result of each Smith diagonal verify takes."""
+    diagonals = []
+    smith_diagonal = lattice.smith_diagonal
+
+    def counted(mat):
+        diagonals.append(smith_diagonal(mat))
+        return diagonals[-1]
+
+    monkeypatch.setattr(reduction, "smith_diagonal", counted)
+    return diagonals
+
+
 def weight_mutant(pres, r, j):
     """The presentation with 1 added to W[r][j]."""
     rows = [list(row) for row in pres.weights]
@@ -828,16 +841,42 @@ class TestStabilizerOrder:
 
     def test_orders_with_a_common_factor_take_one_smith_form(self, monkeypatch):
         # W[0][1] + 1 on the labeled square doubles W's second entry: every
-        # vertex order is even, so the Smith loop runs once and finds W
-        # unsaturated
+        # vertex order is even, so W's Smith diagonal is taken once and
+        # finds W unsaturated; W is one row, whose diagonal is its content,
+        # with no Smith loop
         d = labeled_cube(2, [1, 2, 3, 1], identity(3))
         mutant = weight_mutant(synthesize(d), 0, 1)
         calls = counted_smith(monkeypatch)
+        diagonals = counted_smith_diagonal(monkeypatch)
         report = verify_presentation(mutant, d)
         orders = [order for _, order in report.local_freeness]
         assert gcd(*orders) == 2
         assert SATURATION in report.problems
-        assert calls == [0]  # the diagonal alone, with no transform
+        assert diagonals == [[2]] and calls == []
+
+    def test_another_cone_reads_saturation_off_one_elimination(self, monkeypatch):
+        # beta[0][3] + 1 on parabola(12) moves the cone, so no vertex is
+        # checked; W's elimination gives maximal minors of gcd 1 and no
+        # Smith diagonal is taken, while W with a row doubled, or a row
+        # repeated (rank k - 1), takes one and is flagged
+        d = parabola(12)
+        pres = synthesize(d)
+        beta = [list(row) for row in pres.beta]
+        beta[0][3] += 1
+        calls = counted_smith(monkeypatch)
+        diagonals = counted_smith_diagonal(monkeypatch)
+        report = verify_presentation(SpherePresentation(pres.N, beta, pres.weights, pres.deformation), d)
+        assert not report.ok and report.local_freeness == ()
+        assert SATURATION not in report.problems
+        assert diagonals == [] and calls == []
+        doubled = [[2 * x for x in pres.weights[0]], *pres.weights[1:]]
+        repeated = [pres.weights[1], *pres.weights[1:]]
+        for weights, diagonal in ((doubled, [1] * (len(doubled) - 1) + [2]), (repeated, None)):
+            diagonals.clear()
+            report = verify_presentation(SpherePresentation(pres.N, beta, weights, pres.deformation), d)
+            assert SATURATION in report.problems
+            assert len(diagonals) == 1 and diagonal in (None, diagonals[0])
+        assert len(calls) == 2  # k = 9 rows: the Smith loop, once per flagged W
 
     @settings(deadline=None, max_examples=40)
     @given(

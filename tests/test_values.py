@@ -68,7 +68,8 @@ VALUES = {
         lambda p: _ints(p.beta) and _ints(p.weights) and p.beta == ((1, 0, 1), (0, 1, 1))
         and p.deformation == (1, F(1, 2), 2)
         and all(type(x) is Fraction for x in p.deformation)
-        and p.reeb_image is p.reeb_image == (3, F(5, 2)),
+        and p.reeb_image is p.reeb_image == (3, F(5, 2))
+        and [type(x) for x in p.reeb_image] == [int, Fraction],
     ),
     VerificationReport: (
         lambda: VerificationReport(True, (), ((Vertex((1, 0), 1, frozenset({1})), 1),)),
