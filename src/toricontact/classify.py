@@ -26,9 +26,9 @@ from math import gcd, lcm, prod
 
 from .lattice import FiniteAbelianGroup, FrozenValue, kernel_lattice_basis, matvec
 from .lattice import primitive, smith_diagonal
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, _exact, _kept_cone_normals, cone_over
-from .polytope import integral_cone_normals, resliced_vertices, sort_vertices
-from .polytope import vertices as _poly_vertices
+from .polytope import LabeledFacet, LabeledPolytope, _exact, cone_normals
+from .polytope import integral_cone_normals, resliced_vertices, sort_vertices, split_cone_normal
+from .polytope import vertices as _poly_vertices, zero_offset_polytope
 
 __all__ = [
     "ClassificationReport",
@@ -46,17 +46,19 @@ class ToricContactDatum(FrozenValue):
 
     ``reeb`` holds ints in rational mode, Fractions in irrational mode, and
     ``mode`` is read off it.  Construct through :func:`validate_datum`, which
-    checks every invariant and caches the vertex list.  ``cone_normals`` is
-    the one list the polytope keeps for reeb: the vertex walk of validation
-    computed it, and every later stage shares it, unchanged.
+    checks every invariant and keeps the vertex list and the cone normals
+    its walk used, which every later stage reads; they derive from
+    ``polytope`` and ``reeb``, so equality leaves them out.
     """
 
-    __slots__ = ("polytope", "reeb", "vertices")
+    __slots__ = ("polytope", "reeb", "vertices", "cone_normals")
+    _fields = ("polytope", "reeb", "vertices")
 
-    def __init__(self, polytope: LabeledPolytope, reeb: tuple, vertices: tuple[Vertex, ...]):
+    def __init__(self, polytope: LabeledPolytope, reeb: tuple, vertices: tuple, cone_normals: list):
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "reeb", reeb)
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "cone_normals", cone_normals)
 
     @property
     def mode(self) -> str:
@@ -69,10 +71,6 @@ class ToricContactDatum(FrozenValue):
     @property
     def facets(self) -> tuple[LabeledFacet, ...]:
         return self.polytope.facets
-
-    @property
-    def cone_normals(self) -> list[list]:
-        return _kept_cone_normals(self.polytope, self.reeb)
 
 
 class FaceInvariants(FrozenValue):
@@ -131,15 +129,13 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
     if mode not in ("rational", "irrational"):
         raise ValueError(f"unknown mode {mode!r}")
     r = _exact(reeb)
-    # vertices() checks this too, but "not integral" must not win over it
-    if len(r) != poly.ambient_dim:
-        raise ValueError("characteristic vector has wrong dimension")
+    normals = cone_normals(poly, r)  # raises first on a reeb of the wrong dimension
     integral = all(type(x) is int for x in r)
     if not integral and mode == "rational":
         raise ValueError("characteristic vector not integral")
     stored = tuple(r) if integral else tuple([Fraction(x) if type(x) is int else x for x in r])
 
-    verts = _poly_vertices(poly, stored)
+    verts = _poly_vertices(normals, stored)
     n = poly.dim
     for v in verts:
         if len(v.active) != n:
@@ -162,12 +158,11 @@ def validate_datum(poly: LabeledPolytope, reeb, mode: str = "rational") -> Toric
         # one is tight at every vertex and the simplicity check raised.
         # With offset a/b in lowest terms, u_i = (a * reeb - b * m_i p_i) / b
         # is integral exactly when b divides every entry of reeb, so the
-        # normals that vertices() kept are read again only to name the
-        # first facet that fails
+        # normals are read again only to name the first facet that fails
         g = gcd(*stored)
         if any(g % f.offset.denominator for f in poly.facets):
-            integral_cone_normals(_kept_cone_normals(poly, stored))
-    return ToricContactDatum(poly, stored, tuple(verts))
+            integral_cone_normals(normals)
+    return ToricContactDatum(poly, stored, tuple(verts), normals)
 
 
 def _require_rational(datum: ToricContactDatum):
@@ -271,7 +266,7 @@ def classify(datum: ToricContactDatum) -> ClassificationReport:
     facets = datum.facets
     labels = [f.label for f in facets]
     normals = [f.normal for f in facets]
-    cone_labels = [gcd(*u) for u in datum.cone_normals]
+    cone_labels = [label for _, label in map(split_cone_normal, datum.cone_normals)]
     ks = [m * c // l for m, c, l in zip(labels, contents, cone_labels)]
     g = gcd(*datum.reeb)
     den = lcm(*[v.height for v in datum.vertices])
@@ -322,6 +317,10 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
     is the datum's own, so the new vertices are the datum's, rescaled
     (:func:`toricontact.polytope.resliced_vertices`), with the same active
     sets, and the rest of :func:`validate_datum` holds with no slice walked.
+
+    Lemma.  With the datum's cone normals split as u_i = m_i q_i, the new
+    facets (-q_i, m_i, 0) have zero offsets, so their cone normals are
+    u_i = 0 * reeb' + m_i q_i at every reeb': the new datum keeps the list.
     """
     _require_rational(datum)
     r = _exact(new_reeb)
@@ -333,7 +332,6 @@ def perturb_reeb(datum: ToricContactDatum, new_reeb) -> ToricContactDatum:
         raise ValueError("characteristic vector not in interior of dual cone") from None
     if any(type(x) is not int for x in r):
         raise ValueError("characteristic vector not integral")
-    cone = cone_over(datum.polytope, datum.reeb)
-    facets = tuple(LabeledFacet(tuple(-x for x in q), m) for q, m in cone.normals)
-    poly = LabeledPolytope(cone.ambient_dim, facets)
-    return ToricContactDatum(poly, tuple(r), tuple(sort_vertices(moved)))  # the walk's order
+    poly = zero_offset_polytope(len(r), map(split_cone_normal, datum.cone_normals))
+    moved = tuple(sort_vertices(moved))  # the walk's order
+    return ToricContactDatum(poly, tuple(r), moved, datum.cone_normals)

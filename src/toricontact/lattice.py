@@ -349,10 +349,10 @@ def saturate(generators: IntMat) -> IntMat:
 class FrozenValue:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__`` (a name starting with
-    ``_`` is a private cache, not a field) and sets them in ``__init__``
-    with ``object.__setattr__``; one that stores a field in another form
-    lists its fields, slots or properties, in ``_fields`` itself.
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``; one that stores a field in
+    another form, or keeps a slot derived from its fields, lists its
+    fields, slots or properties, in ``_fields`` itself.
     Instances of one class are equal when their fields are, hash by their
     fields, and refuse assignment and deletion.  This stands in for
     ``dataclasses``, whose import and per-class code generation every CLI
@@ -364,7 +364,7 @@ class FrozenValue:
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
-            cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+            cls._fields = cls.__slots__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._fields])

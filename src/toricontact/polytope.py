@@ -7,8 +7,10 @@ label.  The geometry of interest always lives in the slice
 characteristic (Reeb) vector alongside the facet data.  The moment cone
 is the homogenization of the same data, cut out by the cone normals of
 :func:`cone_normals`; ``cone_over`` and ``slice_cone`` translate between
-the two pictures.  Whether a polytope is simple, irredundant and
-rational is checked once, by :func:`toricontact.classify.validate_datum`.
+the two pictures (:func:`split_cone_normal`, :func:`zero_offset_polytope`).
+Whether a polytope is simple, irredundant and rational is checked once, by
+:func:`toricontact.classify.validate_datum`, which computes the cone
+normals once, walks the slice from them and hands them to the datum.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ __all__ = [
     "resliced_vertices",
     "slice_cone",
     "sort_vertices",
+    "split_cone_normal",
     "vertices",
+    "zero_offset_polytope",
 ]
 
 
@@ -65,7 +69,7 @@ class LabeledFacet(FrozenValue):
 
 
 class LabeledPolytope(FrozenValue):
-    __slots__ = ("ambient_dim", "facets", "_cone_normals")
+    __slots__ = ("ambient_dim", "facets")
 
     def __init__(self, ambient_dim: int, facets: tuple[LabeledFacet, ...]):
         facets = tuple(facets)
@@ -87,7 +91,6 @@ class LabeledPolytope(FrozenValue):
             seen[key] = i
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "_cone_normals", {})
 
     @property
     def dim(self) -> int:
@@ -149,10 +152,12 @@ def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
     normals and characteristic vectors give equal vertices and active sets.
     With offset a/b each u_i is (a * reeb - b * m_i p_i) / b, an integer
     vector unless b does not divide it; only those entries become Fractions.
-    A polytope keeps them per characteristic vector (:func:`_kept_cone_normals`),
-    so validation's walk and every later stage of a datum share one copy.
+    Validation computes them once and the datum keeps them.  Raises if
+    reeb's length is not the ambient dimension.
     """
     r = _exact(reeb)
+    if len(r) != poly.ambient_dim:
+        raise ValueError("characteristic vector has wrong dimension")
     normals = []
     for f in poly.facets:
         a, b = f.offset.numerator, f.offset.denominator
@@ -163,23 +168,13 @@ def cone_normals(poly: LabeledPolytope, reeb) -> list[list]:
     return normals
 
 
-def _kept_cone_normals(poly: LabeledPolytope, r) -> list[list]:
-    """:func:`cone_normals` at the exact characteristic vector r (as
-    :func:`_exact` gives it), computed on first use and kept on ``poly``
-    for every later caller to share, unchanged."""
-    key = tuple(r)
-    normals = poly._cone_normals.get(key)
-    if normals is None:
-        normals = poly._cone_normals[key] = cone_normals(poly, r)
-    return normals
-
-
-def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
-    """All vertices of the polytope sliced by the characteristic hyperplane,
-    in lexicographic order, each with the set of facets active at it.
+def vertices(normals, reeb) -> list[Vertex]:
+    """All vertices of a polytope sliced by the characteristic hyperplane,
+    in lexicographic order, each with the set of facets active at it;
+    ``normals`` are its cone normals at reeb, :func:`cone_normals`.
 
     The vertices are the rays of the cone over the slice (the cone cut out
-    by :func:`cone_normals`) at positive height <y, reeb>, each kept as its
+    by the normals) at positive height <y, reeb>, each kept as its
     primitive ray y over that height, found by walking the edges of the
     slice (:func:`toricontact.geometry.sliced_cone_points`); a facet is
     active exactly when its cone normal vanishes on the integer ray.
@@ -189,11 +184,9 @@ def vertices(poly: LabeledPolytope, reeb) -> list[Vertex]:
     empty or unbounded.
     """
     r = _exact(reeb)
-    if len(r) != poly.ambient_dim:
-        raise ValueError("characteristic vector has wrong dimension")
     if not any(r):
         raise ValueError("characteristic vector must be nonzero")
-    a_rows = [[-x for x in u] for u in _kept_cone_normals(poly, r)]
+    a_rows = [[-x for x in u] for u in normals]
     status, points = geometry.sliced_cone_points(a_rows, r)
     if status == "empty":
         raise ValueError("empty polytope")
@@ -249,19 +242,30 @@ def integral_cone_normals(normals) -> list[list[int]]:
     return [[int(x) for x in u] for u in normals]
 
 
+def split_cone_normal(u) -> tuple[tuple[int, ...], int]:
+    """A nonzero integral cone normal u as (q, l): its label l = gcd(u) and
+    its primitive part q = u / l."""
+    label = gcd(*u)
+    return tuple([x // label for x in u]), label
+
+
+def zero_offset_polytope(ambient_dim: int, normals) -> LabeledPolytope:
+    """The polytope with facets (-q_i, l_i, 0) over split cone normals
+    (q_i, l_i): its cone normals are 0 * reeb + l_i q_i at every reeb."""
+    facets = [LabeledFacet(tuple([-x for x in q]), label, Fraction(0)) for q, label in normals]
+    return LabeledPolytope(ambient_dim, tuple(facets))
+
+
 def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
-    """Homogenize to the moment cone: decompose each cone normal u_i
+    """Homogenize to the moment cone: split each cone normal u_i
     (:func:`cone_normals`) as (positive label) * (primitive vector).
 
     The decomposition must be integral.
     """
-    normals = []
-    for u in integral_cone_normals(_kept_cone_normals(poly, _exact(reeb))):
-        if not any(u):
-            raise ValueError("degenerate facet under coning")
-        label = gcd(*u)
-        normals.append((tuple(x // label for x in u), label))
-    return MomentCone(poly.ambient_dim, tuple(normals))
+    normals = integral_cone_normals(cone_normals(poly, reeb))
+    if not all(map(any, normals)):
+        raise ValueError("degenerate facet under coning")
+    return MomentCone(poly.ambient_dim, tuple(map(split_cone_normal, normals)))
 
 
 def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
@@ -282,5 +286,4 @@ def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:
     status, points = geometry.sliced_cone_points(a_rows, r)
     if status != "bounded" or any(len(t) == len(a_rows) for _, _, t, _ in points):
         raise ValueError("characteristic vector not in interior of dual cone")
-    facets = [LabeledFacet(tuple(-x for x in q), label, Fraction(0)) for q, label in cone.normals]
-    return LabeledPolytope(cone.ambient_dim, tuple(facets))
+    return zero_offset_polytope(cone.ambient_dim, cone.normals)

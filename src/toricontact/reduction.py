@@ -18,8 +18,8 @@ from . import geometry
 from .classify import ToricContactDatum
 from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
 from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
-from .polytope import LabeledFacet, LabeledPolytope, Vertex, integral_cone_normals
-from .polytope import resliced_vertices, sort_vertices
+from .polytope import Vertex, integral_cone_normals, resliced_vertices, sort_vertices
+from .polytope import split_cone_normal, zero_offset_polytope
 
 __all__ = [
     "SpherePresentation",
@@ -39,10 +39,13 @@ class SpherePresentation(FrozenValue):
     beta has one column per sphere coordinate (shape (n+1) x N), weights
     is the (N-n-1) x N matrix of the reduction torus, and deformation is
     the positive rational vector with beta @ deformation = reeb.  The
-    shapes are checked on construction.
+    shapes are checked on construction, which sets ``reeb_image``, beta @
+    deformation with ints where integral, else Fractions, as a datum's
+    reeb; it derives from beta and deformation, so equality leaves it out.
     """
 
-    __slots__ = ("N", "beta", "weights", "deformation", "_reeb_image")
+    __slots__ = ("N", "beta", "weights", "deformation", "reeb_image")
+    _fields = ("N", "beta", "weights", "deformation")
 
     def __init__(self, N: int, beta: tuple, weights: tuple, deformation: tuple[Fraction, ...]):
         beta = tuple(as_integers(r, "beta") for r in beta)
@@ -60,25 +63,14 @@ class SpherePresentation(FrozenValue):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "deformation", deformation)
+        den, nums = over_common_denominator(deformation)
+        sums = [sum(map(mul, row, nums)) for row in beta]
+        image = tuple([s // den if s % den == 0 else Fraction(s, den) for s in sums])
+        object.__setattr__(self, "reeb_image", image)
 
     @property
     def ambient_dim(self) -> int:
         return len(self.beta)
-
-    @property
-    def reeb_image(self) -> tuple:
-        """beta @ deformation, in integers over the deformation's lcm
-        denominator: an int where integral, else a Fraction, as a datum's
-        reeb; computed on first use and kept."""
-        try:
-            return self._reeb_image
-        except AttributeError:
-            pass
-        den, nums = over_common_denominator(self.deformation)
-        sums = [sum(map(mul, row, nums)) for row in self.beta]
-        image = tuple([s // den if s % den == 0 else Fraction(s, den) for s in sums])
-        object.__setattr__(self, "_reeb_image", image)
-        return image
 
 
 class VerificationReport(FrozenValue):
@@ -221,13 +213,10 @@ def reduced_polytope(pres: SpherePresentation):
     in the hyperplane <alpha, beta @ a> = 1, with facet labels from the
     primitive decomposition of beta's columns, and reeb = ``reeb_image``.
     """
-    facets = []
-    for col in transpose(pres.beta):
-        if not any(col):
-            raise ValueError("degenerate beta column")
-        g = gcd(*col)
-        facets.append(LabeledFacet(tuple(-(x // g) for x in col), g, Fraction(0)))
-    return LabeledPolytope(pres.ambient_dim, tuple(facets)), pres.reeb_image
+    columns = transpose(pres.beta)
+    if not all(map(any, columns)):
+        raise ValueError("degenerate beta column")
+    return zero_offset_polytope(pres.ambient_dim, map(split_cone_normal, columns)), pres.reeb_image
 
 
 def _stabilizer_orders(weights, supports) -> list[int | None]:

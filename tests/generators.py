@@ -7,8 +7,14 @@ from math import gcd
 
 from toricontact.classify import perturb_reeb, validate_datum
 from toricontact.lattice import identity, matvec
-from toricontact.polytope import LabeledFacet, LabeledPolytope
+from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_normals, vertices
 from toricontact.spheres import weighted_simplex
+
+
+def walked_vertices(poly, reeb):
+    """The vertex walk of ``poly`` sliced at reeb, from its cone normals
+    there, as validation runs it, with none of validation's other checks."""
+    return vertices(cone_normals(poly, reeb), reeb)
 
 
 def random_unimodular(rng, n):

@@ -2,10 +2,12 @@
 
 Integral values parse to ints and a Fraction is kept, not copied; facets
 compare for duplicates by an integer key; the deformation is read in
-integers off one elimination; each polytope computes its cone normals once
-per characteristic vector; a zero kernel takes no Hermite form.
+integers off one elimination; validation computes a datum's cone normals
+once and the datum keeps them, and a resliced datum reuses them; a zero
+kernel takes no Hermite form.
 """
 
+import importlib
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 
 import oracles
 from test_integer_forms import KINDS, fractional, generated
-from generators import perturbed
+from generators import perturbed, positive_reeb
 from toricontact import documents, geometry, lattice, polytope, reduction
-from toricontact.classify import validate_datum
+from toricontact.classify import perturb_reeb, validate_datum
 from toricontact.lattice import kernel_lattice_basis, rank
 from toricontact.polytope import LabeledFacet, LabeledPolytope
 from toricontact.reduction import SpherePresentation, build_beta, deformation_vector
@@ -181,20 +183,45 @@ class TestDeformationInIntegers:
             reduction.synthesize(d)
 
 
+def _counted_cone_normals(monkeypatch):
+    """Each binding of ``polytope.cone_normals`` (validation's in
+    ``classify`` and ``cone_over``'s in ``polytope``) replaced by a spy;
+    returns the list of the normals each call returned."""
+    results = []
+    real = polytope.cone_normals
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    for module in (importlib.import_module("toricontact.classify"), polytope):
+        monkeypatch.setattr(module, "cone_normals", counted)
+    return results
+
+
 class TestConeNormalsOnce:
     def test_validation_and_the_datum_share_one_computation(self, monkeypatch):
-        calls = []
-        real = polytope.cone_normals
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(polytope, "cone_normals", counted)
+        results = _counted_cone_normals(monkeypatch)
         d = weighted_simplex((2, 3, 5))
-        assert len(calls) == 1 and d.cone_normals is d.cone_normals
+        assert len(results) == 1 and d.cone_normals is results[0]
         reduction.verify_presentation(reduction.synthesize(d), d)
-        assert len(calls) == 1
+        assert len(results) == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_a_resliced_datum_keeps_the_datum_normals(self, rng, kind):
+        # with zero offsets the cone normals are 0 * reeb' + m_i q_i = u_i
+        # at every reeb', so perturb_reeb computes none and validation of
+        # its polytope at reeb' finds the same datum and the same normals
+        d = generated(rng, kind)
+        reeb = positive_reeb(rng, d)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            results = _counted_cone_normals(monkeypatch)
+            moved = perturb_reeb(d, reeb)
+            assert results == []
+        again = validate_datum(moved.polytope, reeb)
+        assert moved == again
+        assert moved.cone_normals == again.cone_normals == d.cone_normals
 
     def test_kept_per_characteristic_vector(self):
         poly = weighted_simplex((1, 2)).polytope

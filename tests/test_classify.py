@@ -33,7 +33,6 @@ from toricontact.polytope import (
     cone_normals,
     cone_over,
     slice_cone,
-    vertices,
 )
 from toricontact.reduction import synthesize, verify_presentation
 from toricontact.spheres import weighted_simplex
@@ -52,6 +51,7 @@ from generators import (
     random_sphere,
     random_unimodular,
     simplex_product,
+    walked_vertices,
     weighted_simplex_product,
 )
 import oracles
@@ -108,8 +108,9 @@ class TestValidateDatum:
     def test_reeb_checks_in_order(self, mode):
         # the wrong dimension wins over "not integral"; the zero vector is
         # integral and left to vertices()
-        with pytest.raises(ValueError, match="characteristic vector has wrong dimension"):
-            validate_datum(orthant_polytope(3), (1, F(1, 2)), mode=mode)
+        for reeb in ((1, F(1, 2)), (1, F(1, 2), 1, 1)):
+            with pytest.raises(ValueError, match="characteristic vector has wrong dimension"):
+                validate_datum(orthant_polytope(3), reeb, mode=mode)
         with pytest.raises(ValueError, match="characteristic vector must be nonzero"):
             validate_datum(orthant_polytope(3), (0, 0, 0), mode=mode)
 
@@ -171,7 +172,7 @@ class TestValidateDatum:
             assert len(fraction_rref([*functionals, reeb])[0]) < poly.ambient_dim
             message = "polytope unbounded in characteristic hyperplane"
         else:
-            coords = [v.coords for v in vertices(poly, reeb)]
+            coords = [v.coords for v in walked_vertices(poly, reeb)]
             diffs = [[b - a for a, b in zip(coords[0], c)] for c in coords[1:]]
             assert len(fraction_rref(diffs)[0]) < poly.dim
             message = "polytope not simple"

@@ -1,5 +1,6 @@
 """Golden documents: the classification, presentation and verification
-documents of a small fixed corpus, byte for byte.
+documents of a small fixed corpus, and the cone and slice documents of its
+rational data, byte for byte.
 
 Each family of the corpus is hashed (sha256 over the documents as the CLI
 prints them, ``json.dumps(doc, indent=2)``) and compared with the digests
@@ -21,13 +22,15 @@ from math import gcd
 
 import pytest
 
-from toricontact.classify import classify, validate_datum
+from toricontact.classify import classify, perturb_reeb, validate_datum
 from toricontact.documents import (
     classification_to_document,
+    cone_to_document,
+    datum_to_document,
     presentation_to_document,
     verification_to_document,
 )
-from toricontact.polytope import LabeledFacet, LabeledPolytope
+from toricontact.polytope import LabeledFacet, LabeledPolytope, cone_over
 from toricontact.reduction import SpherePresentation, synthesize, verify_presentation
 from toricontact.spheres import weighted_simplex
 
@@ -40,6 +43,7 @@ GOLDEN = {
     "mutations": "fb3766cd2c2a303aaa74033da3a0ab8403b1985c125b537cff4a739ce1139933",
     "parabola": "e20ba04bce118b9062514dd72f0c5495488fe595cd3f90d6557c79c14c260f66",
     "irrational-square": "ac35618a5ad23ff9759885d4f7e1f7f08259c430229874cabb1be6c4175e731d",
+    "cones-and-slices": "36c73591660d5af8dd14affff3e22b304e60d2ac36e45bea504a11bb3b692ea0",
 }
 
 
@@ -146,6 +150,19 @@ def _pipeline_documents(data):
         yield verification_to_document(verify_presentation(pres, d))
 
 
+def _cone_and_slice_documents(data):
+    """Per datum, its moment cone and its slices at 2 reeb and at
+    M reeb + e_0, M one more than the largest |y_0| over the vertex rays y,
+    so that every height M h + y_0 is positive."""
+    for d in data:
+        yield cone_to_document(cone_over(d.polytope, d.reeb))
+        big = 1 + max(abs(v.ray[0]) for v in d.vertices)
+        tilted = [big * x for x in d.reeb]
+        tilted[0] += 1
+        for reeb in ([2 * x for x in d.reeb], tilted):
+            yield datum_to_document(perturb_reeb(d, reeb), emit_vertices=True)
+
+
 def family_documents(name):
     if name == "cubes":
         return _pipeline_documents(cube(n) for n in range(1, 5))
@@ -179,6 +196,9 @@ def family_documents(name):
         pres = synthesize(square((0, 0, 1)))
         d = square((0, 0, Fraction(1, 2)))
         return [verification_to_document(verify_presentation(pres, d))]
+    if name == "cones-and-slices":
+        data = [cube(n) for n in range(1, 5)] + [ngon(count) for count in range(4, 9)]
+        return _cone_and_slice_documents(data + spheres() + [parabola(18), parabola(32)])
     raise KeyError(name)
 
 

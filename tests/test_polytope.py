@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from toricontact import geometry
 from toricontact.classify import validate_datum
+from toricontact.spheres import weighted_simplex
 from toricontact.polytope import (
     LabeledFacet,
     LabeledPolytope,
@@ -17,9 +18,9 @@ from toricontact.polytope import (
     cone_over,
     integral_cone_normals,
     slice_cone,
-    vertices,
 )
 
+from generators import walked_vertices
 from oracles import contains, faces_containing, in_plane_vertices, pointed_cone_rays
 
 F = Fraction
@@ -112,14 +113,14 @@ class TestFacetValidation:
 
 class TestVertices:
     def test_standard_two_simplex(self):
-        verts = vertices(standard_simplex(), (1, 1, 1))
+        verts = walked_vertices(standard_simplex(), (1, 1, 1))
         coords = [v.coords for v in verts]
         assert coords == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
         for v in verts:
             assert len(v.active) == 2
 
     def test_weighted_segment(self):
-        verts = vertices(weighted_segment(), (1, 2))
+        verts = walked_vertices(weighted_segment(), (1, 2))
         assert [v.coords for v in verts] == [(0, F(1, 2)), (1, 0)]
 
     def test_infeasible(self):
@@ -127,7 +128,7 @@ class TestVertices:
             1, (LabeledFacet((1,), 1, F(-1)), LabeledFacet((-1,), 1, F(0)))
         )
         with pytest.raises(ValueError, match="empty polytope"):
-            vertices(poly, (1,))
+            walked_vertices(poly, (1,))
 
     def test_unbounded(self):
         # only lower bounds on a 2d slice: unbounded
@@ -135,11 +136,11 @@ class TestVertices:
             3, (LabeledFacet((-1, 0, 0)), LabeledFacet((0, -1, 0)), LabeledFacet((0, 0, -1)))
         )
         with pytest.raises(ValueError, match="unbounded"):
-            vertices(poly, (0, 0, 1))
+            walked_vertices(poly, (0, 0, 1))
 
     def test_every_vertex_recontained(self):
         poly = standard_simplex(4)
-        for v in vertices(poly, (1, 2, 3, 4)):
+        for v in walked_vertices(poly, (1, 2, 3, 4)):
             assert contains(poly, (1, 2, 3, 4), v.coords)
 
     def test_six_cube_takes_one_elimination_and_a_pivot_per_vertex(self, monkeypatch):
@@ -150,7 +151,7 @@ class TestVertices:
         calls = count_calls(monkeypatch, "echelon", "_pivot", "null_space")
         for interleaved in (False, True):
             calls.clear()
-            assert len(vertices(*box(n, 1, interleaved))) == 2**n
+            assert len(walked_vertices(*box(n, 1, interleaved))) == 2**n
             assert calls == {"echelon": 1, "_pivot": 2**n - 1}
 
     def test_interleaved_labels_rebuild_no_more_columns(self, monkeypatch):
@@ -167,7 +168,7 @@ class TestVertices:
 
         monkeypatch.setattr(geometry, "_pivot", counted)
         for interleaved in (False, True):
-            assert len(vertices(*box(6, 1, interleaved))) == 2**6
+            assert len(walked_vertices(*box(6, 1, interleaved))) == 2**6
         assert 0 < rebuilt[True] <= rebuilt[False]
 
     @pytest.mark.parametrize("n", range(4, 13))
@@ -177,7 +178,7 @@ class TestVertices:
         # with no pivot: the first dictionary is the only elimination
         calls = count_calls(monkeypatch, "echelon", "_pivot", "null_space")
         with pytest.raises(ValueError, match="empty polytope"):
-            vertices(*box(n, -1))
+            walked_vertices(*box(n, -1))
         assert calls == {"echelon": 1}
 
 
@@ -215,7 +216,7 @@ class TestVerticesAgainstInPlaneOracle:
     @given(labeled_polytopes())
     def test_same_vertices_and_active_sets_or_error(self, case):
         poly, reeb = case
-        got = _outcome(lambda: [(v.coords, v.active) for v in vertices(poly, reeb)])
+        got = _outcome(lambda: [(v.coords, v.active) for v in walked_vertices(poly, reeb)])
         want = _outcome(
             lambda: in_plane_vertices(
                 [f.functional for f in poly.facets], [f.offset for f in poly.facets], reeb
@@ -244,7 +245,7 @@ class TestIsSimple:
             LabeledFacet((0, 0, -1, 0)),
         )
         poly = LabeledPolytope(4, facets)
-        verts = vertices(poly, (0, 0, 0, 1))
+        verts = walked_vertices(poly, (0, 0, 0, 1))
         apex = [v for v in verts if len(v.active) == 4]
         assert apex and apex[0].coords == (0, 0, 1, 1)
         with pytest.raises(ValueError, match="^polytope not simple$"):
@@ -369,6 +370,16 @@ class TestConeNormals:
             integral_cone_normals([[2, 0], [F(1, 2), 5], [F(1, 3), 1]])
 
 
+    @pytest.mark.parametrize("reeb", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+    def test_a_reeb_of_the_wrong_length_is_refused(self, reeb):
+        # a short reeb must not be truncated (the 5-sphere's normals would
+        # read [[1, 0], [0, 1], [0, 0]]) and then blamed on a degenerate facet
+        poly = weighted_simplex((1, 2, 3)).polytope
+        for cone_of in (cone_normals, cone_over):
+            with pytest.raises(ValueError, match="^characteristic vector has wrong dimension$"):
+                cone_of(poly, reeb)
+
+
 class TestConeOver:
     def test_standard_simplex_gives_orthant(self):
         cone = cone_over(standard_simplex(), (1, 1, 1))
@@ -410,7 +421,7 @@ class TestSliceCone:
     def test_orthant_to_simplex(self):
         orthant = MomentCone(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)))
         poly = slice_cone(orthant, (1, 1, 1))
-        assert [v.coords for v in vertices(poly, (1, 1, 1))] == [
+        assert [v.coords for v in walked_vertices(poly, (1, 1, 1))] == [
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
@@ -419,12 +430,12 @@ class TestSliceCone:
     def test_quadrant_weighted(self):
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, 2))
-        assert [v.coords for v in vertices(poly, (1, 2))] == [(0, F(1, 2)), (1, 0)]
+        assert [v.coords for v in walked_vertices(poly, (1, 2))] == [(0, F(1, 2)), (1, 0)]
 
     def test_rational_reeb_positivity_is_exact(self):
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, F(1, 2)))
-        assert [v.coords for v in vertices(poly, (1, F(1, 2)))] == [(0, 2), (1, 0)]
+        assert [v.coords for v in walked_vertices(poly, (1, F(1, 2)))] == [(0, 2), (1, 0)]
 
     def test_positivity_violation(self):
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
@@ -434,7 +445,7 @@ class TestSliceCone:
     def test_quadrant_sliced_through_its_rays(self):
         quadrant = MomentCone(2, (((1, 0), 1), ((0, 1), 1)))
         poly = slice_cone(quadrant, (1, 1))
-        assert [v.coords for v in vertices(poly, (1, 1))] == [(0, 1), (1, 0)]
+        assert [v.coords for v in walked_vertices(poly, (1, 1))] == [(0, 1), (1, 0)]
 
     def test_cone_over_a_square(self):
         # x, y >= 0, z >= x, z >= y: the slice z = 1 is the unit square
@@ -442,7 +453,7 @@ class TestSliceCone:
             3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, 0, 1), 1), ((0, -1, 1), 1))
         )
         poly = slice_cone(cone, (0, 0, 1))
-        assert [v.coords for v in vertices(poly, (0, 0, 1))] == [
+        assert [v.coords for v in walked_vertices(poly, (0, 0, 1))] == [
             (0, 0, 1),
             (0, 1, 1),
             (1, 0, 1),
@@ -481,8 +492,8 @@ class TestRoundTripAndHull:
             (standard_simplex(4), (1, 1, 1, 1)),
         ]:
             back = slice_cone(cone_over(poly, reeb), reeb)
-            assert [v.coords for v in vertices(back, reeb)] == [
-                v.coords for v in vertices(poly, reeb)
+            assert [v.coords for v in walked_vertices(back, reeb)] == [
+                v.coords for v in walked_vertices(poly, reeb)
             ]
 
     def test_translated_data_same_vertex_set_after_round_trip(self):
@@ -492,8 +503,8 @@ class TestRoundTripAndHull:
         )
         poly = LabeledPolytope(3, facets)
         back = slice_cone(cone_over(poly, (1, 1, 1)), (1, 1, 1))
-        assert [v.coords for v in vertices(back, (1, 1, 1))] == [
-            v.coords for v in vertices(poly, (1, 1, 1))
+        assert [v.coords for v in walked_vertices(back, (1, 1, 1))] == [
+            v.coords for v in walked_vertices(poly, (1, 1, 1))
         ]
 
     def test_strong_convexity_tracks_compactness(self):
@@ -516,7 +527,7 @@ class TestRoundTripAndHull:
     def test_convex_hull_property(self):
         rng = random.Random(77)
         poly, reeb = standard_simplex(3), (1, 2, 3)
-        verts = [v.coords for v in vertices(poly, reeb)]
+        verts = [v.coords for v in walked_vertices(poly, reeb)]
         for _ in range(50):
             weights = [F(rng.randrange(0, 10)) for _ in verts]
             total = sum(weights)

@@ -12,7 +12,7 @@ from toricontact import geometry, lattice, polytope, reduction
 from toricontact.classify import validate_datum
 from toricontact.documents import verification_to_document
 from toricontact.lattice import identity, matmul, rank, transpose
-from toricontact.polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals, vertices
+from toricontact.polytope import LabeledFacet, LabeledPolytope, Vertex, cone_normals
 from toricontact.reduction import (
     SpherePresentation,
     build_beta,
@@ -25,7 +25,7 @@ from toricontact.reduction import (
 from toricontact.spheres import weighted_simplex
 
 from generators import KINDS, generated, labeled_cube, parabola, perturbed, random_datum
-from generators import random_sphere, weighted_simplex_product
+from generators import random_sphere, walked_vertices, weighted_simplex_product
 from oracles import cofactor_det, maximin_deformation, minor_gcd_invariant_factors
 from oracles import small_kernel_vectors
 from oracles import stabilizer_order
@@ -208,7 +208,7 @@ class TestReducedSliceIsTheDatumSlice:
         assert rank(build_beta(d)) == d.polytope.ambient_dim
         assert transpose(pres.beta) == cone_normals(d.polytope, d.reeb)
         assert cone_normals(poly, reeb) == cone_normals(d.polytope, d.reeb)
-        assert [(v.coords, v.active) for v in vertices(poly, reeb)] == [
+        assert [(v.coords, v.active) for v in walked_vertices(poly, reeb)] == [
             (v.coords, v.active) for v in d.vertices
         ]
 
@@ -270,7 +270,7 @@ def enumerated_report(pres, d):
         text = "beta @ deformation differs from the characteristic vector: coordinates"
         problems.append(f"{text} {', '.join(bad)}")
     try:
-        verts = vertices(*reduced_polytope(pres))
+        verts = walked_vertices(*reduced_polytope(pres))
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")
         verts, diff = d.vertices, None
@@ -803,7 +803,7 @@ class TestStabilizerOrder:
         beta = [list(row) for row in pres.beta]
         beta[0][3] += 1
         mutant = SpherePresentation(pres.N, beta, pres.weights, pres.deformation)
-        [vertex] = [v for v in vertices(*reduced_polytope(mutant)) if len(v.active) == 3]
+        [vertex] = [v for v in walked_vertices(*reduced_polytope(mutant)) if len(v.active) == 3]
         support = [j for j in range(pres.N) if j not in vertex.active]
         assert vertex.coords == (F(12, 37), F(0), F(36, 37)) and support == [0, 1, 5]
         w_support = [[row[j] for j in support] for row in pres.weights]
