@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from . import documents
 from .classify import classify, perturb_reeb
-from .polytope import cone_over
+from .polytope import _moment_cone
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -89,7 +89,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cone(args) -> int:
     datum = _read_datum(args)
-    cone = cone_over(datum.polytope, datum.reeb)
+    cone = _moment_cone(datum.polytope.ambient_dim, datum.cone_normals)
     doc = documents.cone_to_document(cone)
     lines = [f"moment cone in dimension {cone.ambient_dim}"]
     for q, label in cone.normals:
@@ -132,8 +132,8 @@ def _cmd_verify(args) -> int:
     ]
     lines += [f"  {e['kind']} vertex ({', '.join(e['vertex'])})" for e in doc["vertex_diff"]]
     for e in doc["local_freeness"]:
-        shown = "infinite" if e["stabilizer_order"] is None else e["stabilizer_order"]
-        lines.append(f"  vertex ({', '.join(e['vertex'])}): stabilizer order {shown}")
+        vertex = ", ".join(e["vertex"])
+        lines.append(f"  vertex ({vertex}): stabilizer order {e['stabilizer_order']}")
     lines += [f"  problem: {problem}" for problem in report.problems]
     _emit(args, doc, lines)
     return 0 if report.ok else 1

@@ -256,16 +256,21 @@ def zero_offset_polytope(ambient_dim: int, normals) -> LabeledPolytope:
     return LabeledPolytope(ambient_dim, tuple(facets))
 
 
-def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
+def _moment_cone(ambient_dim: int, normals) -> MomentCone:
     """Homogenize to the moment cone: split each cone normal u_i
     (:func:`cone_normals`) as (positive label) * (primitive vector).
 
     The decomposition must be integral.
     """
-    normals = integral_cone_normals(cone_normals(poly, reeb))
+    normals = integral_cone_normals(normals)
     if not all(map(any, normals)):
         raise ValueError("degenerate facet under coning")
-    return MomentCone(poly.ambient_dim, tuple(map(split_cone_normal, normals)))
+    return MomentCone(ambient_dim, tuple(map(split_cone_normal, normals)))
+
+
+def cone_over(poly: LabeledPolytope, reeb) -> MomentCone:
+    """The moment cone of ``poly`` at reeb (:func:`_moment_cone`)."""
+    return _moment_cone(poly.ambient_dim, cone_normals(poly, reeb))
 
 
 def slice_cone(cone: MomentCone, reeb) -> LabeledPolytope:

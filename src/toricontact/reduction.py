@@ -11,12 +11,11 @@ round trip, and ``verify_presentation`` checks one against a datum's cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import is_, mul, ne
 
-from . import geometry
 from .classify import ToricContactDatum
-from .lattice import FrozenValue, echelon, kernel_lattice_basis, matmul
+from .lattice import FrozenValue, _hermite, echelon, kernel_lattice_basis, matmul
 from .lattice import as_integers, over_common_denominator, rank, smith_diagonal, transpose
 from .polytope import Vertex, integral_cone_normals, resliced_vertices, sort_vertices
 from .polytope import split_cone_normal, zero_offset_polytope
@@ -75,7 +74,7 @@ class SpherePresentation(FrozenValue):
 
 class VerificationReport(FrozenValue):
     """``vertex_diff`` holds ("missing" or "extra", vertex) pairs and
-    ``local_freeness`` (reduced vertex, stabilizer order or None) pairs;
+    ``local_freeness`` (reduced vertex, stabilizer order) pairs;
     both are empty on another cone, which checks no vertex and is not smooth."""
 
     __slots__ = ("polytope_match", "vertex_diff", "local_freeness", "problems")
@@ -94,11 +93,7 @@ class VerificationReport(FrozenValue):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.polytope_match
-            and not self.problems
-            and all(order is not None for _, order in self.local_freeness)
-        )
+        return self.polytope_match and not self.problems
 
 
 def build_beta(datum: ToricContactDatum) -> list[list[int]]:
@@ -175,16 +170,18 @@ def _failing(message: str, flags) -> list[str]:
     return [f"{message} {', '.join(bad)}"] if bad else []
 
 
-def _presentation_problems(pres: SpherePresentation, reeb, minor_gcd: int) -> list[str]:
+def _presentation_problems(pres: SpherePresentation, reeb) -> list[str]:
     """What is wrong with the presentation's torus and deformation, on their
-    own and against reeb; minor_gcd is a gcd of some maximal minors of W,
-    so 1 proves W saturated and any other value leaves it to W's Smith
-    diagonal (see ``verify_presentation``)."""
+    own and against reeb.  By Cramer's rule the entries of E = d W_P^-1 W,
+    from echelon(W) = (E, P, d), are maximal minors of W: gcd 1 at full
+    rank proves W saturated, and W's Smith diagonal is taken only if not."""
     problems = []
     if pres.weights:
         kernel = matmul(pres.weights, transpose(pres.beta))
         problems += _failing("beta @ weights^T is not zero: weight rows", map(any, kernel))
-        if minor_gcd != 1 and any(d != 1 for d in smith_diagonal(pres.weights)):
+        e, pivots, _, _ = echelon(pres.weights)
+        coprime = len(pivots) == len(pres.weights) and gcd(*[gcd(*row) for row in e]) == 1
+        if not coprime and any(d != 1 for d in smith_diagonal(pres.weights)):
             problems.append("weight matrix is not a saturated kernel basis")
     flags = [x <= 0 for x in pres.deformation]
     problems += _failing("deformation vector not strictly positive: entries", flags)
@@ -219,50 +216,46 @@ def reduced_polytope(pres: SpherePresentation):
     return zero_offset_polytope(pres.ambient_dim, map(split_cone_normal, columns)), pres.reeb_image
 
 
-def _stabilizer_orders(weights, supports) -> list[int | None]:
-    """Order of the reduction-torus stabilizer on each support, or None.
+def _vertex_orders(beta, columns, verts) -> list[int]:
+    """The order of the stabilizer of ker beta's torus at each simple
+    vertex of beta's cone, read off the cone: one gcd per vertex, with no
+    elimination of the torus; ``columns`` are beta's columns u_q.
 
-    The stabilizer of a point with coordinate support S is the kernel of
-    T^k -> T^S given by the columns W_S of the k x N weights.  Its order is
-    the gcd of the k x k minors of W_S, and it is infinite (None) exactly
-    when they all vanish.  A vertex of the n-dimensional slice lies on at
-    least n facets, so |S| <= N - n = k + 1.
+    Let W be a saturated basis of ker beta (k x N, k = N - n - 1) and c
+    the gcd of beta's maximal minors, the index of its image L.  Gale
+    duality (Ziegler, Lectures on Polytopes, 1995, ch. 6) pairs the
+    maximal minors of W and beta on complementary columns: |det W_T| =
+    |det beta_{T^c}| / c.  A vertex v with active set A (n facets) has the
+    support S = A^c of k + 1 columns, and its order, the gcd of the k x k
+    minors of W_S, is the gcd of the |det beta_{A+q}| / c over q in S.
+    Expanded along u_q, det beta_{A+q} = <kappa_A, u_q> with kappa_A the
+    cofactor vector of u_A, which vanishes on u_A, so kappa_A = +-tau_A y_v
+    with y_v the primitive ray of v and tau_A the content of kappa_A.  With
+    u_i = l_i q_i, l_i = gcd(u_i), tau_A = t_v prod l_i (i in A) for t_v
+    the cone index the walk hands v, the gcd of the maximal minors of q_A.
+    So, as <u_i, y_v> = 0 on A,
 
-    One fraction-free elimination echelon(W) = (E, P, d) gives every such
-    minor.  With Q the non-pivot columns and R = E / d = W_P^-1 W, a k-set T
-    of columns has det W_T = +-det E[P - T, Q & T] / d^(r-1), r = |P - T|
-    <= n + 1.  At |S| = k + 1 with s = |S & Q|, let c be the signed maximal
-    minors of the (s-1) x s block E[P - S, S & Q]: its kernel vector, read
-    off one elimination of the block by Cramer's rule (c = [1] when s = 1).
-    Then det W_{S-q} = +-c_q / d^(s-2), and by Laplace expansion along row
-    p, det W_{S-p} = +-<E_p[S & Q], c> / d^(s-1).  A smaller support gets
-    k + 1 - |S| zero columns of W: the block keeps one column more than
-    rows, and its kernel vector is zero off those columns, so |S| = k reads
-    off |det W_S| alone and |S| < k has no maximal minor but 0.
+        order_v = t_v prod_{i in A} l_i g_v / c,  <L, y_v> = g_v Z,
+
+    and any basis of L gives g_v: the first n + 1 columns of beta's column
+    Hermite form, whose pivots multiply to c.  As y_v is primitive, <L,
+    y_v> contains <c Z^(n+1), y_v> = c Z, so g_v divides c: the gcd starts
+    at c and stops at 1.  Nothing here reads W or the slice's height, so
+    the orders are the cone's.
     """
-    k = len(weights)
-    if k == 0:
-        return [1] * len(supports)
-    if any(len(support) > k + 1 for support in supports):
-        raise ValueError("support wider than k + 1 columns: not a vertex")
-    e, pivots, d, _ = echelon(weights)
-    if len(pivots) < k:
-        return [None] * len(supports)
-    row_of = {p: r for r, p in enumerate(pivots)}
+    h = [list(row) for row in beta]
+    _hermite(h)
+    index = prod([h[j][j] for j in range(len(h))])
+    basis = [[row[j] for row in h] for j in range(len(h))]
+    labels = [gcd(*u) for u in columns]
     orders = []
-    for support in supports:
-        on = {row_of[j] for j in support if j in row_of}
-        free = [j for j in support if j not in row_of]
-        off = [row for r, row in enumerate(e) if r not in on]
-        pad = [0] * (k + 1 - len(support))  # the zero columns of a small support
-        block = [[row[j] for j in free] + pad for row in off]
-        c, *rest = geometry._kernel(*echelon(block)[:3], len(off) + 1)
-        if rest:  # the block's rank is below its row count: every minor is 0
-            orders.append(None)
-            continue
-        # d^|P - S| times the maximal minors of W_S, up to sign
-        minors = [d * x for x in c] + [sum([e[r][j] * x for j, x in zip(free, c)]) for r in on]
-        orders.append(gcd(*minors) // abs(d) ** len(off))
+    for v in verts:
+        g = index
+        for b in basis:
+            if g == 1:
+                break
+            g = gcd(g, sum(map(mul, b, v.ray)))
+        orders.append(v.cone_index * prod([labels[i] for i in v.active]) * g // index)
     return orders
 
 
@@ -295,20 +288,18 @@ def verify_presentation(
     Reeb vector reeb' = beta @ a, so the columns are first compared with
     the datum's cone normals as multisets.  Another cone checks no vertex:
     its problems are the torus's, W's saturation, and each facet and column
-    of the difference (``_cone_diff``).  By Cramer's rule the entries of
-    E = d W_P^-1 W, from echelon(W) = (E, P, d), are maximal minors of W:
-    gcd 1 at full rank proves W saturated, with no Smith diagonal.
+    of the difference (``_cone_diff``).
 
     On the same cone beta is onto (the cone is pointed) and only reeb' can
     differ.  The reduced vertices are the datum's vertices v divided by
     their heights <v, reeb'> (``resliced_vertices`` states the lemma), so
-    none is enumerated again, and when every height is 1 and the columns
-    are in facet order they are the datum's own, sorted and matched
-    already.  Local freeness is checked at every reduced vertex through the
-    reduction-torus stabilizer, all read off one elimination of W
-    (``_stabilizer_orders``).  Each order is the gcd of some maximal minors
-    of W, so orders with gcd 1 leave the gcd of all of them 1: W is
-    saturated, and the Smith loop runs only otherwise.
+    none is enumerated again, and when every height is 1 they are the
+    datum's own, sorted and matched already; their active sets are mapped
+    to beta's columns first, so a broken slice keeps the datum's vertices
+    indexed as beta is.  Local freeness is checked at every reduced vertex
+    through the stabilizer of ker beta's torus, whose order the cone gives
+    (``_vertex_orders``): one gcd per vertex and no elimination per vertex,
+    and no lattice form at all when the torus is trivial.
     """
     if pres.ambient_dim != datum.polytope.ambient_dim:
         raise ValueError("presentation and datum dimensions differ")
@@ -318,22 +309,20 @@ def verify_presentation(
     normals = datum.cone_normals
     if sorted(columns) != sorted(normals):
         problems = [] if rank(pres.beta) == pres.ambient_dim else ["beta not surjective"]
-        e, pivots, _, _ = echelon(pres.weights)
-        minor_gcd = gcd(*[gcd(*row) for row in e]) if len(pivots) == len(pres.weights) else 0
-        problems += _presentation_problems(pres, datum.reeb, minor_gcd)
+        problems += _presentation_problems(pres, datum.reeb)
         return VerificationReport(False, (), (), tuple(problems + _cone_diff(columns, normals)))
 
-    # supports index beta's columns; a broken slice keeps the datum's vertices
-    reduced_verts, vertex_diff, late = datum.vertices, [], []
+    verts = datum.vertices
+    if columns != normals:
+        # column j is the datum facet whose cone normal equals it
+        column = {tuple(c): j for j, c in enumerate(columns)}
+        to_column = [column[tuple(u)] for u in normals]
+        active = [frozenset([to_column[i] for i in v.active]) for v in verts]
+        verts = [Vertex(v.ray, v.height, a, v.cone_index) for v, a in zip(verts, active)]
+    reduced_verts, vertex_diff, late = verts, [], []
     try:
-        moved = resliced_vertices(datum.vertices, pres.reeb_image)
-        if columns != normals:
-            # column j is the datum facet whose cone normal equals it
-            column = {tuple(c): j for j, c in enumerate(columns)}
-            to_column = [column[tuple(u)] for u in normals]
-            active = [frozenset([to_column[i] for i in w.active]) for w in moved]
-            moved = [Vertex(w.ray, w.height, a, w.cone_index) for w, a in zip(moved, active)]
-        if not all(map(is_, moved, datum.vertices)):
+        moved = resliced_vertices(verts, pres.reeb_image)
+        if not all(map(is_, moved, verts)):
             reduced_verts = sort_vertices(moved)
             # a primitive ray and a positive height name one point
             ours = {(v.ray, v.height) for v in datum.vertices}
@@ -343,8 +332,10 @@ def verify_presentation(
     except ValueError as exc:
         late = [f"reduced polytope unavailable: {exc}"]
 
-    supports = [[i for i in range(pres.N) if i not in v.active] for v in reduced_verts]
-    orders = _stabilizer_orders(pres.weights, supports)
-    problems = _presentation_problems(pres, datum.reeb, gcd(*[o or 0 for o in orders])) + late
+    if pres.weights:
+        orders = _vertex_orders(pres.beta, columns, reduced_verts)
+    else:
+        orders = [1] * len(reduced_verts)
+    problems = _presentation_problems(pres, datum.reeb) + late
     local = tuple(zip(reduced_verts, orders))
     return VerificationReport(not (vertex_diff or late), tuple(vertex_diff), local, tuple(problems))

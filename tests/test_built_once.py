@@ -8,6 +8,8 @@ kernel takes no Hermite form.
 """
 
 import importlib
+import io
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from test_integer_forms import KINDS, fractional, generated
 from generators import perturbed, positive_reeb
-from toricontact import documents, geometry, lattice, polytope, reduction
+from toricontact import cli, documents, geometry, lattice, polytope, reduction
 from toricontact.classify import perturb_reeb, validate_datum
 from toricontact.lattice import kernel_lattice_basis, rank
 from toricontact.polytope import LabeledFacet, LabeledPolytope
@@ -222,6 +224,16 @@ class TestConeNormalsOnce:
         again = validate_datum(moved.polytope, reeb)
         assert moved == again
         assert moved.cone_normals == again.cone_normals == d.cone_normals
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "cone", "reduce"])
+    def test_one_computation_per_command(self, monkeypatch, capsys, command):
+        # the cone command builds the cone off the datum's normals
+        text = json.dumps(documents.datum_to_document(weighted_simplex((2, 3, 5))))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        results = _counted_cone_normals(monkeypatch)
+        assert cli.main([command]) == 0
+        assert len(results) == 1
+        capsys.readouterr()
 
     def test_kept_per_characteristic_vector(self):
         poly = weighted_simplex((1, 2)).polytope

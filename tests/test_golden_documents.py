@@ -40,8 +40,8 @@ GOLDEN = {
     "cubes": "f594ef15136df980785a37063f8c86572284c1c5f60ae45082daa58456fa831f",
     "ngons": "c7843fe470fd797a2ca66abb78891f267b2bb67ff112b9e68fed8948ee8ca985",
     "spheres": "6a98a338a3921173a44c4ee9b0bcce09215960d0e3d00a62d89c70f239a4bc69",
-    "mutations": "fb3766cd2c2a303aaa74033da3a0ab8403b1985c125b537cff4a739ce1139933",
-    "parabola": "e20ba04bce118b9062514dd72f0c5495488fe595cd3f90d6557c79c14c260f66",
+    "mutations": "3756c11e7230914d471e4882c4b65992d4c871ea15aae6831c6e987c11494924",
+    "parabola": "738fd128bd84395a4a7c4aa6ef7d6532a7f92a1db6129f004f7db72d30abeccf",
     "irrational-square": "ac35618a5ad23ff9759885d4f7e1f7f08259c430229874cabb1be6c4175e731d",
     "cones-and-slices": "36c73591660d5af8dd14affff3e22b304e60d2ac36e45bea504a11bb3b692ea0",
 }

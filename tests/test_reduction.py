@@ -25,6 +25,7 @@ from toricontact.reduction import (
 from toricontact.spheres import weighted_simplex
 
 from generators import KINDS, generated, labeled_cube, parabola, perturbed, random_datum
+from generators import random_unimodular
 from generators import random_sphere, walked_vertices, weighted_simplex_product
 from oracles import cofactor_det, maximin_deformation, minor_gcd_invariant_factors
 from oracles import small_kernel_vectors
@@ -273,7 +274,14 @@ def enumerated_report(pres, d):
         verts = walked_vertices(*reduced_polytope(pres))
     except ValueError as exc:
         problems.append(f"reduced polytope unavailable: {exc}")
-        verts, diff = d.vertices, None
+        # the datum's vertices, their active sets read as beta's columns
+        column = {tuple(c): j for j, c in enumerate(transpose(pres.beta))}
+        to_column = [column[tuple(u)] for u in cone_normals(d.polytope, d.reeb)]
+        verts = [
+            Vertex(v.ray, v.height, frozenset(to_column[i] for i in v.active), v.cone_index)
+            for v in d.vertices
+        ]
+        diff = None
     else:
         ours, theirs = [v.coords for v in d.vertices], [v.coords for v in verts]
         diff = [("missing", c) for c in ours if c not in theirs]
@@ -631,7 +639,9 @@ class TestVerifyPresentation:
         assert not report.ok
         assert any("weights" in p or "zero" in p for p in report.problems)
 
-    def test_weight_row_vanishing_on_support_has_infinite_stabilizer(self):
+    def test_weight_row_vanishing_on_support_is_rejected_with_the_cones_orders(self):
+        # W's stabilizer at the vertex is infinite, but the orders are the
+        # cone's, those of ker beta's torus; the broken W is named instead
         d = cube_datum()
         pres = synthesize(d)
         vertex = d.vertices[0]
@@ -640,8 +650,11 @@ class TestVerifyPresentation:
             if j not in vertex.active:
                 rows[0][j] = 0
         bad = SpherePresentation(pres.N, pres.beta, tuple(map(tuple, rows)), pres.deformation)
+        support = [j for j in range(pres.N) if j not in vertex.active]
+        assert oracles.stabilizer_orders(bad.weights, [support]) == [None]
         report = verify_presentation(bad, d)
-        assert dict(orders_by_point(report))[vertex.coords] is None
+        assert orders_by_point(report) == orders_by_point(verify_presentation(pres, d))
+        assert "beta @ weights^T is not zero: weight rows 0" in report.problems
         assert not report.ok
 
     @settings(deadline=None, max_examples=30)
@@ -724,7 +737,7 @@ def minor_gcd_order(weights, support):
 
 
 def assert_orders_match_the_oracles(weights, supports):
-    got = reduction._stabilizer_orders(weights, supports)
+    got = oracles.stabilizer_orders(weights, supports)
     assert got == [stabilizer_order(weights, support) for support in supports]
     assert got == [minor_gcd_order(weights, support) for support in supports]
 
@@ -765,6 +778,26 @@ def weight_mutant(pres, r, j):
 SATURATION = "weight matrix is not a saturated kernel basis"
 
 
+def benchmark_hexagon():
+    """ngon6 of the benchmark's polygon series: six evenly spaced vertices
+    u of the disc-7 hull, facet (u, 0) with label and offset 1 + (the
+    index of u on the hull) mod 3, reeb e_2."""
+    ring = [(0, (-6, -1)), (2, (-4, -5)), (5, (4, -5)), (8, (6, 1)), (10, (4, 5)), (13, (-4, 5))]
+    facets = tuple(LabeledFacet((x, y, 0), 1 + i % 3, F(1 + i % 3)) for i, (x, y) in ring)
+    return validate_datum(LabeledPolytope(3, facets), (0, 0, 1))
+
+
+def labeled_six_cube():
+    """[0,1]^6 at reeb e_7, facet i labeled 1 + i mod 3."""
+    return labeled_cube(6, [1 + i % 3 for i in range(12)], identity(7))
+
+
+def supports_of(report, N):
+    """The coordinate support, in beta's columns, of each reduced vertex
+    verify checked."""
+    return [[j for j in range(N) if j not in v.active] for v, _ in report.local_freeness]
+
+
 class TestStabilizerOrder:
     @settings(deadline=None, max_examples=300)
     @given(stabilizer_cases())
@@ -779,14 +812,14 @@ class TestStabilizerOrder:
         d = weighted_simplex_product(rng)
         pres = synthesize(d)
         supports = [[j for j in range(pres.N) if j not in v.active] for v in d.vertices]
-        assert max(reduction._stabilizer_orders(pres.weights, supports)) > 1
+        assert max(oracles.stabilizer_orders(pres.weights, supports)) > 1
         assert_orders_match_the_oracles(pres.weights, supports)
         r, j = rng.randrange(len(pres.weights)), rng.randrange(pres.N)
         assert_orders_match_the_oracles(weight_mutant(pres, r, j).weights, supports)
 
     def test_support_wider_than_a_vertex_is_refused(self):
         with pytest.raises(ValueError, match="wider"):
-            reduction._stabilizer_orders([[1, 2, 3]], [[0, 1], [0, 1, 2]])
+            oracles.stabilizer_orders([[1, 2, 3]], [[0, 1], [0, 1, 2]])
 
     def test_degenerate_reduced_vertex_of_k_columns(self):
         # beta[0][3] + 1 on the hexagon of the golden mutations family
@@ -808,7 +841,7 @@ class TestStabilizerOrder:
         assert vertex.coords == (F(12, 37), F(0), F(36, 37)) and support == [0, 1, 5]
         w_support = [[row[j] for j in support] for row in pres.weights]
         order = abs(cofactor_det(w_support))
-        assert reduction._stabilizer_orders(pres.weights, [support]) == [order] == [24]
+        assert oracles.stabilizer_orders(pres.weights, [support]) == [order] == [24]
 
     def test_one_elimination_of_w_per_verification(self, monkeypatch):
         # the 62-gon has k = 59 torus rows; every other elimination verify
@@ -829,9 +862,10 @@ class TestStabilizerOrder:
         assert calls.count(k) == 1
         assert all(rows <= 3 for rows in calls if rows != k)
 
-    def test_saturation_needs_no_smith_form_when_the_orders_are_coprime(self, monkeypatch):
-        # the orders of parabola(12) and of its row mutant have gcd 1, so W
-        # is saturated with no Smith normal form
+    def test_saturation_needs_no_smith_form_on_parabola_12(self, monkeypatch):
+        # the maximal minors off echelon(W) have gcd 1 for W and for its
+        # row mutant, so both are proved saturated with no Smith normal
+        # form; the mutant fails beta @ W^T = 0
         d = parabola(12)
         pres = synthesize(d)
         calls = counted_smith(monkeypatch)
@@ -839,20 +873,21 @@ class TestStabilizerOrder:
             assert verify_presentation(p, d).ok is ok
         assert calls == []
 
-    def test_orders_with_a_common_factor_take_one_smith_form(self, monkeypatch):
-        # W[0][1] + 1 on the labeled square doubles W's second entry: every
-        # vertex order is even, so W's Smith diagonal is taken once and
-        # finds W unsaturated; W is one row, whose diagonal is its content,
-        # with no Smith loop
+    def test_minors_with_a_common_factor_take_one_smith_form(self, monkeypatch):
+        # W[0][1] + 1 on the labeled square doubles W's second entry: W is
+        # off ker beta, and its maximal minors off echelon(W) are even, so
+        # W's Smith diagonal is taken once and finds W unsaturated; W is one
+        # row, whose diagonal is its content, with no Smith loop; the
+        # orders stay the cone's
         d = labeled_cube(2, [1, 2, 3, 1], identity(3))
-        mutant = weight_mutant(synthesize(d), 0, 1)
+        pres = synthesize(d)
+        mutant = weight_mutant(pres, 0, 1)
         calls = counted_smith(monkeypatch)
         diagonals = counted_smith_diagonal(monkeypatch)
         report = verify_presentation(mutant, d)
-        orders = [order for _, order in report.local_freeness]
-        assert gcd(*orders) == 2
         assert SATURATION in report.problems
         assert diagonals == [[2]] and calls == []
+        assert orders_by_point(report) == orders_by_point(verify_presentation(pres, d))
 
     def test_another_cone_reads_saturation_off_one_elimination(self, monkeypatch):
         # beta[0][3] + 1 on parabola(12) moves the cone, so no vertex is
@@ -893,3 +928,89 @@ class TestStabilizerOrder:
             mutant = weight_mutant(pres, r, j)
             unsaturated = any(x != 1 for x in lattice.smith_diagonal(mutant.weights))
             assert (SATURATION in verify_presentation(mutant, d).problems) == unsaturated
+
+
+def counted_eliminations(monkeypatch):
+    """The list that collects the row count of each ``echelon`` and
+    ``_hermite`` call verify makes, as ("echelon" or "hermite", rows)."""
+    calls = []
+    echelon, hermite = lattice.echelon, lattice._hermite
+
+    def counted_echelon(mat):
+        calls.append(("echelon", len(mat)))
+        return echelon(mat)
+
+    def counted_hermite(h, mats=()):
+        calls.append(("hermite", len(h)))
+        return hermite(h, mats)
+
+    for module in (lattice, geometry, reduction):
+        monkeypatch.setattr(module, "echelon", counted_echelon)
+    for module in (lattice, reduction):
+        monkeypatch.setattr(module, "_hermite", counted_hermite)
+    return calls
+
+
+class TestOrdersOffTheCone:
+    """verify reads each stabilizer order off the cone: t_v prod l_i g_v / c
+    per vertex (``reduction._vertex_orders``), with c the index of beta's
+    image; the orders of W's support minors (``oracles.stabilizer_orders``)
+    are the reference wherever W is a saturated basis of ker beta."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_equal_to_the_orders_of_any_saturated_kernel_basis(self, rng, kind):
+        # every kind in a random lattice basis, W replaced by U W for a
+        # random unimodular U, the columns permuted and the deformation
+        # moved, at times so far that the slice breaks
+        d = generated(rng, kind)
+        pres = synthesize(d)
+        k = len(pres.weights)
+        weights = matmul(random_unimodular(rng, k), pres.weights) if k else []
+        a = list(pres.deformation)
+        for j in rng.sample(range(pres.N), rng.randint(0, 2)):
+            a[j] = rng.choice([a[j] + 1, -a[j], a[j] + F(rng.randint(-3, 3), rng.randint(1, 3))])
+        perm = rng.sample(range(pres.N), pres.N)
+        bad = permuted(SpherePresentation(pres.N, pres.beta, weights, a), perm)
+        report = verify_presentation(bad, d)
+        orders = [order for _, order in report.local_freeness]
+        assert orders == oracles.stabilizer_orders(bad.weights, supports_of(report, pres.N))
+        assert SATURATION not in report.problems
+        if k:
+            # a row doubled keeps W in ker beta, but not saturated
+            doubled = [[2 * x for x in bad.weights[0]], *bad.weights[1:]]
+            flagged = SpherePresentation(bad.N, bad.beta, doubled, bad.deformation)
+            assert SATURATION in verify_presentation(flagged, d).problems
+
+    @pytest.mark.parametrize(
+        "datum, index",
+        [(labeled_six_cube, 36), (benchmark_hexagon, 12), (lambda: parabola(62), 6)],
+        ids=["labeled-6-cube", "ngon6", "parabola-62"],
+    )
+    def test_named_examples_with_a_nontrivial_index(self, datum, index):
+        # c > 1, so g_v / c is read at every vertex
+        d = datum()
+        pres = synthesize(d)
+        assert prod(lattice.smith_diagonal(pres.beta)) == index
+        report = verify_presentation(pres, d)
+        orders = [order for _, order in report.local_freeness]
+        assert orders == oracles.stabilizer_orders(pres.weights, supports_of(report, pres.N))
+        assert report.ok
+
+    @pytest.mark.parametrize(
+        "datum", [labeled_six_cube, lambda: weighted_simplex((1, 2, 3))], ids=["6-cube", "sphere"]
+    )
+    def test_no_elimination_per_vertex_and_none_for_a_trivial_torus(self, monkeypatch, datum):
+        # one Hermite form of beta and one elimination of W for the 64
+        # vertices; no Smith diagonal where W's maximal minors off its
+        # elimination have gcd 1, and no work at all when k = 0
+        d = datum()
+        pres = synthesize(d)
+        k, n1 = len(pres.weights), pres.ambient_dim
+        calls = counted_eliminations(monkeypatch)
+        smith = counted_smith(monkeypatch)
+        diagonals = counted_smith_diagonal(monkeypatch)
+        assert verify_presentation(pres, d).ok
+        expected = [("hermite", n1), ("echelon", k)] if k else []
+        assert calls == expected and smith == [] and diagonals == []
+
